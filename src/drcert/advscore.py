@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .curves import Curve, curve_from_samples
 from .errors import InvalidScoreError, UnboundedOutputError, UnknownActivationError
 from .rates import CostConfig
 
@@ -278,26 +277,6 @@ class SupConvLinear(ScoreExpr):
         return float(max(best, f1, f2))
 
 
-@dataclass(frozen=True)
-class PointwiseMax(ScoreExpr):
-    """max of branch scores; used where one branch dominates (e.g. the two
-    signed branches of a contraction argument for symmetric activations)."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise InvalidScoreError("need at least one branch")
-
-    @property
-    def lipschitz(self) -> float:
-        return max(p.lipschitz for p in self.parts)
-
-    def value(self, t: float) -> float:
-        return max(p.value(t) for p in self.parts)
-
-
 # -- constructors ---------------------------------------------------------------
 
 _SATURATING = ("sigmoid", "tanh", "softmax")
@@ -413,8 +392,3 @@ def mlp_score(net: nn.Mlp, cost: CostConfig, head: str = "classification",
         return regression_head_score(F, gamma or identity_score(), cost)
     raise ValueError(f"unknown head {head!r}")
 
-
-def score_to_curve(expr: ScoreExpr, grid) -> Curve:
-    """Sample a score onto a budget grid (for CSV export)."""
-    grid = np.asarray(grid, dtype=float)
-    return curve_from_samples(zip(grid, expr.values(grid)), tail="slope")

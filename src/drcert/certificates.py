@@ -23,6 +23,7 @@ import numpy as np
 
 from . import nn
 from .curves import least_concave_majorant, p_transform, star_majorant_after_power
+from .jsonio import decode_float, encode_float
 from .rates import RateProfile
 
 
@@ -91,18 +92,6 @@ def grad_dual_certificate(grads, p, eps: float, r=2.0) -> float:
     return eps * mag
 
 
-def deterministic_generalization_gap(profiles, eps: float) -> float:
-    """sup over a parameter grid of the concave certificate at p=1.
-
-    With a finite grid this is a lower estimate of the class-level concave
-    complexity; closed-form class bounds cover the upper direction.
-    """
-    profiles = list(profiles)
-    if not profiles:
-        raise ValueError("need at least one profile")
-    return max(upper_bound(prof, 1.0, eps) for prof in profiles)
-
-
 @dataclass
 class OrderingResult:
     ok: bool
@@ -153,35 +142,33 @@ class CertificateReport:
     finite: bool
 
     def to_json(self) -> str:
-        def enc(x):
-            return "inf" if math.isinf(x) else float(x)
-
         payload = {
-            "p": enc(self.p),
-            "eps": [float(e) for e in self.epsilon_grid],
-            "lb": [enc(v) for v in self.lb],
-            "cc": [enc(v) for v in self.cc],
-            "lip": [enc(v) for v in self.lipschitz],
-            "grad_dual": [enc(v) for v in self.grad_dual],
-            "empirical_risk": float(self.empirical_risk),
+            "p": encode_float(self.p),
+            "eps": [encode_float(e) for e in self.epsilon_grid],
+            "lb": [encode_float(v) for v in self.lb],
+            "cc": [encode_float(v) for v in self.cc],
+            "lip": [encode_float(v) for v in self.lipschitz],
+            "grad_dual": [encode_float(v) for v in self.grad_dual],
+            "empirical_risk": encode_float(self.empirical_risk),
             "finite": bool(self.finite),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateReport":
-        def dec(x):
-            return math.inf if x == "inf" else float(x)
-
         d = json.loads(text)
+
+        def column(key):
+            return np.array([decode_float(v) for v in d[key]])
+
         return cls(
-            epsilon_grid=np.array([float(e) for e in d["eps"]]),
-            p=dec(d["p"]),
-            lb=np.array([dec(v) for v in d["lb"]]),
-            cc=np.array([dec(v) for v in d["cc"]]),
-            lipschitz=np.array([dec(v) for v in d["lip"]]),
-            grad_dual=np.array([dec(v) for v in d["grad_dual"]]),
-            empirical_risk=float(d["empirical_risk"]),
+            epsilon_grid=column("eps"),
+            p=decode_float(d["p"]),
+            lb=column("lb"),
+            cc=column("cc"),
+            lipschitz=column("lip"),
+            grad_dual=column("grad_dual"),
+            empirical_risk=decode_float(d["empirical_risk"]),
             finite=bool(d["finite"]),
         )
 

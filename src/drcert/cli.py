@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
+from .jsonio import encode_float
 from .rates import (
     CostConfig,
     LinearPowerRegression,
@@ -129,15 +130,6 @@ def _config_from_args(args, task: str) -> ExperimentConfig:
 
 # -- certify --------------------------------------------------------------------
 
-def _feature_lipschitz(net: nn.Mlp, r) -> float:
-    prod = 1.0
-    for layer in net.layers:
-        prod *= nn.opnorm(layer.W, r)
-        if layer.act in ("sigmoid",):
-            prod *= 0.25
-    return prod
-
-
 def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
                 weights_path=None, out_bound: float = math.inf) -> dict:
     """Certificate report over the budget grid.
@@ -165,7 +157,6 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
         score = advscore.regression_head_score(
             advscore.LinearGain(dual_norm(theta, cost.r)),
             advscore.identity_score(), cost)
-        lip = loss.gain
     elif model == "mlp":
         if weights_path is None:
             raise ConfigError("mlp certification needs --weights")
@@ -188,13 +179,10 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
         grads = [nn.loss_and_grad_x(net, z)[1] for z in data]
         cfg = SearchConfig(n_starts=4, n_steps=40, n_boundary=64, seed=config.seed)
         profile = maximal_rate(loss, data, np.concatenate([[0.0], eps]), config=cfg)
-        lip = _feature_lipschitz(net, cost.r)
-        if net.head == "logsoftmax":
-            lip *= 2.0  # log-sum-exp shift plus label pairing
     else:
         raise ConfigError(f"unknown model {model!r}")
     report = certificate_report(profile, config.p, eps, empirical_risk=emp,
-                                L=lip, grads=grads, r=cost.r)
+                                L=score.lipschitz, grads=grads, r=cost.r)
     score_vals = score.values(eps)
     if model == "mlp":
         # the score is the certified upper path for networks
@@ -223,12 +211,11 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
     cert_eps = float(config.eps_grid[0])
 
     def cert_fn(current):
-        lip = _feature_lipschitz(current, r)
         grads = [nn.loss_and_grad_x(current, (Xtr[i], float(ytr[i])))[1]
                  for i in range(Xtr.shape[0])]
         gd = grad_dual_certificate(grads, config.p, cert_eps, r)
         score = advscore.mlp_feature_score(current, r)
-        return lip * cert_eps, gd, score.value(cert_eps)
+        return score.lipschitz * cert_eps, gd, score.value(cert_eps)
 
     tcfg = nn.TrainConfig(lr=config.lr, epochs=config.epochs, batch_size=32,
                           eps=cert_eps if config.adversarial else 0.0, r=r,
@@ -236,11 +223,10 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
     trained, trace = nn.train(net, (Xtr, ytr), (Xte, yte), tcfg, cert_fn=cert_fn)
     rows = [tuple(row[c] for c in nn.TRACE_COLUMNS) for row in trace]
     write_csv_atomic(config.out / "trace.csv", nn.TRACE_COLUMNS, rows)
-    lip = _feature_lipschitz(trained, r)
     score = advscore.mlp_feature_score(trained, r)
     grads = [nn.loss_and_grad_x(trained, (Xtr[i], float(ytr[i])))[1]
              for i in range(Xtr.shape[0])]
-    cert_rows = [(e, lip * e, grad_dual_certificate(grads, config.p, e, r),
+    cert_rows = [(e, score.lipschitz * e, grad_dual_certificate(grads, config.p, e, r),
                   score.value(e)) for e in config.eps_grid]
     write_csv_atomic(config.out / "certificates.csv",
                      ["eps", "cert_lip", "cert_grad_dual", "cert_advscore"], cert_rows)
@@ -375,13 +361,10 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
         payload["enumeration_gap"] = abs(payload["enumeration"] - risk)
     except DrcertError:
         pass  # instance too large to enumerate; bisection result stands
-
-    def enc(x):
-        return "inf" if isinstance(x, float) and math.isinf(x) else x
-
+    encoded = {k: encode_float(v) if isinstance(v, float) else v
+               for k, v in payload.items()}
     write_text_atomic(config.out / "oracle.json",
-                      json.dumps({k: enc(v) for k, v in payload.items()},
-                                 indent=2, sort_keys=True) + "\n")
+                      json.dumps(encoded, indent=2, sort_keys=True) + "\n")
     return payload
 
 

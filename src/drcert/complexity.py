@@ -2,8 +2,8 @@
 of the concave complexity on finite fixtures.
 
 Estimates are reported with standard errors so gap checks can use 3-sigma
-bands.  Sign draws are shared via explicit seeds: the adversarial estimator at
-eps=0 reproduces the clean one bit for bit under the same seed.
+bands.  Sign draws are shared via explicit seeds: the paired adversarial-clean
+gap at eps=0 (identical tables) is exactly zero under the same seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .certificates import upper_bound
 from .oracle import DiscreteInstance, instance_rate_profile
 
@@ -24,7 +23,6 @@ class ComplexityEstimate:
     value: float
     std_error: float
     n_sigma_draws: int
-    class_spec: str = ""
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -37,75 +35,26 @@ class ComplexityEstimate:
                            "draws": self.n_sigma_draws}, sort_keys=True)
 
 
-def _sigma(rng, draws, n):
-    return rng.choice([-1.0, 1.0], size=(draws, n))
-
-
-def rademacher_mc(loss_values, draws: int = 2000, seed: int = 0,
-                  class_spec: str = "grid") -> ComplexityEstimate:
-    """Sign-correlation complexity of a finite parameter grid.
-
-    ``loss_values`` has shape (n_theta, N): loss of each grid parameter at
-    each sample.  The inner sup runs over the grid (a lower estimate of the
-    class value); the outer expectation is Monte Carlo over sign vectors.
-    """
-    L = np.atleast_2d(np.asarray(loss_values, dtype=float))
-    n_theta, n = L.shape
-    if n_theta == 0 or n == 0:
-        raise ValueError("need a non-empty loss table")
-    rng = np.random.default_rng(seed)
-    sig = _sigma(rng, draws, n)
-    per_draw = np.max(L @ sig.T, axis=0) / n
-    value = float(np.mean(per_draw))
-    se = float(np.std(per_draw, ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
-    return ComplexityEstimate(value, se, draws, class_spec)
-
-
-def adversarial_rademacher_mc(adv_loss_values, draws: int = 2000, seed: int = 0,
-                              class_spec: str = "grid") -> ComplexityEstimate:
-    """Same estimator on the table of eps-ball worst-case losses l + rate(eps).
-
-    With eps = 0 the table equals the clean one and, under a shared seed, the
-    estimate collapses to :func:`rademacher_mc` exactly.
-    """
-    return rademacher_mc(adv_loss_values, draws=draws, seed=seed,
-                         class_spec=class_spec)
-
-
-def rademacher_mc_linear(features, radius: float, ball_norm=2.0,
-                         draws: int = 2000, seed: int = 0) -> ComplexityEstimate:
-    """Exact inner sup for a linear class over a norm ball.
-
-    For losses <theta, phi_i> with ||theta|| <= radius the per-draw sup is
-    radius * ||sum_i sigma_i phi_i||_* / N (dual norm), no grid needed.
-    """
-    phi = np.asarray(features, dtype=float)
-    n = phi.shape[0]
-    rng = np.random.default_rng(seed)
-    sig = _sigma(rng, draws, n)
-    corr = sig @ phi  # (draws, dim)
-    q = nn.dual_exponent(ball_norm)
-    per_draw = radius * np.array([nn.vector_norm(row, q) for row in corr]) / n
-    value = float(np.mean(per_draw))
-    se = float(np.std(per_draw, ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
-    return ComplexityEstimate(value, se, draws,
-                              f"linear ball r<={radius} norm={ball_norm}")
-
-
 def paired_gap(loss_values, adv_loss_values, draws: int = 2000, seed: int = 0):
-    """Adversarial-clean complexity gap with a paired-draw standard error.
+    """Sign-correlation complexities of a clean and an adversarial loss table,
+    and their gap, with a paired-draw standard error.
 
-    Returns (gap, gap_se, clean_estimate, adversarial_estimate); the gap SE
-    comes from the per-draw differences under one shared sign stream, which is
-    the combined error of the two estimates.
+    Each table has shape (n_theta, N): loss of each grid parameter at each
+    sample.  The inner sup runs over the grid (a lower estimate of the class
+    value); the outer expectation is Monte Carlo over one shared stream of
+    sign vectors.  Returns (gap, gap_se, clean_estimate, adversarial_estimate);
+    the gap SE comes from the per-draw differences, which is the combined
+    error of the two estimates.
     """
     L = np.atleast_2d(np.asarray(loss_values, dtype=float))
     A = np.atleast_2d(np.asarray(adv_loss_values, dtype=float))
     if L.shape != A.shape:
         raise ValueError("clean and adversarial tables must share a shape")
+    if L.size == 0:
+        raise ValueError("need a non-empty loss table")
     n = L.shape[1]
     rng = np.random.default_rng(seed)
-    sig = _sigma(rng, draws, n)
+    sig = rng.choice([-1.0, 1.0], size=(draws, n))
     clean = np.max(L @ sig.T, axis=0) / n
     adv = np.max(A @ sig.T, axis=0) / n
     diffs = adv - clean
@@ -123,26 +72,6 @@ def arc_rc_gap_bound(sup_delta_max: float, n_samples: int) -> float:
     if n_samples < 1:
         raise ValueError("need at least one sample")
     return sup_delta_max / math.sqrt(n_samples)
-
-
-def acc_cc_gap_bound(sup_rate_over_space: float) -> float:
-    """Gap bound for the concave complexity itself: the global rate sup.
-
-    Unlike the sign-correlation gap this does not shrink with the sample size;
-    it is an intrinsic property of the loss class over the whole space.
-    """
-    return float(sup_rate_over_space)
-
-
-def mlp_gap_bound(layer_norms, lip_f: float, eps: float, n_samples: int) -> float:
-    """Network gap bound eps * Lip^K * prod ||W_k|| / sqrt(N)."""
-    norms = [float(x) for x in layer_norms]
-    if any(not math.isfinite(x) for x in norms):
-        raise ValueError("layer norms must be finite")
-    prod = 1.0
-    for x in norms:
-        prod *= x
-    return eps * lip_f ** len(norms) * prod / math.sqrt(n_samples)
 
 
 def trend_slope(xs, ys):

@@ -19,7 +19,7 @@ Beyond the last knot a curve behaves according to its ``tail``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,8 @@ from .errors import EmptyInputError, InvalidExponentError, NegativeBudgetError
 
 TAILS = ("const", "slope", "infinite")
 
-#: absolute/relative tolerance for curve value comparisons
-VALUE_TOL = 1e-9
 #: slope tolerance for the chord-monotonicity (concavity) test
 SLOPE_TOL = 1e-12
-
-
-def _close(a, b, tol=VALUE_TOL):
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -164,28 +156,6 @@ class ConcaveCurve:
 
     def values(self, ts) -> np.ndarray:
         return np.array([self.value(x) for x in np.asarray(ts, dtype=float)])
-
-
-@dataclass
-class StarCurve:
-    """Least star-shaped majorant of a source curve, evaluated lazily."""
-
-    source: Curve
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def value(self, t: float) -> float:
-        key = float(t)
-        if key not in self._cache:
-            self._cache[key] = least_star_majorant(self.source, key)
-        return self._cache[key]
-
-    @property
-    def anchors(self):
-        return sorted(self._cache.items())
-
-
-def star_curve(f: Curve) -> StarCurve:
-    return StarCurve(f)
 
 
 def _upper_hull(t: np.ndarray, v: np.ndarray):
@@ -339,26 +309,6 @@ def p_transform(f: Curve, p: float) -> Curve:
     return Curve(t_new, f.v.copy(), tail=tail, tail_exponent=expo)
 
 
-def sup_convolution_linear(F: ConcaveCurve, c: float, t: float) -> float:
-    """sup over tau in [0, t] of F(t - tau) + c*tau.
-
-    For a piecewise-linear concave ``F`` the objective is piecewise linear in
-    tau, so the supremum sits at tau in {0, t} or where t - tau hits a knot;
-    evaluating those candidates is exact.
-    """
-    if c < 0:
-        raise ValueError("linear gain must be non-negative")
-    if t < 0:
-        raise NegativeBudgetError("budgets are non-negative")
-    if F.infinite:
-        return math.inf
-    best = max(F.value(t), F.value(0.0) + c * t)
-    inside = F.t[(F.t > 0) & (F.t < t)]
-    for u in inside:
-        best = max(best, F.value(float(u)) + c * (t - float(u)))
-    return float(best)
-
-
 def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:
     """Chord-slope monotonicity test (slopes non-increasing left to right).
 
@@ -379,49 +329,3 @@ def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:
             return False
     return True
 
-
-def has_nonconcave_tail(f: Curve, factor: float = 1.0) -> bool:
-    """Heuristic divergence flag: last chord slope exceeds the previous one.
-
-    Advisory only; callers that know the asymptotic growth should set the tail
-    explicitly instead.
-    """
-    if f.t.size < 3:
-        return False
-    s_last = (f.v[-1] - f.v[-2]) / (f.t[-1] - f.t[-2])
-    s_prev = (f.v[-2] - f.v[-3]) / (f.t[-2] - f.t[-3])
-    return bool(s_last > factor * s_prev + SLOPE_TOL)
-
-
-def budget_grid(horizon: float, n: int = 256, lo_frac: float = 1e-6) -> np.ndarray:
-    """Default budget grid: t=0 plus ``n`` log-spaced knots over (0, horizon]."""
-    if horizon <= 0:
-        raise NegativeBudgetError("horizon must be positive")
-    if n < 1:
-        raise EmptyInputError("need at least one positive knot")
-    return np.concatenate([[0.0], np.geomspace(horizon * lo_frac, horizon, n)])
-
-
-def curve_to_csv(curve: Curve, path) -> None:
-    """Write knots as ``t,v`` rows ('inf' encodes infinity)."""
-    lines = ["t,v"]
-    for tk, vk in zip(curve.t, curve.v):
-        vs = "inf" if math.isinf(vk) else repr(float(vk))
-        lines.append(f"{repr(float(tk))},{vs}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def curve_from_csv(path, tail: str = "const") -> Curve:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,v":
-            raise ValueError(f"expected 't,v' header, got {header!r}")
-        pairs = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            ts, vs = line.split(",")
-            pairs.append((float(ts), math.inf if vs == "inf" else float(vs)))
-    return curve_from_samples(pairs, tail=tail)

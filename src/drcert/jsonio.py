@@ -1,0 +1,21 @@
+"""JSON codec for extended reals.
+
+JSON has no infinity, so infinite values travel as the strings ``"inf"`` and
+``"-inf"``; finite values stay plain JSON numbers.  Every report and instance
+file goes through this one encoder/decoder pair.
+"""
+
+from __future__ import annotations
+
+import math
+
+
+def encode_float(x) -> float | str:
+    """A number as a JSON value: ``"inf"``/``"-inf"`` or a plain float."""
+    x = float(x)
+    return repr(x) if math.isinf(x) else x
+
+
+def decode_float(x) -> float:
+    """Inverse of :func:`encode_float` (also accepts plain JSON numbers)."""
+    return float(x)

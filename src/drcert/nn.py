@@ -182,47 +182,19 @@ def loss_and_grad_x(net: Mlp, z):
     return float(loss) if np.ndim(loss) == 0 else loss, g
 
 
-def opnorm(W: np.ndarray, r, maxiter: int = 2000) -> float:
-    """Induced operator norm of W for r in {1, 2, inf}.
+def opnorm(W: np.ndarray, r) -> float:
+    """Induced operator norm of W for r in {1, 2, inf}, computed exactly.
 
-    r=1 is the max absolute column sum, r=inf the max absolute row sum, r=2 is
-    estimated by power iteration on the Gram matrix (early stop once the
-    Rayleigh estimate moves less than 1e-13 relative; the cap covers matrices
-    with near-degenerate top singular values).
+    r=1 is the max absolute column sum, r=inf the max absolute row sum and r=2
+    the largest singular value (SVD).
     """
     W = np.asarray(W, dtype=float)
     r = float(r)
+    if r not in (1.0, 2.0, math.inf):
+        raise ValueError("r must be one of 1, 2, inf")
     if W.size == 0:
         return 0.0
-    if r == 1.0:
-        return float(np.max(np.sum(np.abs(W), axis=0)))
-    if math.isinf(r):
-        return float(np.max(np.sum(np.abs(W), axis=1)))
-    if r != 2.0:
-        raise ValueError("r must be one of 1, 2, inf")
-    n = W.shape[1]
-    v = np.ones(n) + 1e-3 * np.arange(n)  # deterministic, generic start
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(maxiter):
-        w = W @ v
-        v_new = W.T @ w
-        nv = np.linalg.norm(v_new)
-        if nv == 0.0:
-            return 0.0
-        v_new /= nv
-        sigma_new = np.linalg.norm(W @ v_new)
-        if abs(sigma_new - sigma) <= 1e-13 * max(1.0, sigma_new):
-            return float(sigma_new)
-        sigma, v = sigma_new, v_new
-    return float(sigma)
-
-
-def spectral_norm_gram(W: np.ndarray) -> float:
-    """Exact top singular value via the Gram eigen-solve (small matrices)."""
-    W = np.asarray(W, dtype=float)
-    G = W.T @ W if W.shape[0] >= W.shape[1] else W @ W.T
-    return float(math.sqrt(max(np.max(np.linalg.eigvalsh(G)), 0.0)))
+    return float(np.linalg.norm(W, r))
 
 
 def dual_exponent(r) -> float:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError
+from .jsonio import decode_float, encode_float
 
 MAX_SUPPORT = 4096
 
@@ -286,33 +287,27 @@ def instance_rate_profile(inst: DiscreteInstance):
 
 def instance_from_json(text: str) -> DiscreteInstance:
     d = json.loads(text)
-
-    def dec(x):
-        return math.inf if x == "inf" else float(x)
-
-    cost = np.array([[dec(x) for x in row] for row in d["cost"]])
+    cost = np.array([[decode_float(x) for x in row] for row in d["cost"]])
     atoms = d["atoms"]
+    support = d.get("support")
     return DiscreteInstance(
-        loss=np.array([dec(x) for x in d["loss"]]),
+        loss=np.array([decode_float(x) for x in d["loss"]]),
         atom_index=np.array([int(a[0]) for a in atoms]),
         weights=np.array([float(a[1]) for a in atoms]),
         cost=cost,
-        p=dec(d.get("p", 1.0)),
-        eps=float(d.get("eps", 0.0)),
-        support=np.asarray(d["support"], dtype=float) if "support" in d else None,
+        p=decode_float(d.get("p", 1.0)),
+        eps=decode_float(d.get("eps", 0.0)),
+        support=np.asarray(support, dtype=float) if support is not None else None,
     )
 
 
 def instance_to_json(inst: DiscreteInstance) -> str:
-    def enc(x):
-        return "inf" if math.isinf(x) else float(x)
-
     payload = {
         "support": inst.support.tolist() if inst.support is not None else None,
-        "loss": [enc(x) for x in inst.loss],
+        "loss": [encode_float(x) for x in inst.loss],
         "atoms": [[int(i), float(w)] for i, w in zip(inst.atom_index, inst.weights)],
-        "cost": [[enc(x) for x in row] for row in inst.cost],
-        "p": enc(inst.p),
-        "eps": float(inst.eps),
+        "cost": [[encode_float(x) for x in row] for row in inst.cost],
+        "p": encode_float(inst.p),
+        "eps": encode_float(inst.eps),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -365,16 +365,3 @@ def profile_from_curves(curves, weights=None, quality="exact") -> RateProfile:
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
     return RateProfile(tuple(curves), maximal, w, quality=quality)
 
-
-def power_loss_rate_bounds(alpha: float, theta_dual_norm: float, c_hat: float, t: float):
-    """Analytic two-sided rate bounds for the power regression loss.
-
-    Returns (t^alpha * ||theta||^alpha, (|c| + t*||theta||)^alpha - |c|^alpha);
-    the two coincide when c = 0 or alpha = 1.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    c = abs(c_hat)
-    lower = (t * theta_dual_norm) ** alpha
-    upper = (c + t * theta_dual_norm) ** alpha - c ** alpha
-    return float(lower), float(upper)

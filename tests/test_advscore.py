@@ -9,7 +9,6 @@ from drcert.advscore import (
     HolderScore,
     HuberScore,
     LinearGain,
-    PointwiseMax,
     SupConvLinear,
     TruncatedScore,
     activation_score,
@@ -22,7 +21,6 @@ from drcert.advscore import (
     mlp_feature_score,
     mlp_score,
     regression_head_score,
-    score_to_curve,
 )
 from drcert.curves import is_concave
 from drcert.errors import InvalidScoreError, UnboundedOutputError, UnknownActivationError
@@ -275,21 +273,33 @@ class TestMlpScore:
         assert dense_concavity(A, hi=2.0)
 
 
-class TestMisc:
-    def test_pointwise_max(self):
-        P = PointwiseMax((LinearGain(1.0), LinearGain(2.0)))
-        assert P.value(3.0) == 6.0
-        assert P.lipschitz == 2.0
+class TestSupConvLinear:
+    def test_zero_gain_is_identity(self):
+        F = HolderScore(1.0, 0.5)
+        A = SupConvLinear(F, 0.0)
+        for t in [0.3, 1.0, 2.7]:
+            assert A.value(t) == pytest.approx(F.value(t))
 
+    def test_sqrt_analytic_point(self):
+        # sup_tau sqrt(1 - tau) + tau = 1.25 at tau = 3/4
+        A = SupConvLinear(HolderScore(1.0, 0.5), 1.0)
+        dense = np.linspace(0, 1, 200001)
+        oracle = np.max(np.sqrt(1.0 - dense) + dense)
+        assert A.value(1.0) == pytest.approx(oracle, abs=1e-10)
+        assert A.value(1.0) == pytest.approx(1.25, abs=1e-12)
+
+    def test_dominating_linear(self):
+        for c in [0.0, 1.0, 3.0]:
+            assert SupConvLinear(LinearGain(3.0), c).value(2.0) == pytest.approx(6.0)
+
+    def test_output_concave(self):
+        assert dense_concavity(SupConvLinear(HolderScore(1.0, 0.5), 0.7))
+
+
+class TestMisc:
     def test_supconv_concave_output(self):
         A = SupConvLinear(activation_score("tanh", 2, 2), 0.3)
         assert dense_concavity(A)
-
-    def test_score_to_curve_roundtrip_values(self):
-        A = activation_score("tanh", 1, math.inf)
-        grid = np.linspace(0, 2, 17)
-        c = score_to_curve(A, grid)
-        assert np.allclose(c.v, A.values(grid))
 
     def test_every_node_zero_at_zero(self):
         nodes = [
@@ -298,7 +308,6 @@ class TestMisc:
             HuberScore(1.0), TruncatedScore(1.0), BarronRobustScore(2.0),
             EntropyScore(), HolderScore(1.0, 0.5),
             SupConvLinear(LinearGain(1.0), 0.5),
-            PointwiseMax((LinearGain(1.0),)),
             compose(activation_score("tanh", 1, 2), LinearGain(3.0)),
         ]
         for node in nodes:

@@ -1,0 +1,69 @@
+"""Guard against test-only public API in the library.
+
+Every public top-level function or class in ``src/drcert`` must be named
+somewhere else in the package or in the acceptance gate; otherwise it is dead
+weight that only unit tests keep alive.  The exceptions below are library
+entry points kept for users, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "drcert"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+KEPT = {
+    "gamma_score": "score library for the paper's robust and non-Lipschitz regression losses",
+    "margin_loss_score": "score of the paper's classification margin map",
+    "is_concave": "concavity test shared by the curve and score test modules",
+    "instance_to_json": "writer half of the instance format read by `drcert oracle`",
+}
+
+
+def _names_used(tree, skip=None):
+    """Identifiers referenced in ``tree``, not counting the ``skip`` subtree."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def unreferenced_public_names():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    gate = _names_used(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    missing = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in KEPT or node.name in gate:
+                continue
+            if not any(node.name in _names_used(t, skip=node if p == path else None)
+                       for p, t in trees.items()):
+                missing.append(f"{path.stem}.{node.name}")
+    return missing
+
+
+def test_every_public_name_has_a_library_or_gate_caller():
+    missing = unreferenced_public_names()
+    assert not missing, f"public names used only by unit tests: {missing}"
+
+
+def test_kept_names_still_exist():
+    defined = {node.name
+               for path in SRC.glob("*.py")
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(KEPT) <= defined

@@ -77,6 +77,21 @@ class TestCertifyMlp:
         assert np.all(rep.lb <= rep.cc + 1e-9)
         assert np.all(rep.cc <= rep.lipschitz + 1e-9)
 
+    def test_finite_kappa_lipschitz_dominates(self, tmp_path):
+        # with a label channel the Lipschitz baseline must cover it too: the
+        # searched lb and the score cc both reach eps / kappa, up to rounding
+        net = nn.init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=0)
+        wpath = tmp_path / "w.csv"
+        nn.save_weights(net, wpath)
+        code = main(["certify", "--model", "mlp", "--weights", str(wpath),
+                     "--data", "synthetic:20", "--kappa", "0.1", "--eps", "0.001,0.01",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        data = json.loads(read(tmp_path / "o" / "report.json"))
+        for lb, cc, lip in zip(data["lb"], data["cc"], data["lip"]):
+            assert lb <= lip * (1 + 1e-12)
+            assert cc <= lip * (1 + 1e-12)
+
     def test_missing_weights(self, tmp_path):
         cfg = ExperimentConfig(task="certify", data="synthetic:10",
                                eps_grid=[0.01], out=tmp_path)

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from drcert.advscore import mlp_feature_score
 from drcert.complexity import (
     ComplexityEstimate,
     FiniteLossClass,
-    acc_cc_gap_bound,
-    adversarial_rademacher_mc,
     arc_rc_gap_bound,
     complexity_calculus_checks,
-    mlp_gap_bound,
     paired_gap,
-    rademacher_mc,
-    rademacher_mc_linear,
     trend_slope,
 )
+from drcert.nn import Layer, Mlp
 
 
 def hinge(u):
@@ -32,36 +29,46 @@ def line_fixture(tables, points=None):
     return FiniteLossClass(tables, cost, atoms, w)
 
 
+def clean_estimate(table, draws, seed):
+    """Sign-correlation complexity of one table: the clean half of a pair."""
+    return paired_gap(table, table, draws=draws, seed=seed)[2]
+
+
 class TestRademacherMc:
     def test_constant_pair_class(self):
         c = 1.7
-        est = rademacher_mc(np.array([[-c], [c]]), draws=500, seed=0)
+        est = clean_estimate(np.array([[-c], [c]]), draws=500, seed=0)
         assert est.value == pytest.approx(c)
         assert est.std_error == pytest.approx(0.0)
 
     def test_all_zero_losses(self):
-        est = rademacher_mc(np.zeros((4, 10)), draws=100, seed=1)
+        est = clean_estimate(np.zeros((4, 10)), draws=100, seed=1)
         assert est.value == 0.0
 
     def test_linear_dual_norm_vs_grid_mc(self):
         rng = np.random.default_rng(4)
         phi = rng.normal(size=(3, 5))
-        exact = rademacher_mc_linear(phi, radius=1.0, ball_norm=2.0,
-                                     draws=10000, seed=7)
+        draws = 10000
+        # exact inner sup over the unit 2-ball: ||sum_i sigma_i phi_i||_2 / N,
+        # under the same sign stream as the grid estimate
+        sig = np.random.default_rng(7).choice([-1.0, 1.0], size=(draws, 3))
+        per_draw = np.linalg.norm(sig @ phi, axis=1) / 3
+        exact_value = float(np.mean(per_draw))
+        exact_se = float(np.std(per_draw, ddof=1)) / math.sqrt(draws)
         # dense grid of unit-ball directions approximates the sup from below
         dirs = rng.normal(size=(4000, 5))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         table = dirs @ phi.T  # (n_theta, N)
-        grid = rademacher_mc(table, draws=10000, seed=7)
-        band = 3 * math.sqrt(exact.std_error**2 + grid.std_error**2)
-        assert grid.value <= exact.value + band
-        assert exact.value - grid.value <= 0.05 * exact.value + band
+        grid = clean_estimate(table, draws=draws, seed=7)
+        band = 3 * math.sqrt(exact_se**2 + grid.std_error**2)
+        assert grid.value <= exact_value + band
+        assert exact_value - grid.value <= 0.05 * exact_value + band
 
     def test_eps_zero_bitwise_collapse(self):
         rng = np.random.default_rng(9)
         table = rng.normal(size=(6, 12))
-        clean = rademacher_mc(table, draws=300, seed=42)
-        adv = adversarial_rademacher_mc(table + 0.0, draws=300, seed=42)
+        gap, gap_se, clean, adv = paired_gap(table, table + 0.0, draws=300, seed=42)
+        assert gap == 0.0 and gap_se == 0.0
         assert adv.value == clean.value
         assert adv.std_error == clean.std_error
 
@@ -69,7 +76,7 @@ class TestRademacherMc:
         with pytest.raises(ValueError):
             ComplexityEstimate(math.inf, 0.0, 10)
         with pytest.raises(ValueError):
-            rademacher_mc(np.zeros((0, 3)))
+            paired_gap(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 class TestGapBounds:
@@ -85,17 +92,16 @@ class TestGapBounds:
     def test_zero_sup(self):
         assert arc_rc_gap_bound(0.0, 7) == 0.0
 
-    def test_acc_cc_passthrough_and_scaling(self):
-        assert acc_cc_gap_bound(0.35) == 0.35
-        assert acc_cc_gap_bound(0.0) == 0.0
-        # linear class closed form: doubling eps doubles eps*c*Lip
-        assert acc_cc_gap_bound(2 * 0.1 * 2.0) == 2 * acc_cc_gap_bound(0.1 * 2.0)
-
     def test_mlp_gap_examples(self):
-        assert mlp_gap_bound([2.0], 1.0, 0.1, 100) == pytest.approx(
-            arc_rc_gap_bound(0.1 * 2.0, 100))
-        assert mlp_gap_bound([1.0, 1.0], 1.0, 0.5, 25) == pytest.approx(0.1)
-        assert mlp_gap_bound([2.0, 3.0], 1.0, 0.1, 100) == pytest.approx(0.06)
+        # network bound eps * Lip / sqrt(N), with Lip the product of the layer
+        # norms (unit-Lipschitz ReLU activations)
+        def lipschitz(*gains):
+            layers = [Layer(g * np.eye(2), np.zeros(2), "relu") for g in gains]
+            return mlp_feature_score(Mlp(tuple(layers)), 2).lipschitz
+
+        assert arc_rc_gap_bound(0.1 * lipschitz(2.0), 100) == pytest.approx(0.02)
+        assert arc_rc_gap_bound(0.5 * lipschitz(1.0, 1.0), 25) == pytest.approx(0.1)
+        assert arc_rc_gap_bound(0.1 * lipschitz(2.0, 3.0), 100) == pytest.approx(0.06)
 
 
 class TestLinearClassGap:

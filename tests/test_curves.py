@@ -5,21 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drcert.curves import (
-    ConcaveCurve,
     Curve,
-    budget_grid,
-    curve_from_csv,
     curve_from_samples,
-    curve_to_csv,
-    has_nonconcave_tail,
     is_concave,
     least_concave_majorant,
     least_star_majorant,
     p_transform,
-    star_curve,
     star_majorant_after_power,
     star_majorant_detail,
-    sup_convolution_linear,
 )
 from drcert.errors import EmptyInputError, InvalidExponentError, NegativeBudgetError
 
@@ -172,13 +165,6 @@ class TestStarMajorant:
         assert val == pytest.approx(1.0)
         assert not from_tail
 
-    def test_star_curve_caches(self):
-        f = curve_from_samples([(0, 0), (1, 1), (2, 4)])
-        s = star_curve(f)
-        v1 = s.value(1.0)
-        assert s.value(1.0) == v1
-        assert len(s.anchors) == 1
-
 
 class TestStarAfterPower:
     def test_matches_transform_path(self):
@@ -240,36 +226,6 @@ class TestPTransform:
             p_transform(f, math.inf)
 
 
-class TestSupConvolution:
-    def test_zero_gain_is_identity(self):
-        t = np.linspace(0, 4, 65)
-        F = least_concave_majorant(Curve(t, np.sqrt(t)))
-        for x in [0.3, 1.0, 2.7]:
-            assert sup_convolution_linear(F, 0.0, x) == pytest.approx(F.value(x))
-
-    def test_sqrt_analytic_point(self):
-        # sup_tau sqrt(1-tau) + tau = 1.25 at tau = 3/4
-        t = np.linspace(0, 1, 8193)
-        F = least_concave_majorant(Curve(t, np.sqrt(t)))
-        dense = np.linspace(0, 1, 200001)
-        oracle = np.max(F.values(1.0 - dense) + dense)
-        got = sup_convolution_linear(F, 1.0, 1.0)
-        assert got == pytest.approx(oracle, abs=1e-10)
-        assert got == pytest.approx(1.25, abs=1e-7)
-
-    def test_dominating_linear(self):
-        F = ConcaveCurve(np.array([0.0, 1.0]), np.array([0.0, 3.0]), tail_slope=3.0)
-        for c in [0.0, 1.0, 3.0]:
-            assert sup_convolution_linear(F, c, 2.0) == pytest.approx(6.0)
-
-    def test_output_concave(self):
-        t = np.linspace(0, 4, 257)
-        F = least_concave_majorant(Curve(t, np.sqrt(t)))
-        grid = np.linspace(0, 4, 129)
-        vals = [sup_convolution_linear(F, 0.7, float(x)) for x in grid]
-        assert is_concave(grid, vals, tol=1e-10)
-
-
 class TestIsConcave:
     def test_chord_line(self):
         assert is_concave(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0]))
@@ -279,38 +235,6 @@ class TestIsConcave:
 
     def test_convex_triple(self):
         assert not is_concave([0, 1, 2], [0, 1, 3])
-
-
-class TestTailDetector:
-    def test_flags_convex_tail(self):
-        t = np.linspace(0, 2, 17)
-        assert has_nonconcave_tail(Curve(t, t**2))
-
-    def test_accepts_concave_tail(self):
-        t = np.linspace(0, 2, 17)
-        assert not has_nonconcave_tail(Curve(t, np.sqrt(t)))
-
-
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        f = curve_from_samples([(0, 0), (0.5, 1.25), (2, math.inf)])
-        path = tmp_path / "c.csv"
-        curve_to_csv(f, path)
-        g = curve_from_csv(path)
-        assert np.allclose(g.t, f.t)
-        assert g.v[-1] == math.inf and np.allclose(g.v[:-1], f.v[:-1])
-
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n0,0\n")
-        with pytest.raises(ValueError):
-            curve_from_csv(path)
-
-
-def test_budget_grid_shape():
-    g = budget_grid(2.0, n=16)
-    assert g[0] == 0.0 and g[-1] == pytest.approx(2.0) and g.size == 17
-    assert np.all(np.diff(g) > 0)
 
 
 # -- property tests -----------------------------------------------------------

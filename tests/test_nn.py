@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from drcert.advscore import linear_layer_score
 from drcert.errors import DimMismatchError
 from drcert.nn import (
     Layer,
@@ -17,7 +20,6 @@ from drcert.nn import (
     loss_value,
     opnorm,
     save_weights,
-    spectral_norm_gram,
     train,
     vector_norm,
 )
@@ -109,9 +111,15 @@ class TestOpnorm:
     def test_inf_norm(self):
         assert opnorm(self.W, math.inf) == 7.0  # max abs row sum
 
+    @staticmethod
+    def gram_norm(W):
+        """Independent reference: top singular value from the Gram eigen-solve."""
+        G = W.T @ W if W.shape[0] >= W.shape[1] else W @ W.T
+        return math.sqrt(max(np.max(np.linalg.eigvalsh(G)), 0.0))
+
     def test_two_norm_vs_gram(self):
         got = opnorm(self.W, 2)
-        assert got == pytest.approx(spectral_norm_gram(self.W), abs=1e-8)
+        assert got == pytest.approx(self.gram_norm(self.W), abs=1e-8)
         assert got == pytest.approx(5.116672736016927, abs=1e-6)
 
     def test_random_matrices_vs_gram(self):
@@ -119,12 +127,34 @@ class TestOpnorm:
         for _ in range(25):
             m, n = rng.integers(1, 65, size=2)
             W = rng.normal(size=(m, n))
-            assert opnorm(W, 2) == pytest.approx(spectral_norm_gram(W), abs=1e-8)
+            assert opnorm(W, 2) == pytest.approx(self.gram_norm(W), abs=1e-8)
+
+    def test_top_direction_orthogonal_to_fixed_start(self):
+        # norm-2 matrix whose top right singular vector is orthogonal to
+        # (1, 1.001), the start vector of a fixed-start power iteration; such
+        # an iteration stalls at the second singular value 1
+        v = np.array([1.0, 1.001]) / np.linalg.norm([1.0, 1.001])
+        u = np.array([v[1], -v[0]])
+        W = 2.0 * np.outer([1.0, 0.0], u) + np.outer([0.0, 1.0], v)
+        assert opnorm(W, 2) == pytest.approx(2.0, abs=1e-12)
+        assert linear_layer_score(W, 2).gain == pytest.approx(2.0, abs=1e-12)
 
     def test_dual_exponents(self):
         assert dual_exponent(1) == math.inf
         assert dual_exponent(math.inf) == 1.0
         assert dual_exponent(2) == 2.0
+
+
+entries = st.floats(-10, 10, allow_nan=False).map(lambda v: round(v, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.sampled_from([1.0, 2.0, math.inf]),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_opnorm_bounds_every_image(r, shape, data):
+    W = data.draw(arrays(float, shape, elements=entries))
+    x = data.draw(arrays(float, shape[1], elements=entries))
+    assert vector_norm(W @ x, r) <= opnorm(W, r) * vector_norm(x, r) * (1 + 1e-12)
 
 
 class TestFgsm:

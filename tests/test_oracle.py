@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drcert.certificates import lower_bound, upper_bound
 from drcert.errors import InstanceTooLargeError
@@ -138,3 +139,45 @@ class TestJson:
         assert '"inf"' in text
         back = instance_from_json(text)
         assert math.isinf(back.cost[0, 1]) and math.isinf(back.p)
+
+    def test_roundtrip_without_support(self):
+        cost = np.array([[0.0, math.inf, 1.5], [math.inf, 0.0, 2.0], [0.5, 2.0, 0.0]])
+        inst = DiscreteInstance(np.array([0.0, 1.0, -2.5]), np.array([0, 2]),
+                                np.array([0.25, 0.75]), cost, p=math.inf, eps=0.75)
+        back = instance_from_json(instance_to_json(inst))
+        assert back.support is None
+        assert_same_instance(back, inst)
+
+
+def assert_same_instance(a, b):
+    for name in ("loss", "atom_index", "weights", "cost"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.p, a.eps) == (b.p, b.eps)
+    if b.support is None:
+        assert a.support is None
+    else:
+        assert np.array_equal(a.support, b.support)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 5))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    loss = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    cost = np.array(draw(st.lists(
+        st.lists(st.one_of(st.just(math.inf), st.floats(0, 1e6)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    np.fill_diagonal(cost, 0.0)
+    atoms = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    weights = np.full(len(atoms), 1.0 / len(atoms))
+    p = draw(st.one_of(st.just(math.inf), st.floats(1.0, 8.0)))
+    eps = draw(st.floats(0, 1e3))
+    support = draw(st.one_of(st.none(), st.lists(values, min_size=n, max_size=n)))
+    return DiscreteInstance(np.array(loss), np.array(atoms), weights, cost, p=p,
+                            eps=eps, support=None if support is None else np.array(support))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances())
+def test_instance_json_roundtrip_exact(inst):
+    assert_same_instance(instance_from_json(instance_to_json(inst)), inst)

@@ -13,10 +13,19 @@ from drcert.rates import (
     dual_norm,
     individual_rate,
     maximal_rate,
-    power_loss_rate_bounds,
 )
 
 FAST = SearchConfig(n_starts=6, n_steps=60, n_boundary=64, seed=0)
+
+
+def power_loss_rate_bounds(alpha, theta_dual_norm, c_hat, t):
+    """Two-sided reference for the rate of |y - <x, theta>|^alpha at budget t.
+
+    Returns (t^alpha * ||theta||^alpha, (|c| + t*||theta||)^alpha - |c|^alpha);
+    the two coincide when c = 0 or alpha = 1.
+    """
+    c = abs(c_hat)
+    return (t * theta_dual_norm) ** alpha, (c + t * theta_dual_norm) ** alpha - c ** alpha
 
 
 class TestCostConfig:

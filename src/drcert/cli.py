@@ -360,7 +360,7 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
         payload["enumeration"] = oracle.dr_risk_enumerate(inst)
         payload["enumeration_gap"] = abs(payload["enumeration"] - risk)
     except DrcertError:
-        pass  # instance too large to enumerate; bisection result stands
+        pass  # instance too large to enumerate; exact result stands
     encoded = {k: encode_float(v) if isinstance(v, float) else v
                for k, v in payload.items()}
     write_text_atomic(config.out / "oracle.json",

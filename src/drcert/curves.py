@@ -300,13 +300,16 @@ def p_transform(f: Curve, p: float) -> Curve:
     if p == 1.0:
         return f
     t_new = np.power(f.t, p)
+    # distinct knots can share a power (underflow, rounding); they then cost
+    # the same budget, so keep the last, largest value of each such run
+    keep = np.append(t_new[1:] > t_new[:-1], True)
     tail, expo = f.tail, f.tail_exponent
     if expo is not None:
         expo = expo / p
         if tail == "infinite" and expo <= 1.0 + 1e-12:
             tail = "slope"
             expo = min(expo, 1.0)
-    return Curve(t_new, f.v.copy(), tail=tail, tail_exponent=expo)
+    return Curve(t_new[keep], f.v[keep], tail=tail, tail_exponent=expo)
 
 
 def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:

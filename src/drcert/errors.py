@@ -37,10 +37,6 @@ class DivergenceError(DrcertError, ArithmeticError):
     """Training produced non-finite values."""
 
 
-class InstanceTooLargeError(DrcertError, ValueError):
-    pass
-
-
 class ParseError(DrcertError, ValueError):
     """Malformed input file; carries a 1-based line number when known."""
 
@@ -61,6 +57,10 @@ class ConfigError(DrcertError, ValueError):
 
 class DataError(DrcertError, ValueError):
     """Bad input data (exit code 3)."""
+
+
+class InstanceTooLargeError(DataError):
+    """Instance beyond an advertised size limit (exit code 3)."""
 
 
 class NumericError(DrcertError, ArithmeticError):

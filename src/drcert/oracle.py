@@ -1,15 +1,21 @@
 """Exact worst-case expectation over a p-Wasserstein ball on a finite support.
 
 The adversary redistributes each atom's mass over the support subject to a
-single coupled budget sum_ij pi_ij d^p_ij <= eps^p.  That linear program has
-one coupling constraint, so an optimal basic solution moves every atom to a
-single best target except for at most one atom split between two targets.
-``dr_risk_exact`` exploits this via bisection on the budget multiplier with an
-exact tie repair; ``dr_risk_enumerate`` enumerates all basic solutions (pure
-assignments plus one-fractional-atom vertices) for small instances and serves
-as the independent check.
+single coupled budget sum_ij pi_ij d^p_ij <= eps^p.  Each atom i has a
+growth-rate curve: the best loss increase it can reach within distance t.
+Spending s of powered budget, atom i gains at most H_i(s), the least concave
+majorant of that curve on the powered axis t^p (a mix of two targets traces
+the chord between them).  With one coupling row the linear program's value is
+therefore empirical + max sum_i w_i H_i(s_i) subject to sum_i w_i s_i <= eps^p,
+a fractional knapsack over the hull segments: filling the budget in order of
+decreasing slope, the last segment fractionally, is exact (Dantzig 1957).
+``dr_risk_exact`` solves it that way, so its cost grows with the number of
+hull segments; at p = inf every atom simply reads its curve at eps.
+``dr_risk_enumerate`` enumerates all basic solutions (pure assignments plus
+one-fractional-atom vertices) for small instances and serves as the
+independent check.
 
-Infinite costs encode forbidden moves and never enter argmax sets; the zero
+Infinite costs encode forbidden moves and never become curve knots; the zero
 diagonal keeps staying put free (0 * inf = 0 convention for the budget).
 """
 
@@ -21,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLargeError
+from .curves import Curve, least_concave_majorant, p_transform
+from .errors import DataError, InstanceTooLargeError, ParseError
 from .jsonio import decode_float, encode_float
+from .rates import profile_from_curves
 
 MAX_SUPPORT = 4096
 
@@ -50,21 +58,23 @@ class DiscreteInstance:
         if n > MAX_SUPPORT:
             raise InstanceTooLargeError(f"support of {n} exceeds {MAX_SUPPORT}")
         if cost.shape != (n, n):
-            raise ValueError("cost matrix must be square over the support")
+            raise DataError("cost matrix must be square over the support")
+        if np.any(np.isnan(loss)) or np.any(np.isnan(w)) or np.any(np.isnan(cost)):
+            raise DataError("loss, weights and costs must not be NaN")
         if np.any(cost < 0):
-            raise ValueError("costs must be non-negative")
+            raise DataError("costs must be non-negative")
         if np.any(np.diag(cost) != 0):
-            raise ValueError("cost must vanish on the diagonal")
+            raise DataError("cost must vanish on the diagonal")
         if ai.ndim != 1 or w.shape != ai.shape:
-            raise ValueError("atoms need matching index/weight arrays")
+            raise DataError("atoms need matching index/weight arrays")
         if np.any((ai < 0) | (ai >= n)):
-            raise ValueError("atom index out of range")
+            raise DataError("atom index out of range")
         if abs(float(np.sum(w)) - 1.0) > 1e-12 or np.any(w < 0):
-            raise ValueError("atom weights must be a probability vector")
+            raise DataError("atom weights must be a probability vector")
         if not (self.p >= 1.0):
-            raise ValueError("p must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be non-negative")
+            raise DataError("p must be >= 1")
+        if not (self.eps >= 0):
+            raise DataError("eps must be non-negative")
 
     @property
     def empirical_risk(self) -> float:
@@ -83,122 +93,61 @@ def _powered_costs(inst: DiscreteInstance) -> np.ndarray:
     return c
 
 
-def _risk_infty(inst: DiscreteInstance) -> float:
-    d = inst.atom_costs()
-    total = 0.0
-    for i, w in enumerate(inst.weights):
-        feasible = d[i] <= inst.eps
-        total += w * float(np.max(inst.loss[feasible]))
-    return total
+def _atom_rate_curves(inst: DiscreteInstance) -> list[Curve]:
+    """Growth-rate curve of each atom in un-powered distance.
 
-
-def _solve_bisection(inst: DiscreteInstance):
-    """Lagrangian bisection with tie repair; returns (value, spend).
-
-    For a multiplier lam every atom picks argmax_j (l_j - lam * c_ij); the
-    spent budget is non-increasing in lam, so bisection finds the critical
-    multiplier and a final fractional split on one atom meets the budget with
-    equality when it binds.
+    Knots sit at the distances where the atom's best reachable loss strictly
+    increases, and values are the gain over the atom's own loss.  Ties in
+    distance are sorted by loss, highest first, so each distance gives at most
+    one knot; the free stay makes the first knot t=0, holding the best gain at
+    distance 0 (>= 0).  Forbidden (infinite) moves never become knots.
     """
-    c = _powered_costs(inst)
-    l = inst.loss
+    by_loss = np.argsort(-inst.loss, kind="stable")
+    d = inst.atom_costs()[:, by_loss]
+    order = np.argsort(d, axis=1, kind="stable")
+    dist = np.take_along_axis(d, order, axis=1)
+    gain = inst.loss[by_loss][order] - inst.loss[inst.atom_index][:, None]
+    best = np.maximum.accumulate(gain, axis=1)
+    knot = np.isfinite(dist)
+    knot[:, 1:] &= best[:, 1:] > best[:, :-1]
+    return [Curve(t[k], v[k]) for t, v, k in zip(dist, best, knot)]
+
+
+def _solve(inst: DiscreteInstance):
+    """Optimal (risk, powered-cost spend); see the module docstring."""
+    if inst.eps == 0.0:
+        return inst.empirical_risk, 0.0
     w = inst.weights
-    budget = inst.eps ** inst.p
-
-    def greedy(lam):
-        """Cheapest-argmax selection at multiplier lam: (value, spend)."""
-        with np.errstate(invalid="ignore"):
-            scores = np.where(np.isinf(c), -math.inf, l[None, :] - lam * c)
-        best = np.max(scores, axis=1, keepdims=True)
-        # among maximizers take the cheapest move
-        cheap_cost = np.where(scores >= best - 1e-15 * np.maximum(1.0, np.abs(best)),
-                              c, math.inf)
-        j = np.argmin(cheap_cost, axis=1)
-        rows = np.arange(j.size)
-        return float(np.dot(w, l[j])), float(np.dot(w, c[rows, j]))
-
-    # free optimum: every atom takes its best reachable loss
-    val0, spend0 = greedy(0.0)
-    if spend0 <= budget + 1e-15:
-        return val0, spend0
-    finite_pos = c[(c > 0) & np.isfinite(c)]
-    lam_hi = (float(np.max(l)) - float(np.min(l))) / float(np.min(finite_pos))
-    lam_hi = max(lam_hi, 1e-300)
-    lam_lo = 0.0
-    for _ in range(200):
-        if lam_hi - lam_lo <= 1e-12 * max(1.0, lam_hi):
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        _, spend = greedy(mid)
-        if spend > budget:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-    lam = lam_hi
-    # tie repair at the critical multiplier: start from the cheapest argmax
-    # per atom, then spend the remaining budget on the candidate upgrades in
-    # gain-per-unit order, the last one fractionally
-    with np.errstate(invalid="ignore"):
-        scores = np.where(np.isinf(c), -math.inf, l[None, :] - lam * c)
-    best = np.max(scores, axis=1)
-    tol = 1e-9 * np.maximum(1.0, np.abs(best)) + (lam_hi - lam_lo) * np.maximum(
-        1.0, np.max(np.where(np.isfinite(c), c, 0.0), axis=1))
-    total_val, total_spend = 0.0, 0.0
-    options = []  # per atom: (cheap_l, cheap_c, rich_l, rich_c)
-    for i in range(w.size):
-        cand = np.nonzero(scores[i] >= best[i] - tol[i])[0]
-        costs_i = c[i, cand]
-        k_lo = cand[np.argmin(costs_i)]
-        k_hi = cand[np.argmax(costs_i)]
-        # among equal-cost candidates prefer the higher loss
-        same_lo = cand[costs_i == c[i, k_lo]]
-        k_lo = same_lo[np.argmax(l[same_lo])]
-        same_hi = cand[costs_i == c[i, k_hi]]
-        k_hi = same_hi[np.argmax(l[same_hi])]
-        total_val += w[i] * l[k_lo]
-        total_spend += w[i] * c[i, k_lo]
-        options.append((l[k_lo], c[i, k_lo], l[k_hi], c[i, k_hi]))
-    slack = budget - total_spend
-    if slack <= 0:
-        return float(total_val), float(total_spend)
-    upgrades = []
-    for i, (l_lo, c_lo, l_hi, c_hi) in enumerate(options):
-        dc = c_hi - c_lo
-        dl = l_hi - l_lo
-        if dc > 0 and dl > 0:
-            upgrades.append((dl / dc, i, dl, dc))
-    upgrades.sort(key=lambda u: -u[0])
-    for _, i, dl, dc in upgrades:
-        full = w[i] * dc
-        if full <= slack:
-            total_val += w[i] * dl
-            total_spend += full
-            slack -= full
-        else:
-            frac = slack / full
-            total_val += frac * w[i] * dl
-            total_spend += slack
-            slack = 0.0
-            break
-    return float(total_val), float(total_spend)
+    curves = _atom_rate_curves(inst)
+    if math.isinf(inst.p):
+        gains = [c.value(inst.eps, side="left") for c in curves]
+        return inst.empirical_risk + float(np.dot(w, gains)), 0.0
+    hulls = [least_concave_majorant(p_transform(c, inst.p)) for c in curves]
+    slope = np.concatenate([np.diff(h.v) / np.diff(h.t) for h in hulls])
+    run = np.concatenate([wi * np.diff(h.t) for wi, h in zip(w, hulls)])
+    rise = np.concatenate([wi * np.diff(h.v) for wi, h in zip(w, hulls)])
+    # steepest segments first; the stable sort keeps each hull's own order
+    keep = rise > 0
+    order = np.argsort(-slope[keep], kind="stable")
+    run, rise = run[keep][order], rise[keep][order]
+    spent = np.concatenate([[0.0], np.cumsum(run)])
+    budget = float(inst.eps ** inst.p)
+    k = int(np.searchsorted(spent, budget, side="right")) - 1  # whole segments
+    risk = inst.empirical_risk + float(np.dot(w, [h.v[0] for h in hulls]))
+    risk += float(np.sum(rise[:k]))
+    if k == run.size:
+        return risk, float(spent[k])
+    return risk + float(rise[k] * (budget - spent[k]) / run[k]), budget
 
 
 def dr_risk_exact(inst: DiscreteInstance) -> float:
     """Exact DR risk over the p-Wasserstein ball (see module docstring)."""
-    if inst.eps == 0.0:
-        return inst.empirical_risk
-    if math.isinf(inst.p):
-        return _risk_infty(inst)
-    value, _ = _solve_bisection(inst)
-    return value
+    return _solve(inst)[0]
 
 
 def dr_risk_plan_spend(inst: DiscreteInstance) -> float:
     """Powered-cost budget spent by the optimal plan (feasibility diagnostics)."""
-    if inst.eps == 0.0 or math.isinf(inst.p):
-        return 0.0
-    _, spend = _solve_bisection(inst)
-    return spend
+    return _solve(inst)[1]
 
 
 def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
@@ -211,7 +160,9 @@ def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
     if inst.eps == 0.0:
         return inst.empirical_risk
     if math.isinf(inst.p):
-        return _risk_infty(inst)
+        # every move must stay within eps: each atom takes its best such target
+        reach = np.where(inst.atom_costs() <= inst.eps, inst.loss, -math.inf)
+        return float(np.dot(inst.weights, np.max(reach, axis=1)))
     c = _powered_costs(inst)
     l, w = inst.loss, inst.weights
     m, n = c.shape
@@ -220,7 +171,10 @@ def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
     budget = inst.eps ** inst.p
     grids = np.indices((n,) * m).reshape(m, -1).T  # all pure assignments
     vals = np.sum(w[None, :] * l[grids], axis=1)
-    spends = np.sum(w[None, :] * c[np.arange(m)[None, :], grids], axis=1)
+    # 0 * inf: a zero-weight atom on a forbidden move spends NaN, which the
+    # feasibility test below rejects
+    with np.errstate(invalid="ignore"):
+        spends = np.sum(w[None, :] * c[np.arange(m)[None, :], grids], axis=1)
     feas = spends <= budget + 1e-12
     best = float(np.max(vals[feas])) if np.any(feas) else -math.inf
     # one-fractional-atom vertices: assignment P, atom i mixing P_i with b
@@ -261,44 +215,36 @@ def instance_rate_profile(inst: DiscreteInstance):
     """Per-atom growth-rate curves over the instance's own finite support.
 
     The rate of atom i at budget t is the best loss increase among support
-    points within (un-powered) distance t; sampling at every pairwise distance
-    captures each jump exactly, so certificates built from this profile are
-    exact for the instance.
+    points within (un-powered) distance t.  Each atom's curve is read from the
+    left at every pairwise distance, which captures each jump exactly on one
+    shared grid, so certificates built from this profile are exact for the
+    instance.
     """
-    from .curves import Curve
-    from .rates import profile_from_curves
-
     d = inst.atom_costs()
-    finite = d[np.isfinite(d)]
-    grid = np.unique(np.concatenate([[0.0], finite.ravel()]))
-    curves = []
-    for i, src in enumerate(inst.atom_index):
-        gains = inst.loss - inst.loss[src]
-        reach = d[i]
-        order = np.argsort(reach, kind="stable")
-        sorted_d = reach[order]
-        best = np.maximum.accumulate(gains[order])
-        idx = np.searchsorted(sorted_d, grid, side="right")
-        vals = np.where(idx > 0, best[np.maximum(idx - 1, 0)], 0.0)
-        vals = np.maximum(np.maximum.accumulate(vals), 0.0)
-        curves.append(Curve(grid, vals, tail="const"))
+    grid = np.unique(np.concatenate([[0.0], d[np.isfinite(d)]]))
+    curves = [Curve(grid, c.v[np.searchsorted(c.t, grid, side="right") - 1])
+              for c in _atom_rate_curves(inst)]
     return profile_from_curves(curves, weights=inst.weights)
 
 
 def instance_from_json(text: str) -> DiscreteInstance:
-    d = json.loads(text)
-    cost = np.array([[decode_float(x) for x in row] for row in d["cost"]])
-    atoms = d["atoms"]
-    support = d.get("support")
-    return DiscreteInstance(
-        loss=np.array([decode_float(x) for x in d["loss"]]),
-        atom_index=np.array([int(a[0]) for a in atoms]),
-        weights=np.array([float(a[1]) for a in atoms]),
-        cost=cost,
-        p=decode_float(d.get("p", 1.0)),
-        eps=decode_float(d.get("eps", 0.0)),
-        support=np.asarray(support, dtype=float) if support is not None else None,
-    )
+    """Read an instance; malformed input raises ``ParseError``."""
+    try:
+        d = json.loads(text)
+        atoms = d["atoms"]
+        support = d.get("support")
+        fields = dict(
+            loss=np.array([decode_float(x) for x in d["loss"]]),
+            atom_index=np.array([int(a[0]) for a in atoms]),
+            weights=np.array([float(a[1]) for a in atoms]),
+            cost=np.array([[decode_float(x) for x in row] for row in d["cost"]]),
+            p=decode_float(d.get("p", 1.0)),
+            eps=decode_float(d.get("eps", 0.0)),
+            support=np.asarray(support, dtype=float) if support is not None else None,
+        )
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ParseError(f"malformed instance: {exc!r}") from exc
+    return DiscreteInstance(**fields)
 
 
 def instance_to_json(inst: DiscreteInstance) -> str:

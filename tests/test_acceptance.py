@@ -330,7 +330,7 @@ def test_criterion_10_complexity_calculus():
 
 
 def test_criterion_11_oracle_self_check():
-    """Bisection equals vertex enumeration; risks ordered in p."""
+    """The exact solver equals vertex enumeration; risks ordered in p."""
     rng = np.random.default_rng(1111)
     worst = 0.0
     for k in range(500):
@@ -350,7 +350,7 @@ def test_criterion_11_oracle_self_check():
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
         assert wp_ordering_check(inst, [1.0, 2.0, math.inf])
     assert worst < 1e-9
-    print(f"[PASS] criterion 11: bisection vs enumeration on 500 instances, "
+    print(f"[PASS] criterion 11: exact solver vs enumeration on 500 instances, "
           f"worst relative gap {worst:.2e}; W_p ordering holds on all")
 
 

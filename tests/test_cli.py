@@ -205,6 +205,26 @@ class TestOracleCmd:
         assert res["budget_spent"] <= 0.5 + 1e-12
 
 
+GOOD_INSTANCE = {"loss": [0.0, 1.0], "atoms": [[0, 1.0]],
+                 "cost": [[0.0, 1.0], [1.0, 0.0]], "p": 1.0, "eps": 0.3}
+
+
+def changed_instance(**fields):
+    return json.dumps({**GOOD_INSTANCE, **fields})
+
+
+BAD_INSTANCES = {
+    "not_json": "atoms: [[0, 1.0]]",
+    "no_atoms": json.dumps({k: v for k, v in GOOD_INSTANCE.items() if k != "atoms"}),
+    "non_square_cost": changed_instance(cost=[[0.0, 1.0]]),
+    "nan_weight": changed_instance(atoms=[[0, math.nan]]),
+    "nan_loss": changed_instance(loss=[0.0, math.nan]),
+    "nan_cost": changed_instance(cost=[[0.0, math.nan], [1.0, 0.0]]),
+    "nan_eps": changed_instance(eps=math.nan),
+    "oversized": changed_instance(loss=[0.0] * 4097),
+}
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path):
         code = main(["certify", "--data", "synthetic:20", "--theta", "1.0,2.0",
@@ -220,6 +240,15 @@ class TestMainExitCodes:
         code = main(["regress", "--data", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("name", sorted(BAD_INSTANCES))
+    def test_bad_instance_is_data_error(self, tmp_path, capsys, name):
+        path = tmp_path / "inst.json"
+        path.write_text(BAD_INSTANCES[name], encoding="utf-8")
+        code = main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "oracle.json").exists()
 
     def test_oracle_roundtrip(self, tmp_path):
         z = np.array([0.0, 1.0])

@@ -57,6 +57,12 @@ class TestBasics:
         assert dr_risk_exact(inst) == pytest.approx(0.3, abs=1e-9)
         assert dr_risk_enumerate(inst) == pytest.approx(0.3, abs=1e-9)
 
+    def test_plan_spend_is_budget_or_whole_plan(self):
+        binding = line_instance([0.0, 1.0], [0.0, 1.0], [0], [1.0], p=1.0, eps=0.3)
+        assert dr_risk_plan_spend(binding) == 0.3
+        slack = line_instance([0.0, 1.0, 2.0], [0.0, 1.0, 0.5], [0], [1.0], p=2.0, eps=3.0)
+        assert dr_risk_plan_spend(slack) == 1.0
+
     def test_too_large_rejected(self):
         n = 5000
         with pytest.raises(InstanceTooLargeError):
@@ -71,7 +77,7 @@ class TestBasics:
         assert dr_risk_enumerate(inst) == 0.0
 
 
-class TestBisectionVsEnumeration:
+class TestExactVsEnumeration:
     def test_random_instances_match(self):
         rng = np.random.default_rng(77)
         for _ in range(120):
@@ -87,6 +93,85 @@ class TestBisectionVsEnumeration:
             inst = random_instance(rng, p_choices=(1.0, 2.0))
             spend = dr_risk_plan_spend(inst)
             assert spend <= inst.eps ** inst.p + 1e-12
+
+
+@st.composite
+def tied_instances(draw):
+    """Small integer instances: tied losses and costs, zero-cost duplicates,
+    forbidden moves and zero-weight atoms all occur."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    small = st.integers(0, 3)
+    loss = draw(st.lists(small, min_size=n, max_size=n))
+    cost = np.array(draw(st.lists(
+        st.lists(st.one_of(small, st.just(math.inf)), min_size=n, max_size=n),
+        min_size=n, max_size=n)), dtype=float)
+    np.fill_diagonal(cost, 0.0)
+    atoms = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    mass = np.array(draw(st.lists(small, min_size=m, max_size=m)), dtype=float)
+    mass[0] += mass.sum() == 0
+    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    budget = draw(st.integers(1, 12)) / 4
+    return DiscreteInstance(np.array(loss, dtype=float), np.array(atoms),
+                            mass / mass.sum(), cost, p=p, eps=budget ** (1 / p))
+
+
+def at_budget(inst, budget):
+    return DiscreteInstance(inst.loss, inst.atom_index, inst.weights, inst.cost,
+                            p=inst.p, eps=budget ** (1 / inst.p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=tied_instances())
+def test_exact_matches_enumeration_on_ties(inst):
+    exact = dr_risk_exact(inst)
+    assert abs(exact - dr_risk_enumerate(inst)) <= 1e-9 * max(1.0, abs(exact))
+    assert dr_risk_plan_spend(inst) <= inst.eps ** inst.p
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=tied_instances())
+def test_risk_monotone_concave_in_budget(inst):
+    b = inst.eps ** inst.p
+    lo, mid, hi = (dr_risk_exact(at_budget(inst, k * b)) for k in (1, 2, 3))
+    tol = 1e-9 * max(1.0, abs(hi))
+    assert lo <= mid + tol and mid <= hi + tol
+    assert mid >= 0.5 * (lo + hi) - tol
+
+
+def transport_lp(inst):
+    """The transport LP itself, solved by HiGHS (a third, independent oracle)."""
+    from scipy.optimize import linprog
+
+    c = inst.atom_costs() ** inst.p
+    m, n = c.shape
+    w = inst.weights[:, None]
+    forbidden = np.isinf(c).ravel()
+    res = linprog(-(w * inst.loss[None, :]).ravel(),
+                  A_ub=np.where(np.isinf(c), 0.0, w * c).reshape(1, -1),
+                  b_ub=[inst.eps ** inst.p],
+                  A_eq=np.kron(np.eye(m), np.ones(n)), b_eq=np.ones(m),
+                  bounds=[(0.0, 0.0 if f else None) for f in forbidden],
+                  method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_exact_matches_lp_midsize():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(4040)
+    for k in range(10):
+        m, n = 40, 60
+        z = rng.uniform(0.0, 1.0, size=(n, 2))
+        cost = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+        cost[rng.random((n, n)) < 0.1] = math.inf
+        np.fill_diagonal(cost, 0.0)
+        p = 1.0 + k % 2
+        inst = DiscreteInstance(rng.normal(size=n), rng.choice(n, size=m, replace=False),
+                                rng.dirichlet(np.ones(m)), cost, p=p,
+                                eps=float(rng.uniform(0.05, 0.3)))
+        exact, lp = dr_risk_exact(inst), transport_lp(inst)
+        assert abs(exact - lp) <= 1e-9 * max(1.0, abs(lp))
 
 
 class TestWpOrdering:
@@ -117,6 +202,15 @@ class TestSandwich:
             cc = upper_bound(prof, inst.p, inst.eps)
             assert base + lb <= risk + 1e-6
             assert risk <= base + cc + 1e-6
+
+    def test_knots_with_coinciding_powers(self):
+        # 1e-170 and 2e-170 both square to 0: free moves to losses 1 and 2
+        inst = line_instance([0.0, 1e-170, 2e-170, 1.0], [0.0, 1.0, 2.0, 3.0],
+                             [0], [1.0], p=2.0, eps=0.5)
+        risk = dr_risk_exact(inst)
+        assert risk == dr_risk_enumerate(inst) == pytest.approx(2.25)
+        cc = upper_bound(instance_rate_profile(inst), 2.0, 0.5)
+        assert math.isfinite(cc) and cc >= risk - inst.empirical_risk
 
 
 class TestJson:

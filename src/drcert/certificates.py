@@ -35,36 +35,47 @@ def _right_limit(curve, eps: float) -> float:
     return curve.value(eps, side="right")
 
 
-def lower_bound(profile: RateProfile, p, eps: float) -> float:
-    """Certified lower bound on the robust-empirical risk gap at budget eps."""
-    if eps <= 0:
+def _per_budget(bound, eps):
+    """``bound`` at a scalar eps (a float) or at each entry of a 1-D eps."""
+    grid = np.asarray(eps, dtype=float)
+    out = np.array([bound(e) for e in grid.ravel()])
+    return float(out[0]) if grid.ndim == 0 else out
+
+
+def lower_bound(profile: RateProfile, p, eps):
+    """Certified lower bound on the robust-empirical risk gap at budget eps.
+
+    ``eps`` is a scalar or a 1-D grid (one bound per budget).
+    """
+    if np.any(np.asarray(eps) <= 0):
         raise ValueError("budget must be positive")
-    total = 0.0
-    for w, curve in zip(profile.weights, profile.per_sample):
-        if w == 0.0:
-            continue  # 0 * inf = 0
+    rates = profile.rates
+    live = profile.weights > 0  # 0 * inf = 0: zero-weight samples drop out
+    w = profile.weights[live]
+
+    def at(e):
         if math.isinf(p):
-            term = curve.value(eps, side="left")
+            terms = rates.value(e, side="left")
         else:
-            term = star_majorant_after_power(curve, float(p), eps)
-        total += w * term
-        if math.isinf(total):
-            return math.inf
-    return float(total)
+            terms = star_majorant_after_power(rates, float(p), e)
+        return float(np.dot(w, terms[live]))
+
+    return _per_budget(at, eps)
 
 
-def upper_bound(profile: RateProfile, p, eps: float) -> float:
+def upper_bound(profile: RateProfile, p, eps):
     """Certified upper bound on the robust-empirical risk gap at budget eps.
 
-    eps = 0 is allowed and reports the majorant value at 0 (which can exceed 0
-    for rates with a jump at the origin).
+    ``eps`` is a scalar or a 1-D grid (one bound per budget).  eps = 0 is
+    allowed and reports the majorant value at 0 (which can exceed 0 for rates
+    with a jump at the origin).
     """
-    if eps < 0:
+    if np.any(np.asarray(eps) < 0):
         raise ValueError("budget must be non-negative")
     if math.isinf(p):
-        return _right_limit(profile.maximal, eps)
+        return _per_budget(lambda e: _right_limit(profile.maximal, e), eps)
     env = least_concave_majorant(p_transform(profile.maximal, float(p)))
-    return env.value(eps ** p)
+    return _per_budget(lambda e: env.value(e ** p), eps)
 
 
 def lipschitz_certificate(L: float, eps: float) -> float:
@@ -179,8 +190,8 @@ def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0 or np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
         raise ValueError("eps grid must be positive and ascending")
-    lbs = np.array([lower_bound(profile, p, e) for e in eps_grid])
-    ccs = np.array([upper_bound(profile, p, e) for e in eps_grid])
+    lbs = lower_bound(profile, p, eps_grid)
+    ccs = upper_bound(profile, p, eps_grid)
     lips = np.array([lipschitz_certificate(L, e) if L is not None else math.inf
                      for e in eps_grid])
     gds = np.array([grad_dual_certificate(grads, p, e, r) if grads is not None else 0.0

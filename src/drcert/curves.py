@@ -4,7 +4,8 @@ A :class:`Curve` is a non-decreasing, non-negative function sampled on a budget
 grid starting at t=0.  Between knots a raw curve evaluates conservatively to the
 right-knot value (an upper reading for non-decreasing functions); majorants are
 exact on the knot set and interpolate linearly in between, which is exact for a
-concave piecewise-linear function.
+concave piecewise-linear function.  A family of curves on one grid is one
+:class:`Curve` whose values are a (samples x knots) matrix.
 
 Beyond the last knot a curve behaves according to its ``tail``:
 
@@ -30,10 +31,23 @@ TAILS = ("const", "slope", "infinite")
 #: slope tolerance for the chord-monotonicity (concavity) test
 SLOPE_TOL = 1e-12
 
+#: most (curve, knot) products a family reading holds at once (2 MB of floats)
+_BLOCK = 1 << 18
+
+
+def _scalar_or_rows(a):
+    """A 0-d reading as a float; a family's readings stay an array."""
+    return float(a) if np.ndim(a) == 0 else a
+
 
 @dataclass(frozen=True)
 class Curve:
-    """Non-decreasing sampled curve on [0, inf) with first knot at t=0."""
+    """Non-decreasing sampled curve on [0, inf) with first knot at t=0.
+
+    ``v`` has shape (k,) for one curve or (n, k) for a family of n curves on
+    the shared grid ``t``; the family shares one tail rule, and every reading
+    works along the last axis (one value per curve).
+    """
 
     t: np.ndarray
     v: np.ndarray
@@ -45,13 +59,13 @@ class Curve:
         v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
-        if t.ndim != 1 or t.shape != v.shape or t.size == 0:
+        if t.ndim != 1 or t.size == 0 or v.ndim not in (1, 2) or v.shape[-1] != t.size:
             raise EmptyInputError("curve needs matching non-empty knot arrays")
         if t[0] != 0.0:
             raise NegativeBudgetError("first knot must sit at t=0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("knot budgets must be strictly increasing")
-        if v[0] < 0 or np.any(v[1:] < v[:-1]):
+        if np.any(v[..., 0] < 0) or np.any(v[..., 1:] < v[..., :-1]):
             raise ValueError("curve values must be non-negative and non-decreasing")
         if self.tail not in TAILS:
             raise ValueError(f"unknown tail kind {self.tail!r}")
@@ -62,17 +76,13 @@ class Curve:
         v.setflags(write=False)
 
     @property
-    def n_knots(self) -> int:
-        return self.t.size
-
-    @property
-    def tail_slope(self) -> float:
+    def tail_slope(self):
         """Slope of the last knot chord (0 for a single-knot curve)."""
         if self.t.size < 2:
-            return 0.0
-        return float((self.v[-1] - self.v[-2]) / (self.t[-1] - self.t[-2]))
+            return _scalar_or_rows(np.zeros(self.v.shape[:-1]))
+        return _scalar_or_rows((self.v[..., -1] - self.v[..., -2]) / (self.t[-1] - self.t[-2]))
 
-    def value(self, t: float, side: str = "right") -> float:
+    def value(self, t: float, side: str = "right"):
         """Conservative evaluation at budget ``t``.
 
         ``side="right"`` returns the next knot's value between knots (an upper
@@ -84,43 +94,42 @@ class Curve:
         tk, vk = self.t, self.v
         if t > tk[-1]:
             if self.tail == "const":
-                return float(vk[-1])
+                return _scalar_or_rows(vk[..., -1])
             if self.tail == "slope":
-                return float(vk[-1] + self.tail_slope * (t - tk[-1]))
-            return math.inf
+                return _scalar_or_rows(vk[..., -1] + self.tail_slope * (t - tk[-1]))
+            return _scalar_or_rows(np.full(vk.shape[:-1], math.inf))
         if side == "right":
             idx = int(np.searchsorted(tk, t, side="left"))
         elif side == "left":
             idx = int(np.searchsorted(tk, t, side="right")) - 1
         else:
             raise ValueError("side must be 'left' or 'right'")
-        return float(vk[idx])
+        return _scalar_or_rows(vk[..., idx])
 
 
-def curve_from_samples(pairs, tail: str = "const", tail_exponent: float | None = None) -> Curve:
-    """Build a :class:`Curve` from (budget, value) samples.
+def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = None) -> Curve:
+    """Build a :class:`Curve` from values ``v`` sampled at budgets ``t``.
 
-    Samples are sorted; values are made non-decreasing by a running maximum
-    (rates never decrease with budget) and clamped to be >= 0 at t=0.  A (0, 0)
-    knot is prepended when the samples do not include t=0.
+    ``v`` is (k,) or, for a family, (n, k).  Samples are sorted by budget;
+    values are made non-decreasing by a running maximum (rates never decrease
+    with budget) and clamped to be >= 0 at t=0.  A t=0 knot of value 0 is
+    prepended when the budgets do not include 0.
     """
-    pairs = list(pairs)
-    if not pairs:
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if t.size == 0:
         raise EmptyInputError("no samples")
-    t = np.array([p[0] for p in pairs], dtype=float)
-    v = np.array([p[1] for p in pairs], dtype=float)
     if np.any(t < 0):
         raise NegativeBudgetError("budgets must be non-negative")
     order = np.argsort(t, kind="stable")
-    t, v = t[order], v[order]
+    t, v = t[order], v[..., order]
     if np.any(np.diff(t) == 0):
         raise ValueError("duplicate budgets in samples")
     if t[0] != 0.0:
         t = np.concatenate([[0.0], t])
-        v = np.concatenate([[0.0], v])
-    v[0] = max(v[0], 0.0)
-    v = np.maximum.accumulate(v)
-    return Curve(t, np.ascontiguousarray(v), tail=tail, tail_exponent=tail_exponent)
+        v = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
+    v[..., 0] = np.maximum(v[..., 0], 0.0)
+    return Curve(t, np.maximum.accumulate(v, axis=-1), tail=tail, tail_exponent=tail_exponent)
 
 
 @dataclass(frozen=True)
@@ -145,17 +154,18 @@ class ConcaveCurve:
         v.setflags(write=False)
 
     def value(self, t: float) -> float:
-        if t < 0:
-            raise NegativeBudgetError("budgets are non-negative")
-        if self.infinite:
-            return float(self.v[0]) if t == 0.0 else math.inf
-        tk, vk = self.t, self.v
-        if t >= tk[-1]:
-            return float(vk[-1] + self.tail_slope * (t - tk[-1]))
-        return float(np.interp(t, tk, vk))
+        return float(self.values(t))
 
     def values(self, ts) -> np.ndarray:
-        return np.array([self.value(x) for x in np.asarray(ts, dtype=float)])
+        """Majorant at each budget in ``ts``: interpolated on the knots, linear beyond."""
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < 0):
+            raise NegativeBudgetError("budgets are non-negative")
+        if self.infinite:
+            return np.where(ts == 0.0, self.v[0], math.inf)
+        tk, vk = self.t, self.v
+        return np.where(ts >= tk[-1], vk[-1] + self.tail_slope * (ts - tk[-1]),
+                        np.interp(ts, tk, vk))
 
 
 def _upper_hull(t: np.ndarray, v: np.ndarray):
@@ -183,6 +193,8 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
     an infinite tail (superlinear growth) or carrying infinite values yields
     the infinite majorant.
     """
+    if f.v.ndim != 1:
+        raise ValueError("the concave majorant is taken of one curve, not a family")
     if f.tail == "infinite" or np.any(np.isinf(f.v)):
         return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
                             tail_slope=math.inf, infinite=True)
@@ -194,58 +206,15 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
     return ConcaveCurve(ht, hv, tail_slope=tail)
 
 
-def least_star_majorant(f: Curve, t: float) -> float:
-    """Value at ``t`` of the least star-shaped majorant sup_{u>=t} t f(u)/u.
-
-    The supremum runs over the sampled knots at or beyond ``t`` plus the tail
-    of the curve; at t=0 the majorant is 0 by the through-origin convention.
-    """
-    value, _ = star_majorant_detail(f, t)
-    return value
-
-
-def star_majorant_detail(f: Curve, t: float):
-    """Like :func:`least_star_majorant` but also reports tail contribution.
-
-    Returns ``(value, tail_contributed)`` where the flag is True when the sup
-    is attained beyond the sampled knots (useful to judge the truncation
-    horizon).
-    """
-    if t < 0:
-        raise NegativeBudgetError("budgets are non-negative")
-    if t == 0.0:
-        return 0.0, False
-    if f.tail == "infinite":
-        return math.inf, True
-    tk, vk = f.t, f.v
-    mask = tk >= t
-    best = 0.0
-    if np.any(mask):
-        with np.errstate(invalid="ignore"):
-            cand = t * vk[mask] / tk[mask]
-        best = float(np.max(cand))
-    tail_contributed = False
-    if t > tk[-1]:
-        # sup over u in [t, inf) of t*f(u)/u with f given by the tail rule;
-        # for both tail kinds the value at u=t dominates the decaying branch.
-        at_t = f.value(t, side="right")
-        if at_t > best:
-            best, tail_contributed = at_t, True
-    if f.tail == "slope":
-        asym = t * f.tail_slope  # limit of t*f(u)/u as u -> inf
-        if asym > best:
-            best, tail_contributed = asym, True
-    return best, tail_contributed
-
-
-def star_majorant_after_power(f: Curve, p: float, eps: float) -> float:
+def star_majorant_after_power(f: Curve, p: float, eps: float):
     """Least star-shaped majorant of t -> f(t^(1/p)), evaluated at eps^p.
 
-    Equivalent to ``least_star_majorant(p_transform(f, p), eps**p)`` but
-    computed on the original budget axis: candidates are (eps/t)^p * f(t) over
-    knots t >= eps, so the t = eps candidate contributes with ratio exactly 1
-    (separately powering the knots and the query can disagree by one ulp and
-    silently drop that candidate).
+    That is sup over u >= eps of (eps/u)^p f(u) (at p = 1 the plain least
+    star-shaped majorant sup_u eps f(u)/u), taken over the knots at or beyond
+    eps plus the tail, and 0 at eps = 0.  It is computed on the original
+    budget axis, so the u = eps candidate contributes with ratio exactly 1
+    (powering the knots and the query separately can disagree by one ulp and
+    silently drop that candidate).  A family gives one value per curve.
     """
     if math.isinf(p):
         raise InvalidExponentError("p must be finite")
@@ -253,37 +222,41 @@ def star_majorant_after_power(f: Curve, p: float, eps: float) -> float:
         raise InvalidExponentError("p must be >= 1")
     if eps < 0:
         raise NegativeBudgetError("budgets are non-negative")
+    rows = f.v.shape[:-1]
     if eps == 0.0:
-        return 0.0
+        return _scalar_or_rows(np.zeros(rows))
     tail, expo = f.tail, f.tail_exponent
-    if expo is not None and tail == "infinite":
-        if expo / p > 1.0 + 1e-12:
-            return math.inf
+    if tail == "infinite":
+        if expo is None or expo / p > 1.0 + 1e-12:
+            return _scalar_or_rows(np.full(rows, math.inf))
         tail = "slope"  # growth no longer superlinear after the transform
-    elif tail == "infinite":
-        return math.inf
     tk, vk = f.t, f.v
-    mask = tk >= eps
-    best = 0.0
-    if np.any(mask):
+    best = np.zeros(rows)
+    first = int(np.searchsorted(tk, eps, side="left"))  # knots >= eps
+    if first < tk.size:
+        ratio = (eps / tk[first:]) ** p
+        # a block of curves at a time, so that a long family's products never
+        # all exist at once next to the family itself
+        flat = vk.reshape(-1, tk.size)
+        step = max(1, _BLOCK // tk.size)
         with np.errstate(invalid="ignore"):
-            best = float(np.max((eps / tk[mask]) ** p * vk[mask]))
+            best = np.concatenate([np.max(ratio * flat[i:i + step, first:], axis=1)
+                                   for i in range(0, flat.shape[0], step)]).reshape(rows)
     if eps > tk[-1]:
         # inside the tail region the value at t = eps itself dominates
         if tail == "const":
-            best = max(best, float(vk[-1]))
-        elif tail == "slope":
-            best = max(best, float(vk[-1] + f.tail_slope * (eps - tk[-1])))
+            best = np.maximum(best, vk[..., -1])
+        else:
+            best = np.maximum(best, vk[..., -1] + f.tail_slope * (eps - tk[-1]))
     if tail == "slope" and tk.size >= 2:
         # limit of (eps/t)^p * f(t) as t -> inf along the linear extension,
         # written with ratios so the knot/query powers cannot disagree
-        dv = float(vk[-1] - vk[-2])
         a = tk[-1] / eps
         b = tk[-2] / eps
         denom = a ** p - (b ** p if b > 0 else 0.0)
         if denom > 0:
-            best = max(best, dv / denom)
-    return best
+            best = np.maximum(best, (vk[..., -1] - vk[..., -2]) / denom)
+    return _scalar_or_rows(best)
 
 
 def p_transform(f: Curve, p: float) -> Curve:
@@ -309,7 +282,8 @@ def p_transform(f: Curve, p: float) -> Curve:
         if tail == "infinite" and expo <= 1.0 + 1e-12:
             tail = "slope"
             expo = min(expo, 1.0)
-    return Curve(t_new[keep], f.v[keep], tail=tail, tail_exponent=expo)
+    v = f.v if keep.all() else f.v[..., keep]
+    return Curve(t_new[keep], v, tail=tail, tail_exponent=expo)
 
 
 def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:

@@ -2,7 +2,10 @@
 
 JSON has no infinity, so infinite values travel as the strings ``"inf"`` and
 ``"-inf"``; finite values stay plain JSON numbers.  Every report and instance
-file goes through this one encoder/decoder pair.
+file goes through this one encoder/decoder pair.  Large arrays may decode in
+one ``np.asarray(values, dtype=float)`` call instead: numpy parses ``"inf"``
+and ``"-inf"`` the way ``float()`` does, so that is :func:`decode_float`
+applied per element.
 """
 
 from __future__ import annotations

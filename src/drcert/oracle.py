@@ -30,7 +30,7 @@ import numpy as np
 from .curves import Curve, least_concave_majorant, p_transform
 from .errors import DataError, InstanceTooLargeError, ParseError
 from .jsonio import decode_float, encode_float
-from .rates import profile_from_curves
+from .rates import RateProfile
 
 MAX_SUPPORT = 4096
 
@@ -57,10 +57,14 @@ class DiscreteInstance:
         n = loss.size
         if n > MAX_SUPPORT:
             raise InstanceTooLargeError(f"support of {n} exceeds {MAX_SUPPORT}")
+        if loss.ndim != 1:
+            raise DataError("loss must hold one value per support point")
         if cost.shape != (n, n):
             raise DataError("cost matrix must be square over the support")
-        if np.any(np.isnan(loss)) or np.any(np.isnan(w)) or np.any(np.isnan(cost)):
-            raise DataError("loss, weights and costs must not be NaN")
+        if not np.all(np.isfinite(loss)):
+            raise DataError("losses must be finite")
+        if np.any(np.isnan(w)) or np.any(np.isnan(cost)):
+            raise DataError("weights and costs must not be NaN")
         if np.any(cost < 0):
             raise DataError("costs must be non-negative")
         if np.any(np.diag(cost) != 0):
@@ -115,8 +119,6 @@ def _atom_rate_curves(inst: DiscreteInstance) -> list[Curve]:
 
 def _solve(inst: DiscreteInstance):
     """Optimal (risk, powered-cost spend); see the module docstring."""
-    if inst.eps == 0.0:
-        return inst.empirical_risk, 0.0
     w = inst.weights
     curves = _atom_rate_curves(inst)
     if math.isinf(inst.p):
@@ -157,8 +159,6 @@ def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
     with exactly one atom split between two targets.  Enumeration is
     vectorized over all pure assignments cross one (atom, alternative) pair.
     """
-    if inst.eps == 0.0:
-        return inst.empirical_risk
     if math.isinf(inst.p):
         # every move must stay within eps: each atom takes its best such target
         reach = np.where(inst.atom_costs() <= inst.eps, inst.loss, -math.inf)
@@ -222,22 +222,27 @@ def instance_rate_profile(inst: DiscreteInstance):
     """
     d = inst.atom_costs()
     grid = np.unique(np.concatenate([[0.0], d[np.isfinite(d)]]))
-    curves = [Curve(grid, c.v[np.searchsorted(c.t, grid, side="right") - 1])
-              for c in _atom_rate_curves(inst)]
-    return profile_from_curves(curves, weights=inst.weights)
+    rates = np.empty((inst.atom_index.size, grid.size))
+    for row, c in zip(rates, _atom_rate_curves(inst)):
+        row[:] = c.v[np.searchsorted(c.t, grid, side="right") - 1]
+    return RateProfile(Curve(grid, rates), inst.weights)
 
 
 def instance_from_json(text: str) -> DiscreteInstance:
-    """Read an instance; malformed input raises ``ParseError``."""
+    """Read an instance; malformed input raises ``ParseError``.
+
+    ``loss`` and ``cost`` decode with one numpy conversion each, which reads
+    the ``"inf"``/``"-inf"`` strings exactly as :func:`decode_float` does.
+    """
     try:
         d = json.loads(text)
         atoms = d["atoms"]
         support = d.get("support")
         fields = dict(
-            loss=np.array([decode_float(x) for x in d["loss"]]),
+            loss=np.asarray(d["loss"], dtype=float),
             atom_index=np.array([int(a[0]) for a in atoms]),
             weights=np.array([float(a[1]) for a in atoms]),
-            cost=np.array([[decode_float(x) for x in row] for row in d["cost"]]),
+            cost=np.asarray(d["cost"], dtype=float),
             p=decode_float(d.get("p", 1.0)),
             eps=decode_float(d.get("eps", 0.0)),
             support=np.asarray(support, dtype=float) if support is not None else None,

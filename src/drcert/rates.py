@@ -14,7 +14,7 @@ and kappa in (0, inf].  kappa = inf pins the labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,10 @@ def dual_norm(x, r) -> float:
 
 
 # -- loss definitions ------------------------------------------------------------
+#
+# A searched loss provides ``loss(x, y)``, the batched ``losses(X, y)`` and
+# ``grads(X, y)`` over the rows of X at one label, and ``label_shift(x, y, b)``,
+# the label after its best move of cost b in ||y' - y||_1.
 
 @dataclass(frozen=True)
 class LinearPowerRegression:
@@ -76,17 +80,30 @@ class LinearPowerRegression:
         """Largest residual change per unit of cost budget."""
         return max(dual_norm(self.theta, self.cost.r), self.cost.label_gain)
 
-    def rate_values(self, z, grid) -> np.ndarray:
-        x, y = z
-        c_hat = abs(y - float(np.dot(x, self.theta)))
-        g = self.gain
+    def rate_values(self, X, y, grid) -> np.ndarray:
+        """Exact rates over the grid: one row per point of (X, y), (k,) for one point."""
+        X = np.asarray(X, dtype=float)
+        # one dot per point keeps each residual's rounding independent of the batch
+        fit = np.array([np.dot(x, self.theta) for x in X.reshape(-1, self.theta.size)])
+        c_hat = np.abs(np.asarray(y, dtype=float) - fit.reshape(X.shape[:-1]))[..., None]
         t = np.asarray(grid, dtype=float)
-        return (c_hat + t * g) ** self.alpha - c_hat ** self.alpha
+        return (c_hat + t * self.gain) ** self.alpha - c_hat ** self.alpha
+
+    def rate_curve(self, X, y, grid) -> Curve:
+        tail = "infinite" if self.alpha > 1 else "slope"
+        expo = self.alpha if self.alpha > 1 else None
+        return curve_from_samples(grid, self.rate_values(X, y, grid), tail=tail,
+                                  tail_exponent=expo)
+
+
+def _at_label(X, y):
+    """The label y repeated for every row of X."""
+    return np.broadcast_to(np.asarray(y, dtype=float), (X.shape[0],) + np.shape(y))
 
 
 @dataclass(frozen=True)
-class MlpClassification:
-    """l(x, y) = <y, f(x)> for a network with a -log-softmax output."""
+class _MlpLoss:
+    """The network's own head loss: <y, -log softmax(f(x))> or |y - f(x)|."""
 
     net: nn.Mlp
     cost: CostConfig = CostConfig()
@@ -94,30 +111,47 @@ class MlpClassification:
     def loss(self, x, y) -> float:
         return float(nn.loss_value(self.net, x, y))
 
+    def losses(self, X, y) -> np.ndarray:
+        return nn.loss_value(self.net, X, _at_label(X, y))
 
-@dataclass(frozen=True)
-class MlpRegression:
-    """l(x, y) = gamma(|y - f(x)|); gamma non-decreasing, identity by default."""
-
-    net: nn.Mlp
-    cost: CostConfig = CostConfig()
-    gamma: object = None  # callable on scalars
-
-    def loss(self, x, y) -> float:
-        u = abs(float(y) - float(nn.forward(self.net, x)[..., 0]))
-        return float(self.gamma(u)) if self.gamma is not None else u
+    def grads(self, X, y) -> np.ndarray:
+        return nn._backward(self.net, X, _at_label(X, y))[1]
 
 
 @dataclass(frozen=True)
-class CustomLoss:
-    """Arbitrary callback loss fn(x, y) -> float; rates come from search only."""
+class MlpClassification(_MlpLoss):
+    """l(x, y) = <y, f(x)> for a network with a -log-softmax output."""
 
-    fn: object
-    cost: CostConfig = CostConfig()
-    label_mode: str = "none"  # "none" | "real" | "simplex"
+    def label_shift(self, x, y, budget):
+        """Move simplex mass (total variation budget/2) from low-score classes
+        onto the arg-max class of the network output."""
+        if budget <= 0:
+            return y
+        o = nn.forward(self.net, x)
+        scores = -np.log(np.exp(o - np.max(o)) / np.sum(np.exp(o - np.max(o))))
+        target = int(np.argmax(scores))
+        y2 = np.asarray(y, dtype=float).copy()
+        move = budget / 2.0
+        for j in np.argsort(scores):
+            if j == target or move <= 0:
+                continue
+            take = min(move, y2[j])
+            y2[j] -= take
+            y2[target] += take
+            move -= take
+        return y2
 
-    def loss(self, x, y) -> float:
-        return float(self.fn(x, y))
+
+@dataclass(frozen=True)
+class MlpRegression(_MlpLoss):
+    """l(x, y) = |y - f(x)| for a network with an absolute-deviation output."""
+
+    def label_shift(self, x, y, budget):
+        """Shift the real label by the whole budget, in the direction that hurts."""
+        if budget <= 0:
+            return y
+        cands = [y + budget, y - budget]
+        return cands[int(np.argmax([self.loss(x, c) for c in cands]))]
 
 
 @dataclass
@@ -132,19 +166,28 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RateProfile:
-    per_sample: tuple
-    maximal: Curve
+    """Weighted rate curves of n samples on one grid: ``rates.v`` is (n, k).
+
+    ``maximal`` is their pointwise (row-wise) max, sharing the family's tail.
+    """
+
+    rates: Curve
     weights: np.ndarray
     quality: str = "exact"  # "exact" for closed forms, "search" for estimates
+    maximal: Curve = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "per_sample", tuple(self.per_sample))
+        r = self.rates
+        if r.v.shape != (w.size, r.t.size):
+            raise ValueError("rates need one row per sample weight")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
+        object.__setattr__(self, "maximal", Curve(r.t, np.max(r.v, axis=0), tail=r.tail,
+                                                  tail_exponent=r.tail_exponent))
 
 
 # -- ball geometry -------------------------------------------------------------
@@ -194,69 +237,6 @@ def _random_ball_boundary(rng, n_points, dim, radius, r):
 
 # -- search machinery ----------------------------------------------------------
 
-def _grad_fn(loss, x, y):
-    """Batched feature gradient of the loss at fixed label."""
-    if isinstance(loss, MlpClassification):
-        _, g = nn._backward(loss.net, x, y if x.ndim == 1 else np.broadcast_to(y, (x.shape[0],) + np.shape(y)))
-        return g
-    if isinstance(loss, MlpRegression) and loss.gamma is None:
-        yy = y if x.ndim == 1 else np.broadcast_to(np.asarray(y, dtype=float), (x.shape[0],))
-        _, g = nn._backward(loss.net, x, yy)
-        return g
-    # finite differences, row by row
-    x2 = np.atleast_2d(x)
-    g = np.zeros_like(x2)
-    h = 1e-6
-    for i, row in enumerate(x2):
-        for j in range(row.size):
-            e = np.zeros_like(row)
-            e[j] = h
-            g[i, j] = (loss.loss(row + e, y) - loss.loss(row - e, y)) / (2 * h)
-    return g if np.ndim(x) > 1 else g[0]
-
-
-def _loss_batch(loss, X, y):
-    if isinstance(loss, MlpClassification):
-        Y = np.broadcast_to(y, (X.shape[0],) + np.shape(y))
-        return nn.loss_value(loss.net, X, Y)
-    if isinstance(loss, MlpRegression) and loss.gamma is None:
-        return nn.loss_value(loss.net, X, np.broadcast_to(float(y), (X.shape[0],)))
-    return np.array([loss.loss(row, y) for row in X])
-
-
-def _best_label_shift(loss, x, y, budget):
-    """Best loss after spending ``budget`` of ||y'-y||_1 movement at fixed x."""
-    if budget <= 0:
-        return loss.loss(x, y), y
-    if isinstance(loss, (MlpRegression, LinearPowerRegression)) or (
-            isinstance(loss, CustomLoss) and loss.label_mode == "real"):
-        cands = [y + budget, y - budget]
-        vals = [loss.loss(x, c) for c in cands]
-        k = int(np.argmax(vals))
-        return vals[k], cands[k]
-    if isinstance(loss, MlpClassification) or (
-            isinstance(loss, CustomLoss) and loss.label_mode == "simplex"):
-        # move simplex mass (total variation budget/2) from low-score classes
-        # onto the arg-max class of the network output
-        o = nn.forward(loss.net, x) if isinstance(loss, MlpClassification) else None
-        if o is None:
-            return loss.loss(x, y), y
-        scores = -np.log(np.exp(o - np.max(o)) / np.sum(np.exp(o - np.max(o))))
-        target = int(np.argmax(scores))
-        y2 = np.asarray(y, dtype=float).copy()
-        move = budget / 2.0
-        order = np.argsort(scores)
-        for j in order:
-            if j == target or move <= 0:
-                continue
-            take = min(move, y2[j])
-            y2[j] -= take
-            y2[target] += take
-            move -= take
-        return loss.loss(x, y2), y2
-    return loss.loss(x, y), y
-
-
 def _search_feature_sup(loss, z, radius, cfg, rng):
     """Lower estimate of sup loss over the feature r-ball at fixed label."""
     x, y = z
@@ -272,14 +252,14 @@ def _search_feature_sup(loss, z, radius, cfg, rng):
     delta = _project_ball(starts, radius, r)
     step = cfg.step_frac * radius
     for _ in range(cfg.n_steps):
-        g = _grad_fn(loss, x + delta, y)
+        g = loss.grads(x + delta, y)
         gn = np.linalg.norm(g, axis=1, keepdims=True)
         g = np.where(gn > 0, g / np.maximum(gn, 1e-300), 0.0)
         delta = _project_ball(delta + step * g, radius, r)
-    best = float(np.max(_loss_batch(loss, x + delta, y)))
+    best = float(np.max(loss.losses(x + delta, y)))
     if cfg.n_boundary > 0:
         pts = _random_ball_boundary(rng, cfg.n_boundary, x.size, radius, r)
-        best = max(best, float(np.max(_loss_batch(loss, x + pts, y))))
+        best = max(best, float(np.max(loss.losses(x + pts, y))))
     return max(best, base)
 
 
@@ -288,9 +268,7 @@ def _searched_rate(loss, z, t, cfg, rng):
     y = z[1]
     base = loss.loss(x, y)
     kappa = loss.cost.kappa
-    label_ok = not math.isinf(kappa) and not (
-        isinstance(loss, CustomLoss) and loss.label_mode == "none")
-    if not label_ok:
+    if math.isinf(kappa):
         return _search_feature_sup(loss, (x, y), t, cfg, rng) - base
     # split the budget between label and feature channels: shift the label
     # first (a feasible move of cost kappa*t_y), then search features with the
@@ -299,7 +277,7 @@ def _searched_rate(loss, z, t, cfg, rng):
     for frac in np.linspace(0.0, 1.0, cfg.n_label_splits):
         t_x = (1.0 - frac) * t
         t_y = frac * t / kappa
-        _, y2 = _best_label_shift(loss, x, y, t_y)
+        y2 = loss.label_shift(x, y, t_y)
         best = max(best, _search_feature_sup(loss, (x, y2), t_x, cfg, rng))
     return best - base
 
@@ -318,10 +296,7 @@ def individual_rate(loss, z, grid, config: SearchConfig | None = None) -> Curve:
     if grid.size == 0:
         raise EmptyInputError("empty budget grid")
     if isinstance(loss, LinearPowerRegression):
-        vals = loss.rate_values(z, grid)
-        tail = "infinite" if loss.alpha > 1 else "slope"
-        expo = loss.alpha if loss.alpha > 1 else None
-        return curve_from_samples(zip(grid, vals), tail=tail, tail_exponent=expo)
+        return loss.rate_curve(z[0], z[1], grid)
     cfg = config or SearchConfig()
     vals = np.zeros(grid.size)
     for k, t in enumerate(grid):
@@ -329,39 +304,34 @@ def individual_rate(loss, z, grid, config: SearchConfig | None = None) -> Curve:
             continue
         rng = np.random.default_rng(_seed_for(cfg.seed, t))
         vals[k] = max(_searched_rate(loss, z, float(t), cfg, rng), 0.0)
-    return curve_from_samples(zip(grid, vals), tail="const")
+    return curve_from_samples(grid, vals)
 
 
 def maximal_rate(loss, dataset, grid, weights=None, config: SearchConfig | None = None) -> RateProfile:
-    """Per-sample rate curves plus their pointwise max, with sample weights."""
+    """Per-sample rate curves (one row each) and their pointwise max, with sample weights."""
     points = list(dataset)
     if not points:
         raise EmptyInputError("empty dataset")
-    grid = np.asarray(grid, dtype=float)
+    if isinstance(loss, LinearPowerRegression):
+        X = np.array([x for x, _ in points], dtype=float)
+        y = np.array([y for _, y in points], dtype=float)
+        return RateProfile(loss.rate_curve(X, y, grid), _weights(weights, len(points)))
     curves = [individual_rate(loss, z, grid, config) for z in points]
-    return profile_from_curves(curves, weights=weights,
-                               quality="exact" if isinstance(loss, LinearPowerRegression) else "search")
+    return profile_from_curves(curves, weights=weights, quality="search")
+
+
+def _weights(weights, n):
+    return np.full(n, 1.0 / n) if weights is None else weights
 
 
 def profile_from_curves(curves, weights=None, quality="exact") -> RateProfile:
-    """Assemble a profile from per-sample curves sharing one grid."""
+    """Stack per-sample curves that share one grid and one tail into a profile."""
     curves = list(curves)
-    grid = curves[0].t
+    first = curves[0]
     for c in curves[1:]:
-        if not np.array_equal(c.t, grid):
-            raise ValueError("per-sample curves must share the budget grid")
-    vmax = np.max(np.vstack([c.v for c in curves]), axis=0)
-    tails = [c.tail for c in curves]
-    if "infinite" in tails:
-        tail = "infinite"
-        expos = [c.tail_exponent for c in curves if c.tail == "infinite"]
-        expo = max(e for e in expos) if all(e is not None for e in expos) else None
-    elif "slope" in tails:
-        tail, expo = "slope", None
-    else:
-        tail, expo = "const", None
-    maximal = Curve(grid, vmax, tail=tail, tail_exponent=expo)
-    n = len(curves)
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-    return RateProfile(tuple(curves), maximal, w, quality=quality)
-
+        if not np.array_equal(c.t, first.t) or (c.tail, c.tail_exponent) != (
+                first.tail, first.tail_exponent):
+            raise ValueError("per-sample curves must share the budget grid and tail")
+    rates = Curve(first.t, np.array([c.v for c in curves]), tail=first.tail,
+                  tail_exponent=first.tail_exponent)
+    return RateProfile(rates, _weights(weights, len(curves)), quality=quality)

@@ -18,7 +18,7 @@ from drcert.complexity import (
     complexity_calculus_checks,
     paired_gap,
 )
-from drcert.curves import Curve, least_concave_majorant, least_star_majorant
+from drcert.curves import Curve, least_concave_majorant, star_majorant_after_power
 from drcert.oracle import (
     DiscreteInstance,
     dr_risk_enumerate,
@@ -177,7 +177,7 @@ def test_criterion_05_majorant_oracle():
         oracle_vals = _chord_max(t, v)
         got = env.values(t)
         worst = max(worst, float(np.max(np.abs(got - oracle_vals))))
-        stars = np.array([least_star_majorant(f, float(tk)) for tk in t])
+        stars = np.array([star_majorant_after_power(f, 1.0, float(tk)) for tk in t])
         assert np.all(stars <= got + 1e-9)
     assert worst < 1e-9
     print(f"[PASS] criterion 5: envelope vs chord-max on 500 curves, "

@@ -13,7 +13,8 @@ from drcert.certificates import (
     p_ordering_check,
     upper_bound,
 )
-from drcert.rates import CostConfig, LinearPowerRegression, maximal_rate
+from drcert.curves import Curve, least_concave_majorant, p_transform, star_majorant_after_power
+from drcert.rates import CostConfig, LinearPowerRegression, RateProfile, maximal_rate
 
 
 def linear_profile(theta, r=2.0, n_points=4, seed=0, alpha=1.0, grid=None):
@@ -74,7 +75,6 @@ class TestPOrdering:
 
     def test_saturating_rate(self):
         grid = np.linspace(0, 6, 49)
-        from drcert.curves import Curve
         from drcert.rates import profile_from_curves
 
         sat = Curve(grid, 2.0 * (1.0 - np.exp(-grid)))
@@ -163,8 +163,8 @@ class TestPInfty:
     def test_lb_inf_sums_rates(self):
         prof, loss = linear_profile([2.0])
         eps = prof.maximal.t[7]
-        expected = sum(w * c.value(float(eps), side="left")
-                       for w, c in zip(prof.weights, prof.per_sample))
+        expected = sum(w * v for w, v in zip(prof.weights,
+                                             prof.rates.value(float(eps), side="left")))
         assert lower_bound(prof, math.inf, float(eps)) == pytest.approx(expected)
 
     def test_cc_inf_right_limit(self):
@@ -189,3 +189,57 @@ def test_report_json_roundtrip_exact(cols, p, emp, finite):
     for name in ("epsilon_grid", "lb", "cc", "lipschitz", "grad_dual"):
         assert np.array_equal(getattr(back, name), getattr(rep, name))
     assert (back.p, back.empirical_risk, back.finite) == (p, emp, finite)
+
+
+# -- array bounds against a per-row reference ------------------------------------
+
+def reference_bounds(prof, p, eps):
+    """lower_bound / upper_bound at one budget, one sample curve at a time."""
+    fam = prof.rates
+    rows = [Curve(fam.t, v, tail=fam.tail, tail_exponent=fam.tail_exponent) for v in fam.v]
+    lb = 0.0
+    for w, row in zip(prof.weights, rows):
+        if w > 0:  # 0 * inf = 0
+            lb += w * (row.value(eps, side="left") if math.isinf(p)
+                       else star_majorant_after_power(row, p, eps))
+    peak = rows[0].v
+    for row in rows[1:]:
+        peak = np.maximum(peak, row.v)
+    top = Curve(fam.t, peak, tail=fam.tail, tail_exponent=fam.tail_exponent)
+    if math.isinf(p):
+        above = fam.t[fam.t > eps]
+        cc = top.value(float(above[0])) if above.size else top.value(eps)
+    else:
+        cc = least_concave_majorant(p_transform(top, p)).value(eps ** p)
+    return lb, cc
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 8))
+    t = np.concatenate([[0.0], np.cumsum(draw(st.lists(
+        st.floats(0.05, 2.0), min_size=k - 1, max_size=k - 1)))])
+    steps = draw(st.lists(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k),
+                          min_size=n, max_size=n))
+    tail, expo = draw(st.sampled_from([("const", None), ("slope", None), ("infinite", None),
+                                       ("infinite", 1.5), ("infinite", 2.0), ("infinite", 3.0)]))
+    mass = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    mass[draw(st.integers(0, n - 1))] += 1.0  # some weight is positive; others may be 0
+    rates = Curve(t, np.cumsum(steps, axis=1), tail=tail, tail_exponent=expo)
+    return RateProfile(rates, mass / mass.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(prof=families(), p=st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+       eps=st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=4))
+def test_array_bounds_match_row_reference(prof, p, eps):
+    eps = np.sort(eps)
+    lbs, ccs = lower_bound(prof, p, eps), upper_bound(prof, p, eps)
+    assert lbs.shape == ccs.shape == eps.shape
+    for e, lb, cc in zip(eps, lbs, ccs):
+        ref_lb, ref_cc = reference_bounds(prof, p, float(e))
+        assert lb == pytest.approx(ref_lb, rel=1e-12)
+        assert cc == pytest.approx(ref_cc, rel=1e-12)
+        assert lower_bound(prof, p, float(e)) == lb  # scalar eps gives the same float
+        assert upper_bound(prof, p, float(e)) == cc

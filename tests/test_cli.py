@@ -219,6 +219,10 @@ BAD_INSTANCES = {
     "non_square_cost": changed_instance(cost=[[0.0, 1.0]]),
     "nan_weight": changed_instance(atoms=[[0, math.nan]]),
     "nan_loss": changed_instance(loss=[0.0, math.nan]),
+    "inf_loss": changed_instance(loss=[0.0, "inf"]),
+    "neg_inf_loss": changed_instance(loss=["-inf", 0.0]),
+    "ragged_cost": changed_instance(cost=[[0.0, 1.0], [1.0]]),
+    "scalar_loss": changed_instance(loss=5.0, cost=[[0.0]]),
     "nan_cost": changed_instance(cost=[[0.0, math.nan], [1.0, 0.0]]),
     "nan_eps": changed_instance(eps=math.nan),
     "oversized": changed_instance(loss=[0.0] * 4097),

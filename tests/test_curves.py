@@ -9,10 +9,8 @@ from drcert.curves import (
     curve_from_samples,
     is_concave,
     least_concave_majorant,
-    least_star_majorant,
     p_transform,
     star_majorant_after_power,
-    star_majorant_detail,
 )
 from drcert.errors import EmptyInputError, InvalidExponentError, NegativeBudgetError
 
@@ -30,6 +28,11 @@ def chord_max_oracle(t, v):
     return out
 
 
+def star(f, t):
+    """Least star-shaped majorant sup_{u >= t} t f(u) / u: the p = 1 case."""
+    return star_majorant_after_power(f, 1.0, t)
+
+
 def grid_star_oracle(t, v, at):
     """Brute-force sup over sampled u >= at of at*f(u)/u."""
     best = 0.0
@@ -41,33 +44,33 @@ def grid_star_oracle(t, v, at):
 
 class TestConstruction:
     def test_identity_on_sorted_monotone(self):
-        c = curve_from_samples([(0, 0), (1, 1), (2, 4)])
+        c = curve_from_samples([0, 1, 2], [0, 1, 4])
         assert np.allclose(c.t, [0, 1, 2])
         assert np.allclose(c.v, [0, 1, 4])
 
     def test_reorders_unsorted(self):
-        c = curve_from_samples([(1, 2), (0, 0)])
+        c = curve_from_samples([1, 0], [2, 0])
         assert np.allclose(c.t, [0, 1])
         assert np.allclose(c.v, [0, 2])
 
     def test_running_max(self):
-        c = curve_from_samples([(0, 0), (1, 3), (2, 2)])
+        c = curve_from_samples([0, 1, 2], [0, 3, 2])
         assert np.allclose(c.v, [0, 3, 3])
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
-            curve_from_samples([])
+            curve_from_samples([], [])
 
     def test_negative_budget_raises(self):
         with pytest.raises(NegativeBudgetError):
-            curve_from_samples([(-1, 0), (0, 0)])
+            curve_from_samples([-1, 0], [0, 0])
 
     def test_zero_knot_prepended(self):
-        c = curve_from_samples([(1, 2), (2, 3)])
+        c = curve_from_samples([1, 2], [2, 3])
         assert c.t[0] == 0.0 and c.v[0] == 0.0
 
     def test_value_sides(self):
-        c = curve_from_samples([(0, 0), (1, 1), (2, 4)])
+        c = curve_from_samples([0, 1, 2], [0, 1, 4])
         assert c.value(0.5, side="right") == 1.0
         assert c.value(0.5, side="left") == 0.0
         assert c.value(1.0, side="right") == c.value(1.0, side="left") == 1.0
@@ -130,40 +133,36 @@ class TestStarMajorant:
         f = Curve(t, np.sqrt(t))
         expected = grid_star_oracle(f.t, f.v, 1.0)
         assert expected == pytest.approx(1.0, abs=1e-6)
-        assert least_star_majorant(f, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert star(f, 1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_square_truncated_domain(self):
         t = np.linspace(0, 2, 2001)
         f = Curve(t, t**2)
         expected = grid_star_oracle(f.t, f.v, 1.0)
         assert expected == pytest.approx(2.0, abs=1e-9)
-        assert least_star_majorant(f, 1.0) == pytest.approx(2.0, abs=1e-9)
+        assert star(f, 1.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_concave_fixed_points(self):
         t = np.linspace(0, 4, 65)
         f = Curve(t, np.sqrt(t))
         for knot in [0.5, 1.0, 2.5, 4.0]:
             k = t[np.argmin(np.abs(t - knot))]
-            assert least_star_majorant(f, float(k)) == pytest.approx(math.sqrt(k), rel=1e-12)
+            assert star(f, float(k)) == pytest.approx(math.sqrt(k), rel=1e-12)
 
     def test_zero_budget(self):
-        f = curve_from_samples([(0, 0), (1, 5)])
-        assert least_star_majorant(f, 0.0) == 0.0
+        f = curve_from_samples([0, 1], [0, 5])
+        assert star(f, 0.0) == 0.0
 
     def test_infinite_tail_diverges(self):
         f = Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), tail="infinite", tail_exponent=2.0)
-        assert least_star_majorant(f, 0.5) == math.inf
+        assert star(f, 0.5) == math.inf
 
-    def test_tail_contribution_reported(self):
+    def test_slope_tail_carries_sup(self):
         # linear curve truncated at 1 with slope tail: at t beyond the grid the
         # tail carries the sup
         f = Curve(np.array([0.0, 1.0]), np.array([0.0, 2.0]), tail="slope")
-        val, from_tail = star_majorant_detail(f, 3.0)
-        assert val == pytest.approx(6.0)
-        assert from_tail
-        val, from_tail = star_majorant_detail(f, 0.5)
-        assert val == pytest.approx(1.0)
-        assert not from_tail
+        assert star(f, 3.0) == pytest.approx(6.0)
+        assert star(f, 0.5) == pytest.approx(1.0)
 
 
 class TestStarAfterPower:
@@ -176,7 +175,7 @@ class TestStarAfterPower:
             for p in (1.0, 1.5, 2.0, 4.0):
                 eps = float(rng.uniform(0.01, 5.0))
                 direct = star_majorant_after_power(f, p, eps)
-                via_transform = least_star_majorant(p_transform(f, p), eps ** p)
+                via_transform = star(p_transform(f, p), eps ** p)
                 assert direct == pytest.approx(via_transform, rel=1e-9, abs=1e-12)
 
     def test_exact_at_knots_any_p(self):
@@ -196,7 +195,7 @@ class TestStarAfterPower:
 
 class TestPTransform:
     def test_p_one_identity(self):
-        f = curve_from_samples([(0, 0), (1, 1), (2, 4)])
+        f = curve_from_samples([0, 1, 2], [0, 1, 4])
         assert p_transform(f, 1.0) is f
 
     def test_linear_to_sqrt(self):
@@ -255,7 +254,7 @@ def test_star_below_concave_on_grid(vals, seed):
     f = _build(vals, seed)
     env = least_concave_majorant(f)
     for tk in f.t:
-        assert least_star_majorant(f, float(tk)) <= env.value(float(tk)) + 1e-9
+        assert star(f, float(tk)) <= env.value(float(tk)) + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,7 +268,7 @@ def test_monotone_comparison(vals, bump, seed):
     e1, e2 = least_concave_majorant(f1), least_concave_majorant(f2)
     for tk in f1.t:
         tk = float(tk)
-        assert least_star_majorant(f1, tk) <= least_star_majorant(f2, tk) + 1e-9
+        assert star(f1, tk) <= star(f2, tk) + 1e-9
         assert e1.value(tk) <= e2.value(tk) + 1e-9
 
 
@@ -278,7 +277,63 @@ def test_monotone_comparison(vals, bump, seed):
 def test_majorants_nondecreasing(vals, seed):
     f = _build(vals, seed)
     env = least_concave_majorant(f)
-    stars = [least_star_majorant(f, float(tk)) for tk in f.t]
+    stars = [star(f, float(tk)) for tk in f.t]
     envs = [env.value(float(tk)) for tk in f.t]
     assert np.all(np.diff(stars) >= -1e-9)
     assert np.all(np.diff(envs) >= -1e-9)
+
+
+class TestFamilies:
+    def test_readings_along_last_axis(self):
+        rng = np.random.default_rng(17)
+        t = np.linspace(0.0, 2.0, 9)
+        V = np.maximum.accumulate(rng.uniform(0, 3, size=(4, t.size)), axis=1)
+        for tail, expo in (("const", None), ("slope", None), ("infinite", 2.0)):
+            fam = Curve(t, V, tail=tail, tail_exponent=expo)
+            rows = [Curve(t, v, tail=tail, tail_exponent=expo) for v in V]
+            assert np.array_equal(fam.tail_slope, [r.tail_slope for r in rows])
+            for x in (0.0, 0.3, float(t[4]), float(t[-1]), 3.7):
+                for side in ("left", "right"):
+                    assert np.array_equal(fam.value(x, side), [r.value(x, side) for r in rows])
+                for p in (1.0, 2.5):
+                    assert np.array_equal(star_majorant_after_power(fam, p, x),
+                                          [star_majorant_after_power(r, p, x) for r in rows])
+            g = p_transform(fam, 2.5)
+            assert np.array_equal(g.v, V)
+            assert (g.tail, g.tail_exponent) == (p_transform(rows[0], 2.5).tail,
+                                                 p_transform(rows[0], 2.5).tail_exponent)
+
+    def test_from_samples_family(self):
+        fam = curve_from_samples([2, 1], [[3, 1], [0, 5]])
+        assert np.array_equal(fam.t, [0, 1, 2])
+        assert np.array_equal(fam.v, [[0, 1, 3], [0, 5, 5]])
+
+    def test_family_checks(self):
+        with pytest.raises(EmptyInputError):
+            Curve([0.0, 1.0], np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            Curve([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            least_concave_majorant(Curve([0.0, 1.0], [[0.0, 1.0], [0.0, 2.0]]))
+
+
+def concave_value_reference(env, t):
+    """One reading of a concave majorant, point by point."""
+    if env.infinite:
+        return float(env.v[0]) if t == 0.0 else math.inf
+    if t >= env.t[-1]:
+        return float(env.v[-1] + env.tail_slope * (t - env.t[-1]))
+    return float(np.interp(t, env.t, env.v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(vals=monotone_values, seed=st.integers(0, 2**31 - 1),
+       tail=st.sampled_from(["const", "slope", "infinite"]),
+       extra=st.lists(st.floats(0, 200, allow_nan=False), max_size=8))
+def test_concave_values_match_pointwise(vals, seed, tail, extra):
+    base = _build(vals, seed)
+    env = least_concave_majorant(Curve(base.t, base.v, tail=tail))
+    t = base.t
+    ts = np.concatenate([[0.0], t, (t[1:] + t[:-1]) / 2, [t[-1] * 1.5 + 1.0], extra])
+    assert np.array_equal(env.values(ts), [concave_value_reference(env, float(x)) for x in ts])
+    assert env.value(float(ts[-1])) == concave_value_reference(env, float(ts[-1]))

@@ -44,6 +44,16 @@ class TestBasics:
         inst = line_instance([0.0, 1.0, 2.0], [5.0, 1.0, 9.0], [1], [1.0], eps=0.0)
         assert dr_risk_exact(inst) == 1.0
 
+    def test_eps_zero_takes_free_moves(self):
+        # a zero-cost move to a higher loss needs no budget, so it counts at eps = 0
+        cost = np.zeros((2, 2))
+        for p in (1.0, 2.0, math.inf):
+            inst = DiscreteInstance(np.array([0.0, 1.0]), np.array([0]), np.array([1.0]),
+                                    cost, p=p, eps=0.0)
+            assert dr_risk_exact(inst) == 1.0
+            assert dr_risk_enumerate(inst) == 1.0
+            assert dr_risk_plan_spend(inst) == 0.0
+
     def test_p_infty_ball_max(self):
         # 1-D grid, loss z^2, atom at z=1, eps=1: best reachable point is z=2
         z = np.linspace(-2, 2, 41)
@@ -257,7 +267,7 @@ def assert_same_instance(a, b):
 def instances(draw):
     n = draw(st.integers(1, 5))
     values = st.floats(allow_nan=False, allow_infinity=False)
-    loss = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    loss = draw(st.lists(values, min_size=n, max_size=n))
     cost = np.array(draw(st.lists(
         st.lists(st.one_of(st.just(math.inf), st.floats(0, 1e6)), min_size=n, max_size=n),
         min_size=n, max_size=n)))

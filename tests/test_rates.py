@@ -1,21 +1,55 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from drcert.nn import init_mlp
+from drcert.curves import Curve
+from drcert.nn import init_mlp, loss_and_grad_x
 from drcert.rates import (
     CostConfig,
-    CustomLoss,
     LinearPowerRegression,
     MlpClassification,
+    MlpRegression,
     SearchConfig,
     dual_norm,
     individual_rate,
     maximal_rate,
+    profile_from_curves,
 )
 
 FAST = SearchConfig(n_starts=6, n_steps=60, n_boundary=64, seed=0)
+
+
+@dataclass(frozen=True)
+class CallbackLoss:
+    """Any loss fn(x, y) -> float, searched with central finite differences.
+
+    It provides what the rate search asks of a loss: ``loss``, the batched
+    ``losses`` and ``grads`` over rows at one label, and ``label_shift``
+    (labels stay put).
+    """
+
+    fn: object
+    cost: CostConfig = CostConfig()
+
+    def loss(self, x, y):
+        return float(self.fn(x, y))
+
+    def losses(self, X, y):
+        return np.array([self.loss(row, y) for row in X])
+
+    def grads(self, X, y, h=1e-6):
+        g = np.zeros_like(X)
+        for i, row in enumerate(X):
+            for j in range(row.size):
+                e = np.zeros_like(row)
+                e[j] = h
+                g[i, j] = (self.loss(row + e, y) - self.loss(row - e, y)) / (2 * h)
+        return g
+
+    def label_shift(self, x, y, budget):
+        return y
 
 
 def power_loss_rate_bounds(alpha, theta_dual_norm, c_hat, t):
@@ -76,7 +110,7 @@ class TestLinearClosedForm:
 class TestSearchRates:
     def test_quadratic_1d(self):
         # l(z) = z^2 at z=1, radius 1: sup at z'=2 gives 4 - 1 = 3
-        loss = CustomLoss(lambda x, y: x[0] ** 2, CostConfig(r=2))
+        loss = CallbackLoss(lambda x, y: x[0] ** 2, CostConfig(r=2))
         c = individual_rate(loss, (np.array([1.0]), 0.0), [0.0, 1.0], FAST)
         dense = np.linspace(0.0, 2.0, 20001)
         oracle = np.max(dense**2) - 1.0
@@ -89,7 +123,7 @@ class TestSearchRates:
         theta = rng.normal(size=3)
         cost = CostConfig(r=2)
         exact = LinearPowerRegression(2.0, theta, cost)
-        as_custom = CustomLoss(lambda x, y, th=theta: abs(y - x @ th) ** 2, cost)
+        as_custom = CallbackLoss(lambda x, y, th=theta: abs(y - x @ th) ** 2, cost)
         x = rng.normal(size=3)
         y = float(rng.normal())
         c_hat = y - float(x @ theta)
@@ -100,7 +134,7 @@ class TestSearchRates:
             assert lo - 1e-6 <= v <= hi + 1e-9
 
     def test_monotone_under_grid_refinement(self):
-        loss = CustomLoss(lambda x, y: float(np.sum(np.tanh(x))), CostConfig(r=2))
+        loss = CallbackLoss(lambda x, y: float(np.sum(np.tanh(x))), CostConfig(r=2))
         z = (np.zeros(2), 0.0)
         coarse = individual_rate(loss, z, [0.0, 0.5, 1.0], FAST)
         fine = individual_rate(loss, z, [0.0, 0.25, 0.5, 0.75, 1.0], FAST)
@@ -120,7 +154,7 @@ class TestMaximalRate:
     def test_single_sample(self):
         loss = LinearPowerRegression(1.0, np.array([2.0]), CostConfig(r=2))
         prof = maximal_rate(loss, [(np.array([0.0]), 1.0)], [0.0, 1.0])
-        assert np.array_equal(prof.maximal.v, prof.per_sample[0].v)
+        assert np.array_equal(prof.maximal.v, prof.rates.v[0])
 
     def test_pointwise_max_of_two(self):
         grid = np.linspace(0, 1, 5)
@@ -128,8 +162,6 @@ class TestMaximalRate:
         l2 = LinearPowerRegression(1.0, np.array([2.0]), CostConfig(r=2))
         c1 = individual_rate(l1, (np.zeros(1), 0.0), grid)
         c2 = individual_rate(l2, (np.zeros(1), 0.0), grid)
-        from drcert.rates import profile_from_curves
-
         prof = profile_from_curves([c1, c2])
         assert np.allclose(prof.maximal.v, 2.0 * grid)
 
@@ -142,8 +174,69 @@ class TestMaximalRate:
         expected = dual_norm(theta, 1) * prof.maximal.t
         assert np.allclose(prof.maximal.v, expected)
         assert prof.weights.sum() == pytest.approx(1.0)
-        for c in prof.per_sample:
-            assert np.all(prof.maximal.v >= c.v - 1e-12)
+        assert prof.rates.v.shape == (6, 9)
+        assert np.array_equal(prof.maximal.v, prof.rates.v.max(axis=0))
+
+
+    def test_batched_closed_form_matches_rows(self):
+        rng = np.random.default_rng(6)
+        grid = np.array([0.5, 0.0, 2.0, 1.0])  # unsorted on purpose
+        for alpha in (1.0, 1.5, 2.0):
+            loss = LinearPowerRegression(alpha, rng.normal(size=3), CostConfig(r=2))
+            data = [(rng.normal(size=3), float(rng.normal())) for _ in range(5)]
+            prof = maximal_rate(loss, data, grid)
+            for row, z in zip(prof.rates.v, data):
+                one = individual_rate(loss, z, grid)
+                assert np.array_equal(one.t, prof.rates.t)
+                assert np.allclose(row, one.v, rtol=1e-15, atol=0)
+                assert (one.tail, one.tail_exponent) == (prof.rates.tail,
+                                                         prof.rates.tail_exponent)
+
+    def test_stacker_needs_shared_grid_and_tail(self):
+        a = Curve([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            profile_from_curves([a, Curve([0.0, 2.0], [0.0, 1.0])])
+        with pytest.raises(ValueError):
+            profile_from_curves([a, Curve([0.0, 1.0], [0.0, 1.0], tail="slope")])
+        with pytest.raises(ValueError):
+            profile_from_curves([a, a], weights=[1.0])
+
+
+class TestBatchedLosses:
+    def test_rows_match_single_point_calls(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(5, 3))
+        for head, y in (("logsoftmax", np.array([0.0, 1.0])), ("absdev", 0.7)):
+            net = init_mlp([3, 4, 2 if head == "logsoftmax" else 1], head=head, seed=2)
+            cls = MlpClassification if head == "logsoftmax" else MlpRegression
+            loss = cls(net)
+            losses, grads = loss.losses(X, y), loss.grads(X, y)
+            for x, value, g in zip(X, losses, grads):
+                one, g_one = loss_and_grad_x(net, (x, y))
+                assert value == pytest.approx(loss.loss(x, y), rel=1e-15)
+                assert value == pytest.approx(one, rel=1e-15)
+                assert np.allclose(g, g_one, rtol=1e-14, atol=0)
+
+    def test_regression_label_shift_hurts(self):
+        net = init_mlp([2, 3, 1], head="absdev", seed=5)
+        loss = MlpRegression(net)
+        x = np.array([0.2, -0.4])
+        y = 0.1
+        shifted = loss.label_shift(x, y, 0.5)
+        assert abs(shifted - y) == pytest.approx(0.5)
+        assert loss.loss(x, shifted) >= loss.loss(x, y)
+        assert loss.label_shift(x, y, 0.0) == y
+
+    def test_classification_label_shift_stays_on_simplex(self):
+        net = init_mlp([2, 4, 3], head="logsoftmax", seed=6)
+        loss = MlpClassification(net)
+        x = np.array([0.3, 0.9])
+        y = np.array([0.2, 0.5, 0.3])
+        shifted = loss.label_shift(x, y, 0.4)
+        assert shifted.sum() == pytest.approx(1.0)
+        assert np.all(shifted >= 0)
+        assert np.abs(shifted - y).sum() == pytest.approx(0.4)
+        assert loss.loss(x, shifted) >= loss.loss(x, y)
 
 
 class TestPowerBounds:

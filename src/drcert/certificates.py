@@ -88,19 +88,16 @@ def lipschitz_certificate(L: float, eps: float) -> float:
 def grad_dual_certificate(grads, p, eps: float, r=2.0) -> float:
     """First-order gap estimate eps * (mean ||g||_*^q)^(1/q), 1/p + 1/q = 1.
 
-    Asymptotic in eps (not a certified bound); dual norms are taken against
-    the feature norm r.
+    ``grads`` holds one gradient per row.  Asymptotic in eps (not a certified
+    bound); dual norms are taken against the feature norm r.
     """
-    grads = [np.asarray(g, dtype=float) for g in grads]
-    if not grads:
-        raise ValueError("need at least one gradient")
-    duals = np.array([nn.vector_norm(g, nn.dual_exponent(r)) for g in grads])
+    grads = np.asarray(grads, dtype=float)
+    if grads.ndim != 2 or grads.shape[0] == 0:
+        raise ValueError("need an (n, d) array of at least one gradient")
+    duals = nn.vector_norm(grads, nn.dual_exponent(r), axis=1)
     q = nn.dual_exponent(p)
-    if math.isinf(q):
-        mag = float(np.max(duals))
-    else:
-        mag = float(np.mean(duals ** q) ** (1.0 / q))
-    return eps * mag
+    mag = np.max(duals) if math.isinf(q) else np.mean(duals ** q) ** (1.0 / q)
+    return eps * float(mag)
 
 
 @dataclass

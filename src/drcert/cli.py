@@ -77,19 +77,6 @@ def _parse_floats(text: str, what: str):
     return vals
 
 
-def _parse_r(text) -> float:
-    s = str(text)
-    if s in ("inf", "Inf", "INF"):
-        return math.inf
-    try:
-        r = float(s)
-    except ValueError as exc:
-        raise ConfigError(f"bad cost exponent {text!r}") from exc
-    if r not in (1.0, 2.0) and not math.isinf(r):
-        raise ConfigError("cost exponent r must be 1, 2 or inf")
-    return r
-
-
 @dataclass
 class ExperimentConfig:
     task: str
@@ -105,6 +92,8 @@ class ExperimentConfig:
 
     def validate(self, allow_zero_eps: bool = False) -> None:
         eps = list(self.eps_grid)
+        if not all(math.isfinite(e) for e in eps):
+            raise ConfigError("eps grid must be finite")
         if any(e < 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps grid must be non-negative and ascending")
         if not allow_zero_eps and any(e == 0 for e in eps):
@@ -118,8 +107,11 @@ class ExperimentConfig:
 
 
 def _config_from_args(args, task: str) -> ExperimentConfig:
-    cost = CostConfig(r=_parse_r(args.cost_r), kappa=float(args.kappa))
-    p = math.inf if str(args.p) in ("inf", "Inf") else float(args.p)
+    try:  # float() reads "inf"; CostConfig rejects r, kappa it cannot use
+        cost = CostConfig(r=float(args.cost_r), kappa=float(args.kappa))
+        p = float(args.p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
         task=task, data=args.data, cost=cost, p=p,
         eps_grid=_parse_floats(args.eps, "eps"), seed=int(args.seed),
@@ -142,18 +134,16 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
     eps = np.asarray(config.eps_grid, dtype=float)
     out = config.out
     cost = config.cost
+    search = SearchConfig(n_starts=4, n_steps=40, n_boundary=64, seed=config.seed)
     if model == "linear":
-        X, y = datasets.ingest_regression_csv(config.data, seed=config.seed)
+        X, Y = datasets.ingest_regression_csv(config.data, seed=config.seed)
         if theta is None:
-            theta = np.linalg.lstsq(X, y, rcond=None)[0]
+            theta = np.linalg.lstsq(X, Y, rcond=None)[0]
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (X.shape[1],):
             raise ConfigError("theta dimension does not match the features")
         loss = LinearPowerRegression(1.0, theta, cost)
-        data = [(X[i], float(y[i])) for i in range(X.shape[0])]
-        profile = maximal_rate(loss, data, np.concatenate([[0.0], eps]))
-        emp = float(np.mean([loss.loss(x, yy) for x, yy in data]))
-        grads = [-np.sign(yy - float(x @ theta)) * theta for x, yy in data]
+        grads = -np.sign(loss.residuals(X, Y))[:, None] * theta
         score = advscore.regression_head_score(
             advscore.LinearGain(dual_norm(theta, cost.r)),
             advscore.identity_score(), cost)
@@ -167,20 +157,17 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
                 raise ConfigError("classification nets need square pixel grids")
             X, Y = datasets.ingest_classification_csv(config.data, side=side,
                                                       seed=config.seed)
-            data = [(X[i], Y[i]) for i in range(X.shape[0])]
             loss = MlpClassification(net, cost)
             score = advscore.mlp_score(net, cost, head="classification", M=out_bound)
         else:
-            X, y = datasets.ingest_regression_csv(config.data, seed=config.seed)
-            data = [(X[i], float(y[i])) for i in range(X.shape[0])]
+            X, Y = datasets.ingest_regression_csv(config.data, seed=config.seed)
             loss = MlpRegression(net, cost)
             score = advscore.mlp_score(net, cost, head="regression")
-        emp = float(np.mean([loss.loss(x, yy) for x, yy in data]))
-        grads = [nn.loss_and_grad_x(net, z)[1] for z in data]
-        cfg = SearchConfig(n_starts=4, n_steps=40, n_boundary=64, seed=config.seed)
-        profile = maximal_rate(loss, data, np.concatenate([[0.0], eps]), config=cfg)
+        grads = loss.grads(X, Y)
     else:
         raise ConfigError(f"unknown model {model!r}")
+    profile = maximal_rate(loss, zip(X, Y), np.concatenate([[0.0], eps]), config=search)
+    emp = float(np.mean(loss.losses(X, Y)))
     report = certificate_report(profile, config.p, eps, empirical_risk=emp,
                                 L=score.lipschitz, grads=grads, r=cost.r)
     score_vals = score.values(eps)
@@ -211,8 +198,7 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
     cert_eps = float(config.eps_grid[0])
 
     def cert_fn(current):
-        grads = [nn.loss_and_grad_x(current, (Xtr[i], float(ytr[i])))[1]
-                 for i in range(Xtr.shape[0])]
+        grads = nn.loss_and_grad_x(current, (Xtr, ytr))[1]
         gd = grad_dual_certificate(grads, config.p, cert_eps, r)
         score = advscore.mlp_feature_score(current, r)
         return score.lipschitz * cert_eps, gd, score.value(cert_eps)
@@ -224,8 +210,7 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
     rows = [tuple(row[c] for c in nn.TRACE_COLUMNS) for row in trace]
     write_csv_atomic(config.out / "trace.csv", nn.TRACE_COLUMNS, rows)
     score = advscore.mlp_feature_score(trained, r)
-    grads = [nn.loss_and_grad_x(trained, (Xtr[i], float(ytr[i])))[1]
-             for i in range(Xtr.shape[0])]
+    grads = nn.loss_and_grad_x(trained, (Xtr, ytr))[1]
     cert_rows = [(e, score.lipschitz * e, grad_dual_certificate(grads, config.p, e, r),
                   score.value(e)) for e in config.eps_grid]
     write_csv_atomic(config.out / "certificates.csv",

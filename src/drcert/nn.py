@@ -131,8 +131,8 @@ def loss_value(net: Mlp, x, y) -> np.ndarray:
 def _backward(net: Mlp, x, y, need_params=False):
     """Forward + backward pass; returns (loss, grad_x[, grads_W, grads_b]).
 
-    Batched: x may be (B, n); losses and gradients then carry the batch axis,
-    and parameter gradients are summed over the batch.
+    Batched: x may be (B, n); losses and gradients then carry the batch axis.
+    Parameter gradients need a batch and are summed over it.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.in_dim:
@@ -162,13 +162,8 @@ def _backward(net: Mlp, x, y, need_params=False):
         layer = net.layers[k]
         g = g * _act_deriv(layer.act, pre[k])
         if need_params:
-            hin = post[k]
-            if g.ndim == 1:
-                gW[k] = np.outer(g, hin)
-                gb[k] = g.copy()
-            else:
-                gW[k] = g.T @ hin
-                gb[k] = g.sum(axis=0)
+            gW[k] = g.T @ post[k]
+            gb[k] = g.sum(axis=0)
         g = g @ layer.W
     if need_params:
         return loss, g, gW, gb
@@ -176,7 +171,7 @@ def _backward(net: Mlp, x, y, need_params=False):
 
 
 def loss_and_grad_x(net: Mlp, z):
-    """Loss and input gradient at a data point z = (x, y)."""
+    """Loss and input gradient at a data point z = (x, y), or at each row of (X, Y)."""
     x, y = z
     loss, g = _backward(net, x, y)
     return float(loss) if np.ndim(loss) == 0 else loss, g
@@ -207,40 +202,51 @@ def dual_exponent(r) -> float:
     return r / (r - 1.0)
 
 
-def vector_norm(x, r) -> float:
+def vector_norm(x, r, axis=None):
+    """The r-norm of x (a float), or of each slice of x along ``axis`` (an array)."""
     r = float(r)
-    x = np.asarray(x, dtype=float)
+    a = np.abs(np.asarray(x, dtype=float))
     if math.isinf(r):
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    return float(np.sum(np.abs(x) ** r) ** (1.0 / r))
+        norm = np.max(a, axis=axis, initial=0.0)
+    else:
+        norm = np.sum(a ** r, axis=axis) ** (1.0 / r)
+    return float(norm) if axis is None else norm
+
+
+def ascent_direction(g, r) -> np.ndarray:
+    """Steepest-ascent unit step for the r-norm, row by row (last axis).
+
+    Each row d has ||d||_r = 1 and <g, d> = ||g||_* (the dual norm): r=1 moves
+    only the largest gradient coordinate, r=2 follows the normalized gradient,
+    r=inf follows the gradient signs.  A zero row stays zero.
+    """
+    g = np.asarray(g, dtype=float)
+    r = float(r)
+    if r == 2.0:
+        norm = np.linalg.norm(g, axis=-1, keepdims=True)
+        return np.where(norm > 0, g / np.maximum(norm, 1e-300), 0.0)
+    if r == 1.0:
+        top = np.arange(g.shape[-1]) == np.argmax(np.abs(g), axis=-1)[..., None]
+        d = np.where(top, _sgn(g), 0.0)
+    elif math.isinf(r):
+        d = _sgn(g)
+    else:
+        raise ValueError("r must be one of 1, 2, inf")
+    return np.where(np.any(g != 0, axis=-1, keepdims=True), d, 0.0)
 
 
 def fgsm_perturb(net: Mlp, z, eps: float, r) -> tuple:
     """One-step gradient attack on the features, clipped to [0, 1].
 
-    The step direction depends on the attack norm: r=1 moves only the largest
-    gradient coordinate, r=2 follows the normalized gradient, r=inf follows
-    the gradient signs.  A zero gradient leaves the point unchanged.
+    ``z`` is one point (x, y) or rows (X, Y), attacked with one backward pass;
+    each row steps eps along :func:`ascent_direction` for the attack norm r.
     """
     x, y = z
     x = np.asarray(x, dtype=float)
     if eps == 0.0:
         return x.copy(), y
     _, g = _backward(net, x, y)
-    r = float(r)
-    if not np.any(g):
-        return x.copy(), y
-    if r == 1.0:
-        j = int(np.argmax(np.abs(g)))
-        step = np.zeros_like(g)
-        step[j] = _sgn(g[j])
-    elif r == 2.0:
-        step = g / np.linalg.norm(g)
-    elif math.isinf(r):
-        step = _sgn(g)
-    else:
-        raise ValueError("r must be one of 1, 2, inf")
-    return np.clip(x + eps * step, 0.0, 1.0), y
+    return np.clip(x + eps * ascent_direction(g, r), 0.0, 1.0), y
 
 
 @dataclass
@@ -265,13 +271,6 @@ def _accuracy(net: Mlp, X, Y):
     return float(np.mean(np.argmax(o, axis=-1) == np.argmax(Y, axis=-1)))
 
 
-def _fgsm_batch(net: Mlp, X, Y, eps, r):
-    out = np.empty_like(X)
-    for i in range(X.shape[0]):
-        out[i], _ = fgsm_perturb(net, (X[i], Y[i]), eps, r)
-    return out
-
-
 def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
     """Plain SGD on clean or FGSM-perturbed batches.
 
@@ -289,7 +288,7 @@ def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
             idx = order[start:start + config.batch_size]
             xb, yb = X[idx], Y[idx]
             if config.adversarial and config.eps > 0.0:
-                xb = _fgsm_batch(net, xb, yb, config.eps, config.r)
+                xb, _ = fgsm_perturb(net, (xb, yb), config.eps, config.r)
             loss, _, gW, gb = _backward(net, xb, yb, need_params=True)
             if not np.all(np.isfinite(loss)):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")

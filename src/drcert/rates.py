@@ -55,8 +55,8 @@ def dual_norm(x, r) -> float:
 
 # -- loss definitions ------------------------------------------------------------
 #
-# A searched loss provides ``loss(x, y)``, the batched ``losses(X, y)`` and
-# ``grads(X, y)`` over the rows of X at one label, and ``label_shift(x, y, b)``,
+# A searched loss provides ``loss(x, y)``, the batched ``losses(X, Y)`` and
+# ``grads(X, Y)`` over rows with one label per row, and ``label_shift(x, y, b)``,
 # the label after its best move of cost b in ||y' - y||_1.
 
 @dataclass(frozen=True)
@@ -72,33 +72,29 @@ class LinearPowerRegression:
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 
-    def loss(self, x, y) -> float:
-        return float(abs(y - float(np.dot(x, self.theta))) ** self.alpha)
+    def residuals(self, X, y) -> np.ndarray:
+        """y - <x, theta> for one point or for each row of X."""
+        X = np.asarray(X, dtype=float)
+        # one dot per point keeps each residual's rounding independent of the batch
+        fit = np.array([np.dot(x, self.theta) for x in X.reshape(-1, self.theta.size)])
+        return np.asarray(y, dtype=float) - fit.reshape(X.shape[:-1])
+
+    def losses(self, X, y) -> np.ndarray:
+        return np.abs(self.residuals(X, y)) ** self.alpha
 
     @property
     def gain(self) -> float:
         """Largest residual change per unit of cost budget."""
         return max(dual_norm(self.theta, self.cost.r), self.cost.label_gain)
 
-    def rate_values(self, X, y, grid) -> np.ndarray:
-        """Exact rates over the grid: one row per point of (X, y), (k,) for one point."""
-        X = np.asarray(X, dtype=float)
-        # one dot per point keeps each residual's rounding independent of the batch
-        fit = np.array([np.dot(x, self.theta) for x in X.reshape(-1, self.theta.size)])
-        c_hat = np.abs(np.asarray(y, dtype=float) - fit.reshape(X.shape[:-1]))[..., None]
-        t = np.asarray(grid, dtype=float)
-        return (c_hat + t * self.gain) ** self.alpha - c_hat ** self.alpha
-
     def rate_curve(self, X, y, grid) -> Curve:
+        """Exact rates over the grid: one row per point of (X, y), one curve for one point."""
+        c_hat = np.abs(self.residuals(X, y))[..., None]
+        t = np.asarray(grid, dtype=float)
+        values = (c_hat + t * self.gain) ** self.alpha - c_hat ** self.alpha
         tail = "infinite" if self.alpha > 1 else "slope"
         expo = self.alpha if self.alpha > 1 else None
-        return curve_from_samples(grid, self.rate_values(X, y, grid), tail=tail,
-                                  tail_exponent=expo)
-
-
-def _at_label(X, y):
-    """The label y repeated for every row of X."""
-    return np.broadcast_to(np.asarray(y, dtype=float), (X.shape[0],) + np.shape(y))
+        return curve_from_samples(grid, values, tail=tail, tail_exponent=expo)
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,11 @@ class _MlpLoss:
     def loss(self, x, y) -> float:
         return float(nn.loss_value(self.net, x, y))
 
-    def losses(self, X, y) -> np.ndarray:
-        return nn.loss_value(self.net, X, _at_label(X, y))
+    def losses(self, X, Y) -> np.ndarray:
+        return nn.loss_value(self.net, X, Y)
 
-    def grads(self, X, y) -> np.ndarray:
-        return nn._backward(self.net, X, _at_label(X, y))[1]
+    def grads(self, X, Y) -> np.ndarray:
+        return nn._backward(self.net, X, Y)[1]
 
 
 @dataclass(frozen=True)
@@ -193,32 +189,26 @@ class RateProfile:
 # -- ball geometry -------------------------------------------------------------
 
 def _project_ball(delta, radius, r):
-    """Project rows of ``delta`` onto the r-ball of the given radius."""
-    d = np.atleast_2d(np.asarray(delta, dtype=float))
-    if radius <= 0:
-        return np.zeros_like(d)
+    """Project each row of ``delta`` onto the r-ball of its own positive radius.
+
+    ``radius`` is a scalar or one radius per row.  The r = 1 projection sorts
+    and sums every row at once (Duchi et al. 2008).
+    """
+    d = np.asarray(delta, dtype=float)
+    rad = np.broadcast_to(np.asarray(radius, dtype=float), d.shape[:1])[:, None]
     if math.isinf(r):
-        return np.clip(d, -radius, radius)
+        return np.clip(d, -rad, rad)
     if r == 2.0:
         norms = np.linalg.norm(d, axis=1, keepdims=True)
-        scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-        return d * scale
-    out = np.empty_like(d)
-    for i, row in enumerate(d):
-        out[i] = _project_l1(row, radius)
-    return out
-
-
-def _project_l1(v, radius):
-    if np.sum(np.abs(v)) <= radius:
-        return v
-    u = np.sort(np.abs(v))[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u - (css - radius) / ks > 0
-    rho = int(np.max(np.nonzero(cond)[0])) + 1
-    tau = (css[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+        return d * np.where(norms > rad, rad / np.maximum(norms, 1e-300), 1.0)
+    a = np.abs(d)
+    u = -np.sort(-a, axis=1)
+    css = np.cumsum(u, axis=1)
+    cond = u - (css - rad) / np.arange(1, d.shape[1] + 1) > 0
+    rho = d.shape[1] - np.argmax(cond[:, ::-1], axis=1)[:, None]  # last true + 1
+    tau = (np.take_along_axis(css, rho - 1, axis=1) - rad) / rho
+    out = np.sign(d) * np.maximum(a - tau, 0.0)
+    return np.where(np.sum(a, axis=1, keepdims=True) <= rad, d, out)
 
 
 def _random_ball_boundary(rng, n_points, dim, radius, r):
@@ -235,89 +225,115 @@ def _random_ball_boundary(rng, n_points, dim, radius, r):
     return radius * w * rng.choice([-1.0, 1.0], size=(n_points, dim))
 
 
-# -- search machinery ----------------------------------------------------------
+# -- search --------------------------------------------------------------------
 
-def _search_feature_sup(loss, z, radius, cfg, rng):
-    """Lower estimate of sup loss over the feature r-ball at fixed label."""
-    x, y = z
-    x = np.asarray(x, dtype=float)
-    base = loss.loss(x, y)
-    if radius <= 0:
-        return base
-    r = loss.cost.r
-    starts = np.zeros((cfg.n_starts, x.size))
-    if cfg.n_starts > 1:
-        starts[1:] = _random_ball_boundary(rng, cfg.n_starts - 1, x.size, radius, r)
-        starts[1:] *= rng.uniform(0.0, 1.0, size=(cfg.n_starts - 1, 1))
-    delta = _project_ball(starts, radius, r)
-    step = cfg.step_frac * radius
-    for _ in range(cfg.n_steps):
-        g = loss.grads(x + delta, y)
-        gn = np.linalg.norm(g, axis=1, keepdims=True)
-        g = np.where(gn > 0, g / np.maximum(gn, 1e-300), 0.0)
-        delta = _project_ball(delta + step * g, radius, r)
-    best = float(np.max(loss.losses(x + delta, y)))
-    if cfg.n_boundary > 0:
-        pts = _random_ball_boundary(rng, cfg.n_boundary, x.size, radius, r)
-        best = max(best, float(np.max(loss.losses(x + pts, y))))
-    return max(best, base)
-
-
-def _searched_rate(loss, z, t, cfg, rng):
-    x = np.asarray(z[0], dtype=float)
-    y = z[1]
-    base = loss.loss(x, y)
-    kappa = loss.cost.kappa
-    if math.isinf(kappa):
-        return _search_feature_sup(loss, (x, y), t, cfg, rng) - base
-    # split the budget between label and feature channels: shift the label
-    # first (a feasible move of cost kappa*t_y), then search features with the
-    # remainder; every candidate stays inside the cost ball
-    best = base
-    for frac in np.linspace(0.0, 1.0, cfg.n_label_splits):
-        t_x = (1.0 - frac) * t
-        t_y = frac * t / kappa
-        y2 = loss.label_shift(x, y, t_y)
-        best = max(best, _search_feature_sup(loss, (x, y2), t_x, cfg, rng))
-    return best - base
+_BLOCK = 256  # most rows in one loss call of the search; bounds its temporaries
 
 
 def _seed_for(seed, t):
     return np.random.SeedSequence([seed, np.abs(np.float64(t).view(np.int64)).item()])
 
 
-def individual_rate(loss, z, grid, config: SearchConfig | None = None) -> Curve:
-    """Rate curve of one data point over a budget grid.
-
-    Exact for closed-form losses; otherwise a search-based lower estimate
-    (valid for the lower-bound side only).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise EmptyInputError("empty budget grid")
-    if isinstance(loss, LinearPowerRegression):
-        return loss.rate_curve(z[0], z[1], grid)
-    cfg = config or SearchConfig()
-    vals = np.zeros(grid.size)
-    for k, t in enumerate(grid):
-        if t == 0.0:
+def _knot_draws(cfg, t, radii, dim, r):
+    """Start offsets (G, n_starts, dim) and boundary points (G, n_boundary, dim)
+    of the groups, drawn from each knot's stream in the order starts, scales,
+    boundary points, next split.  All samples share a knot's draws."""
+    starts = np.zeros((radii.size, cfg.n_starts, dim))
+    points = np.zeros((radii.size, cfg.n_boundary, dim))
+    for g, rad in enumerate(radii):
+        k, split = divmod(g, radii.size // t.size)
+        if split == 0:
+            rng = np.random.default_rng(_seed_for(cfg.seed, t[k]))
+        if rad <= 0:
             continue
-        rng = np.random.default_rng(_seed_for(cfg.seed, t))
-        vals[k] = max(_searched_rate(loss, z, float(t), cfg, rng), 0.0)
-    return curve_from_samples(grid, vals)
+        if cfg.n_starts > 1:
+            starts[g, 1:] = _random_ball_boundary(rng, cfg.n_starts - 1, dim, rad, r)
+            starts[g, 1:] *= rng.uniform(0.0, 1.0, size=(cfg.n_starts - 1, 1))
+        starts[g] = _project_ball(starts[g], rad, r)
+        if cfg.n_boundary > 0:
+            points[g] = _random_ball_boundary(rng, cfg.n_boundary, dim, rad, r)
+    return starts, points
+
+
+def _climb(loss, X, labels, radii, offsets, best, n_steps=0, step_frac=0.0):
+    """Raise best[i, g] to the loss at X[i] + offsets[g, c] after n_steps of
+    projected steepest ascent, over every sample i, group g of positive radius
+    and offset c, at most _BLOCK rows per loss call."""
+    live = np.flatnonzero(radii > 0)
+    shape = (X.shape[0], live.size, offsets.shape[1])
+    n_rows = math.prod(shape)
+    r = loss.cost.r
+    for lo in range(0, n_rows, _BLOCK):
+        i, j, c = np.unravel_index(np.arange(lo, min(lo + _BLOCK, n_rows)), shape)
+        g = live[j]
+        x, y, rad, delta = X[i], labels[i, g], radii[g], offsets[g, c]
+        for _ in range(n_steps):
+            step = nn.ascent_direction(loss.grads(x + delta, y), r)
+            delta = _project_ball(delta + step_frac * rad[:, None] * step, rad, r)
+        np.maximum.at(best, (i, g), loss.losses(x + delta, y))
+
+
+def _search_rates(loss, X, Y, grid, cfg):
+    """Search estimates of the rates of the points (X[i], Y[i]) on the grid: (n, k).
+
+    A knot's budget t splits into a label move of cost frac * t and a feature
+    radius (1 - frac) * t.  Each (knot, split) group keeps the best of its clean
+    point, its ascent ends and its boundary points; a search row is (sample,
+    positive knot, split, start) with its own radius and label.  Knots go in
+    blocks whose draws hold at most _BLOCK points (or one knot's).
+    """
+    kappa = loss.cost.kappa
+    fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, cfg.n_label_splits)
+    knots = np.flatnonzero(grid > 0)
+    width = max(1, _BLOCK // max(1, fracs.size * (cfg.n_starts + cfg.n_boundary)))
+    # a rate is a difference against the clean loss: one point per call
+    # keeps that reference's rounding independent of the batch
+    base = np.array([loss.loss(x, y) for x, y in zip(X, Y)])[:, None]
+    out = np.zeros((X.shape[0], grid.size))
+    for ks in (knots[a:a + width] for a in range(0, knots.size, width)):
+        radii = np.outer(grid[ks], 1.0 - fracs).ravel()  # one group per (knot, split)
+        budgets = np.outer(grid[ks], fracs).ravel() / kappa  # its label move
+        starts, points = _knot_draws(cfg, grid[ks], radii, X.shape[1], loss.cost.r)
+        block = max(1, _BLOCK // radii.size)
+        for lo in range(0, X.shape[0], block):
+            Xb, Yb, b = X[lo:lo + block], Y[lo:lo + block], base[lo:lo + block]
+            labels = np.array([[loss.label_shift(x, y, bud) for bud in budgets]
+                               for x, y in zip(Xb, Yb)], dtype=float)
+            best = np.full((Xb.shape[0], radii.size), -math.inf)
+            # every group's clean point, label-only groups included (no steps)
+            clean = np.zeros((radii.size, 1, X.shape[1]))
+            _climb(loss, Xb, labels, np.ones(radii.size), clean, best)
+            _climb(loss, Xb, labels, radii, starts, best, cfg.n_steps, cfg.step_frac)
+            _climb(loss, Xb, labels, radii, points, best)
+            top = best.reshape(Xb.shape[0], ks.size, fracs.size).max(axis=2)
+            out[lo:lo + block, ks] = np.maximum(top, b) - b
+    return out
+
+
+def individual_rate(loss, z, grid, config: SearchConfig | None = None) -> Curve:
+    """Rate curve of one data point over a budget grid: the one-point maximal rate."""
+    return maximal_rate(loss, [z], grid, config=config).maximal
 
 
 def maximal_rate(loss, dataset, grid, weights=None, config: SearchConfig | None = None) -> RateProfile:
-    """Per-sample rate curves (one row each) and their pointwise max, with sample weights."""
+    """Per-sample rate curves (one row each) and their pointwise max, with sample weights.
+
+    Exact for closed-form losses; otherwise search-based lower estimates
+    (valid for the lower-bound side only).
+    """
     points = list(dataset)
     if not points:
         raise EmptyInputError("empty dataset")
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise EmptyInputError("empty budget grid")
+    X = np.array([x for x, _ in points], dtype=float)
+    Y = np.array([y for _, y in points], dtype=float)
+    w = _weights(weights, len(points))
     if isinstance(loss, LinearPowerRegression):
-        X = np.array([x for x, _ in points], dtype=float)
-        y = np.array([y for _, y in points], dtype=float)
-        return RateProfile(loss.rate_curve(X, y, grid), _weights(weights, len(points)))
-    curves = [individual_rate(loss, z, grid, config) for z in points]
-    return profile_from_curves(curves, weights=weights, quality="search")
+        return RateProfile(loss.rate_curve(X, Y, grid), w)
+    rates = curve_from_samples(grid, _search_rates(loss, X, Y, grid, config or SearchConfig()))
+    return RateProfile(rates, w, quality="search")
 
 
 def _weights(weights, n):

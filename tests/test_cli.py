@@ -254,6 +254,22 @@ class TestMainExitCodes:
         assert "data error:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "oracle.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--eps", "nan"],
+        ["--eps", "0.1,inf"],
+        ["--model", "mlp", "--eps", "nan"],
+        ["--model", "mlp", "--kappa", "nan"],
+        ["--model", "mlp", "--kappa=-1"],
+    ], ids=["eps_nan", "eps_inf", "mlp_eps_nan", "mlp_kappa_nan", "mlp_kappa_negative"])
+    def test_bad_budget_or_kappa_is_config_error(self, tmp_path, capsys, args):
+        wpath = tmp_path / "w.csv"
+        nn.save_weights(nn.init_mlp([2, 4, 1], head="absdev", seed=0), wpath)
+        code = main(["certify", "--data", "synthetic:20", "--weights", str(wpath),
+                     "--out", str(tmp_path / "o")] + args)
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_oracle_roundtrip(self, tmp_path):
         z = np.array([0.0, 1.0])
         inst = DiscreteInstance(np.array([0.0, 1.0]), np.array([0]),

@@ -11,6 +11,7 @@ from drcert.nn import (
     Layer,
     Mlp,
     TrainConfig,
+    ascent_direction,
     dual_exponent,
     fgsm_perturb,
     forward,
@@ -157,6 +158,26 @@ def test_opnorm_bounds_every_image(r, shape, data):
     assert vector_norm(W @ x, r) <= opnorm(W, r) * vector_norm(x, r) * (1 + 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(r=st.sampled_from([1.0, 2.0, math.inf]),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_ascent_direction_is_steepest(r, shape, data):
+    # small integers make zero rows and ties in |g| common
+    ints = data.draw(arrays(np.int64, shape, elements=st.integers(-3, 3)))
+    scale = data.draw(st.floats(1e-3, 1e3))
+    g = scale * ints.astype(float)
+    d = ascent_direction(g, r)
+    assert d.shape == g.shape
+    norms = vector_norm(d, r, axis=1)
+    zero = ~np.any(g != 0, axis=1)
+    assert np.all(d[zero] == 0)
+    assert np.allclose(norms[~zero], 1.0, rtol=0, atol=1e-12)
+    dual = vector_norm(g, dual_exponent(r), axis=1)
+    assert np.allclose(np.sum(g * d, axis=1), dual, rtol=1e-12, atol=0)
+    # one point is the one-row case
+    assert np.array_equal(ascent_direction(g[0], r), d[0])
+
+
 class TestFgsm:
     def setup_method(self):
         # net whose input gradient at x is proportional to (0.3, -0.9)
@@ -190,6 +211,26 @@ class TestFgsm:
                 xt, _ = fgsm_perturb(net, (x, y), 0.05, r)
                 assert vector_norm(xt - x, r) <= 0.05 + 1e-12
                 assert np.all(xt >= 0) and np.all(xt <= 1)
+
+    def test_rows_match_points(self):
+        rng = np.random.default_rng(12)
+        net = random_net(rng)
+        X = rng.uniform(0, 1, size=(7, net.in_dim))
+        Y = np.eye(3)[rng.integers(0, 3, size=7)]
+        X[2] = X[1]
+        for r in (1, 2, math.inf):
+            Xt, Yt = fgsm_perturb(net, (X, Y), 0.05, r)
+            assert Yt is Y
+            for x, y, xt in zip(X, Y, Xt):
+                assert np.allclose(fgsm_perturb(net, (x, y), 0.05, r)[0], xt,
+                                   rtol=0, atol=1e-15)
+
+    def test_zero_gradient_row_stays(self):
+        net = Mlp((Layer(np.zeros((1, 2)), np.zeros(1), "identity"),), head="absdev")
+        X = np.array([[0.2, 0.7], [0.4, 0.1]])
+        for r in (1, 2, math.inf):
+            Xt, _ = fgsm_perturb(net, (X, np.array([-1.0, 1.0])), 0.1, r)
+            assert np.array_equal(Xt, X)
 
 
 def separable_blobs(n=40, seed=5):

@@ -1,11 +1,15 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from drcert import rates
 from drcert.curves import Curve
-from drcert.nn import init_mlp, loss_and_grad_x
+from drcert.nn import dual_exponent, init_mlp, loss_and_grad_x, vector_norm
 from drcert.rates import (
     CostConfig,
     LinearPowerRegression,
@@ -26,8 +30,8 @@ class CallbackLoss:
     """Any loss fn(x, y) -> float, searched with central finite differences.
 
     It provides what the rate search asks of a loss: ``loss``, the batched
-    ``losses`` and ``grads`` over rows at one label, and ``label_shift``
-    (labels stay put).
+    ``losses`` and ``grads`` over rows with one label per row, and
+    ``label_shift`` (labels stay put).
     """
 
     fn: object
@@ -36,12 +40,12 @@ class CallbackLoss:
     def loss(self, x, y):
         return float(self.fn(x, y))
 
-    def losses(self, X, y):
-        return np.array([self.loss(row, y) for row in X])
+    def losses(self, X, Y):
+        return np.array([self.loss(row, y) for row, y in zip(X, Y)])
 
-    def grads(self, X, y, h=1e-6):
+    def grads(self, X, Y, h=1e-6):
         g = np.zeros_like(X)
-        for i, row in enumerate(X):
+        for i, (row, y) in enumerate(zip(X, Y)):
             for j in range(row.size):
                 e = np.zeros_like(row)
                 e[j] = h
@@ -150,6 +154,108 @@ class TestSearchRates:
         assert np.all(np.diff(c.v) >= 0)
 
 
+class TestNormAwareSearch:
+    @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+    def test_reaches_linear_sup(self, r):
+        # sup of <w, x'> over ||x' - x||_r <= t is t * ||w||_*, reached on the
+        # boundary only by the steepest-ascent step of the cost norm
+        w = np.random.default_rng(3).normal(size=20)
+        loss = CallbackLoss(lambda x, y: float(x @ w), CostConfig(r=r))
+        curve = individual_rate(loss, (np.zeros(20), 0.0), [0.0, 0.5], FAST)
+        assert curve.v[-1] == pytest.approx(0.5 * dual_norm(w, r), rel=1e-12, abs=0)
+
+
+def project_l1_reference(v, radius):
+    """Per-row Euclidean projection onto the L1 ball (Duchi et al. 2008)."""
+    if np.sum(np.abs(v)) <= radius:
+        return v
+    u = np.sort(np.abs(v))[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, v.size + 1)
+    cond = u - (css - radius) / ks > 0
+    rho = int(np.max(np.nonzero(cond)[0])) + 1
+    tau = (css[rho - 1] - radius) / rho
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.sampled_from([1.0, 2.0, math.inf]),
+       shape=st.tuples(st.integers(1, 8), st.integers(1, 6)), data=st.data())
+def test_projection_lands_in_each_rows_ball(r, shape, data):
+    d = data.draw(arrays(float, shape, elements=st.floats(-10, 10)))
+    radii = data.draw(arrays(float, shape[0], elements=st.floats(0.01, 10)))
+    out = rates._project_ball(d, radii, r)
+    norms = vector_norm(out, r, axis=1)
+    assert np.all(norms <= radii * (1 + 1e-12))
+    inside = vector_norm(d, r, axis=1) <= radii
+    assert np.array_equal(out[inside], d[inside])
+    if r == 1.0:
+        ref = np.array([project_l1_reference(row, rad) for row, rad in zip(d, radii)])
+        assert np.array_equal(out, ref)
+
+
+@dataclass(frozen=True)
+class CountingLoss:
+    """A searched loss that records how many rows each batched call sees."""
+
+    inner: object
+    rows: list = field(default_factory=list)
+
+    @property
+    def cost(self):
+        return self.inner.cost
+
+    def loss(self, x, y):
+        return self.inner.loss(x, y)
+
+    def losses(self, X, Y):
+        self.rows.append(len(X))
+        return self.inner.losses(X, Y)
+
+    def grads(self, X, Y):
+        self.rows.append(len(X))
+        return self.inner.grads(X, Y)
+
+    def label_shift(self, x, y, budget):
+        return self.inner.label_shift(x, y, budget)
+
+
+SMALL = SearchConfig(n_starts=3, n_steps=12, n_boundary=8, n_label_splits=3, seed=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from([1.0, 2.0, math.inf]), kappa=st.sampled_from([math.inf, 0.5]),
+       head=st.sampled_from(["logsoftmax", "absdev"]), block=st.integers(1, 80),
+       n=st.integers(2, 7), seed=st.integers(0, 2**16))
+def test_batched_search_matches_points(r, kappa, head, block, n, seed):
+    rng = np.random.default_rng(seed)
+    net = init_mlp([3, 4, 3 if head == "logsoftmax" else 1], act="tanh", head=head,
+                   seed=seed)
+    cls = MlpClassification if head == "logsoftmax" else MlpRegression
+    loss = CountingLoss(cls(net, CostConfig(r=r, kappa=kappa)))
+    X = rng.uniform(0, 1, size=(n, 3))
+    Y = rng.dirichlet(np.ones(3), size=n) if head == "logsoftmax" else rng.normal(size=n)
+    grid = [0.0, 0.1, 0.3]
+    with mock.patch.object(rates, "_BLOCK", block):
+        prof = maximal_rate(loss, zip(X, Y), grid, config=SMALL)
+        assert max(loss.rows) <= block
+        for x, y, row in zip(X, Y, prof.rates.v):
+            one = individual_rate(loss, (x, y), grid, SMALL)
+            assert np.allclose(row, one.v, rtol=1e-12, atol=0)
+    assert prof.quality == "search"
+
+
+def test_search_calls_stay_within_block():
+    # 30 points x 2 knots x 64 boundary points: several full blocks
+    loss = CountingLoss(MlpRegression(init_mlp([2, 4, 1], head="absdev", seed=1)))
+    rng = np.random.default_rng(2)
+    data = list(zip(rng.normal(size=(30, 2)), rng.normal(size=30)))
+    cfg = SearchConfig(n_starts=4, n_steps=3, n_boundary=64)
+    maximal_rate(loss, data, [0.0, 0.1, 0.2], config=cfg)
+    assert max(loss.rows) == rates._BLOCK
+    assert sum(n > rates._BLOCK for n in loss.rows) == 0
+
+
 class TestMaximalRate:
     def test_single_sample(self):
         loss = LinearPowerRegression(1.0, np.array([2.0]), CostConfig(r=2))
@@ -206,12 +312,14 @@ class TestBatchedLosses:
     def test_rows_match_single_point_calls(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(5, 3))
-        for head, y in (("logsoftmax", np.array([0.0, 1.0])), ("absdev", 0.7)):
+        labels = (("logsoftmax", rng.dirichlet(np.ones(2), size=5)),
+                  ("absdev", rng.normal(size=5)))
+        for head, Y in labels:
             net = init_mlp([3, 4, 2 if head == "logsoftmax" else 1], head=head, seed=2)
             cls = MlpClassification if head == "logsoftmax" else MlpRegression
             loss = cls(net)
-            losses, grads = loss.losses(X, y), loss.grads(X, y)
-            for x, value, g in zip(X, losses, grads):
+            losses, grads = loss.losses(X, Y), loss.grads(X, Y)
+            for x, y, value, g in zip(X, Y, losses, grads):
                 one, g_one = loss_and_grad_x(net, (x, y))
                 assert value == pytest.approx(loss.loss(x, y), rel=1e-15)
                 assert value == pytest.approx(one, rel=1e-15)

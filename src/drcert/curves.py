@@ -168,37 +168,62 @@ class ConcaveCurve:
                         np.interp(ts, tk, vk))
 
 
-def _upper_hull(t: np.ndarray, v: np.ndarray):
-    """Upper concave hull of the knot points; collinear points are retained."""
-    ht, hv = [t[0]], [v[0]]
-    for x, y in zip(t[1:], v[1:]):
-        while len(ht) >= 2:
-            s_in = (hv[-1] - hv[-2]) / (ht[-1] - ht[-2])
-            s_out = (y - hv[-1]) / (x - ht[-1])
-            if s_in < s_out:  # middle point lies strictly below the chord
-                ht.pop()
-                hv.pop()
-            else:
-                break
-        ht.append(x)
-        hv.append(y)
-    return np.array(ht), np.array(hv)
+def _upper_hull(t: np.ndarray, v: np.ndarray, starts: np.ndarray):
+    """Upper concave hull of each row of a ragged family of rate curves.
+
+    Row i holds the knots ``t[starts[i]:starts[i + 1]]`` (the last row runs to
+    the end) with strictly increasing budgets and non-decreasing values; one
+    chain pass (Andrew 1979) walks every row, its stack restarting at each row.
+    A knot whose value equals its predecessor's lies under the chord to the
+    next rise, so only each row's first and last knot and the knots where the
+    value rises are walked: a flat run keeps its two ends, not its collinear
+    interior, and every hull value is the one a walk over all knots gives.
+    Returns the flat hull knots and the hull's row starts.
+    """
+    ends = np.append(starts[1:], t.size)
+    walk = np.ones(t.size, dtype=bool)
+    walk[1:] = v[1:] > v[:-1]
+    walk[starts] = True
+    walk[ends - 1] = True
+    idx = np.flatnonzero(walk)
+    tw, vw = t[idx].tolist(), v[idx].tolist()
+    ht, hv, hull_starts = [], [], []
+    lo = 0
+    for hi in np.searchsorted(idx, ends).tolist():
+        base = len(ht)
+        hull_starts.append(base)
+        for x, y in zip(tw[lo:hi], vw[lo:hi]):
+            while len(ht) - base >= 2:
+                s_in = (hv[-1] - hv[-2]) / (ht[-1] - ht[-2])
+                s_out = (y - hv[-1]) / (x - ht[-1])
+                if s_in < s_out:  # middle point lies strictly below the chord
+                    ht.pop()
+                    hv.pop()
+                else:
+                    break
+            ht.append(x)
+            hv.append(y)
+        lo = hi
+    return np.array(ht), np.array(hv), np.array(hull_starts)
 
 
 def least_concave_majorant(f: Curve) -> ConcaveCurve:
     """Least concave majorant of the sampled curve.
 
     The result is the upper concave envelope of the knot points, extended
-    beyond the last knot by the envelope's final slope.  A source flagged with
-    an infinite tail (superlinear growth) or carrying infinite values yields
-    the infinite majorant.
+    beyond the last knot by the envelope's final slope.  A flat final run
+    keeps only its two ends as hull knots, not its collinear interior, so a
+    long flat tail costs two knots; every value and the tail slope are those
+    of the envelope over all knots.  A source flagged with an infinite tail
+    (superlinear growth) or carrying infinite values yields the infinite
+    majorant.
     """
     if f.v.ndim != 1:
         raise ValueError("the concave majorant is taken of one curve, not a family")
     if f.tail == "infinite" or np.any(np.isinf(f.v)):
         return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
                             tail_slope=math.inf, infinite=True)
-    ht, hv = _upper_hull(f.t, f.v)
+    ht, hv, _ = _upper_hull(f.t, f.v, np.zeros(1, dtype=int))
     if ht.size >= 2:
         tail = float((hv[-1] - hv[-2]) / (ht[-1] - ht[-2]))
     else:

@@ -236,17 +236,21 @@ def ascent_direction(g, r) -> np.ndarray:
 
 
 def fgsm_perturb(net: Mlp, z, eps: float, r) -> tuple:
-    """One-step gradient attack on the features, clipped to [0, 1].
+    """One-step gradient attack on the features.
 
     ``z`` is one point (x, y) or rows (X, Y), attacked with one backward pass;
     each row steps eps along :func:`ascent_direction` for the attack norm r.
+    A classification net (``logsoftmax`` head) reads pixels, so its attacked
+    rows are clipped to [0, 1]; a regression net's features are unbounded and
+    move by the full step.
     """
     x, y = z
     x = np.asarray(x, dtype=float)
     if eps == 0.0:
         return x.copy(), y
     _, g = _backward(net, x, y)
-    return np.clip(x + eps * ascent_direction(g, r), 0.0, 1.0), y
+    xt = x + eps * ascent_direction(g, r)
+    return (np.clip(xt, 0.0, 1.0) if net.head == "logsoftmax" else xt), y
 
 
 @dataclass

@@ -10,7 +10,9 @@ therefore empirical + max sum_i w_i H_i(s_i) subject to sum_i w_i s_i <= eps^p,
 a fractional knapsack over the hull segments: filling the budget in order of
 decreasing slope, the last segment fractionally, is exact (Dantzig 1957).
 ``dr_risk_exact`` solves it that way, so its cost grows with the number of
-hull segments; at p = inf every atom simply reads its curve at eps.
+hull segments; at p = inf every atom simply reads its curve at eps.  The
+curves depend on neither p nor eps, so an instance derives them once, as one
+flat family, and every solve and the rate profile read that family.
 ``dr_risk_enumerate`` enumerates all basic solutions (pure assignments plus
 one-fractional-atom vertices) for small instances and serves as the
 independent check.
@@ -21,18 +23,28 @@ diagonal keeps staying put free (0 * inf = 0 convention for the budget).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, least_concave_majorant, p_transform
+from .curves import Curve, _upper_hull
 from .errors import DataError, InstanceTooLargeError, ParseError
 from .jsonio import decode_float, encode_float
 from .rates import RateProfile
 
 MAX_SUPPORT = 4096
+#: most (atom, distance) cells of an instance's rate profile: 1 GiB of floats
+_PROFILE_CELLS = 1 << 27
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """A private, read-only copy, so that nothing derived from it goes stale."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -46,17 +58,17 @@ class DiscreteInstance:
     support: np.ndarray | None = None  # optional raw points, metadata only
 
     def __post_init__(self):
-        loss = np.asarray(self.loss, dtype=float)
-        ai = np.asarray(self.atom_index, dtype=int)
-        w = np.asarray(self.weights, dtype=float)
-        cost = np.asarray(self.cost, dtype=float)
+        loss = _read_only(self.loss, float)
+        n = loss.size
+        if n > MAX_SUPPORT:  # before the cost matrix is copied
+            raise InstanceTooLargeError(f"support of {n} exceeds {MAX_SUPPORT}")
+        ai = _read_only(self.atom_index, int)
+        w = _read_only(self.weights, float)
+        cost = _read_only(self.cost, float)
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "atom_index", ai)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cost", cost)
-        n = loss.size
-        if n > MAX_SUPPORT:
-            raise InstanceTooLargeError(f"support of {n} exceeds {MAX_SUPPORT}")
         if loss.ndim != 1:
             raise DataError("loss must hold one value per support point")
         if cost.shape != (n, n):
@@ -87,6 +99,12 @@ class DiscreteInstance:
     def atom_costs(self) -> np.ndarray:
         return self.cost[self.atom_index, :]
 
+    @functools.cached_property
+    def _family(self):
+        """The atoms' growth-rate curves (:func:`_atom_rate_curves`), derived
+        on first use; they depend on neither p nor eps."""
+        return _atom_rate_curves(self)
+
 
 def _powered_costs(inst: DiscreteInstance) -> np.ndarray:
     d = inst.atom_costs()
@@ -97,14 +115,16 @@ def _powered_costs(inst: DiscreteInstance) -> np.ndarray:
     return c
 
 
-def _atom_rate_curves(inst: DiscreteInstance) -> list[Curve]:
-    """Growth-rate curve of each atom in un-powered distance.
+def _atom_rate_curves(inst: DiscreteInstance):
+    """Growth-rate curve of each atom in un-powered distance, as one family.
 
     Knots sit at the distances where the atom's best reachable loss strictly
     increases, and values are the gain over the atom's own loss.  Ties in
     distance are sorted by loss, highest first, so each distance gives at most
     one knot; the free stay makes the first knot t=0, holding the best gain at
-    distance 0 (>= 0).  Forbidden (infinite) moves never become knots.
+    distance 0 (>= 0).  Forbidden (infinite) moves never become knots.  The
+    family is ragged: flat knot budgets ``t``, flat values ``v`` and the
+    offset of each atom's first knot, ``starts``.
     """
     by_loss = np.argsort(-inst.loss, kind="stable")
     d = inst.atom_costs()[:, by_loss]
@@ -114,28 +134,52 @@ def _atom_rate_curves(inst: DiscreteInstance) -> list[Curve]:
     best = np.maximum.accumulate(gain, axis=1)
     knot = np.isfinite(dist)
     knot[:, 1:] &= best[:, 1:] > best[:, :-1]
-    return [Curve(t[k], v[k]) for t, v, k in zip(dist, best, knot)]
+    starts = np.concatenate([[0], np.cumsum(np.sum(knot, axis=1))[:-1]])
+    family = dist[knot], best[knot], starts
+    for a in family:
+        a.setflags(write=False)
+    return family
 
 
-def _solve(inst: DiscreteInstance):
-    """Optimal (risk, powered-cost spend); see the module docstring."""
-    w = inst.weights
-    curves = _atom_rate_curves(inst)
-    if math.isinf(inst.p):
-        gains = [c.value(inst.eps, side="left") for c in curves]
+def _row_of(starts: np.ndarray, size: int) -> np.ndarray:
+    """Row number of each of ``size`` flat knots of a ragged family."""
+    return np.repeat(np.arange(starts.size), np.diff(starts, append=size))
+
+
+def _solve(inst: DiscreteInstance, p: float):
+    """Optimal (risk, powered-cost spend) at exponent p; see the module docstring.
+
+    Reads the instance's cached curve family: powers its budgets once, keeping
+    the last knot of any run whose powers coincide within an atom (as
+    :func:`~drcert.curves.p_transform` does), hulls every atom in one pass and
+    sorts all hull segments by slope at once.
+    """
+    t, v, starts = inst._family
+    w, eps = inst.weights, inst.eps
+    if math.isinf(p):
+        # each curve read from the left at eps: its largest value within eps
+        gains = np.maximum.reduceat(np.where(t <= eps, v, -math.inf), starts)
         return inst.empirical_risk + float(np.dot(w, gains)), 0.0
-    hulls = [least_concave_majorant(p_transform(c, inst.p)) for c in curves]
-    slope = np.concatenate([np.diff(h.v) / np.diff(h.t) for h in hulls])
-    run = np.concatenate([wi * np.diff(h.t) for wi, h in zip(w, hulls)])
-    rise = np.concatenate([wi * np.diff(h.v) for wi, h in zip(w, hulls)])
+    tp = np.power(t, p)
+    # distinct knots can share a power (underflow, rounding); they then cost
+    # the same budget, so keep the last, largest value of each such run
+    last = np.append(tp[1:] > tp[:-1], True)
+    last[np.append(starts[1:], t.size) - 1] = True
+    starts = np.cumsum(last)[starts] - last[starts]
+    ht, hv, hs = _upper_hull(tp[last], v[last], starts)
+    inner = np.ones(ht.size - 1, dtype=bool)
+    inner[hs[1:] - 1] = False  # no segment joins one atom's hull to the next
+    wk = w[_row_of(hs, ht.size)[1:][inner]]
+    dt, dv = np.diff(ht)[inner], np.diff(hv)[inner]
+    slope, run, rise = dv / dt, wk * dt, wk * dv
     # steepest segments first; the stable sort keeps each hull's own order
     keep = rise > 0
     order = np.argsort(-slope[keep], kind="stable")
     run, rise = run[keep][order], rise[keep][order]
     spent = np.concatenate([[0.0], np.cumsum(run)])
-    budget = float(inst.eps ** inst.p)
+    budget = float(eps ** p)
     k = int(np.searchsorted(spent, budget, side="right")) - 1  # whole segments
-    risk = inst.empirical_risk + float(np.dot(w, [h.v[0] for h in hulls]))
+    risk = inst.empirical_risk + float(np.dot(w, hv[hs]))
     risk += float(np.sum(rise[:k]))
     if k == run.size:
         return risk, float(spent[k])
@@ -144,12 +188,12 @@ def _solve(inst: DiscreteInstance):
 
 def dr_risk_exact(inst: DiscreteInstance) -> float:
     """Exact DR risk over the p-Wasserstein ball (see module docstring)."""
-    return _solve(inst)[0]
+    return _solve(inst, inst.p)[0]
 
 
 def dr_risk_plan_spend(inst: DiscreteInstance) -> float:
     """Powered-cost budget spent by the optimal plan (feasibility diagnostics)."""
-    return _solve(inst)[1]
+    return _solve(inst, inst.p)[1]
 
 
 def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
@@ -201,12 +245,11 @@ def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
 
 def wp_ordering_check(inst: DiscreteInstance, p_list) -> bool:
     """Exact DR risks are non-increasing in the Wasserstein exponent."""
-    ps = list(p_list)
     risks = []
-    for p in ps:
-        risks.append(dr_risk_exact(DiscreteInstance(
-            inst.loss, inst.atom_index, inst.weights, inst.cost,
-            p=p, eps=inst.eps, support=inst.support)))
+    for p in p_list:
+        if not p >= 1.0:
+            raise DataError("p must be >= 1")
+        risks.append(_solve(inst, p)[0])
     return all(risks[k] >= risks[k + 1] - 1e-9 * max(1.0, abs(risks[k]))
                for k in range(len(risks) - 1))
 
@@ -218,13 +261,20 @@ def instance_rate_profile(inst: DiscreteInstance):
     points within (un-powered) distance t.  Each atom's curve is read from the
     left at every pairwise distance, which captures each jump exactly on one
     shared grid, so certificates built from this profile are exact for the
-    instance.
+    instance.  A profile of more than ``_PROFILE_CELLS`` (atom, distance)
+    cells raises ``InstanceTooLargeError`` before the matrix is allocated.
     """
     d = inst.atom_costs()
     grid = np.unique(np.concatenate([[0.0], d[np.isfinite(d)]]))
-    rates = np.empty((inst.atom_index.size, grid.size))
-    for row, c in zip(rates, _atom_rate_curves(inst)):
-        row[:] = c.v[np.searchsorted(c.t, grid, side="right") - 1]
+    m, k = inst.atom_index.size, grid.size
+    if m * k > _PROFILE_CELLS:
+        raise InstanceTooLargeError(
+            f"rate profile of {m} atoms x {k} distances exceeds {_PROFILE_CELLS} cells")
+    t, v, starts = inst._family
+    # every knot budget is on the grid and each atom's first knot is its
+    # t=0, so repeating each knot's value up to the next knot fills the rows
+    at = _row_of(starts, t.size) * k + np.searchsorted(grid, t)
+    rates = np.repeat(v, np.diff(at, append=m * k)).reshape(m, k)
     return RateProfile(Curve(grid, rates), inst.weights)
 
 

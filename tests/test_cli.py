@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from drcert import nn
+from drcert import nn, oracle
 from drcert.cli import (
     ExperimentConfig,
     main,
@@ -203,6 +203,20 @@ class TestOracleCmd:
         assert res["wp_ordering_ok"]
         assert res["enumeration_gap"] <= 1e-9
         assert res["budget_spent"] <= 0.5 + 1e-12
+
+    def test_curves_derived_once(self, tmp_path, monkeypatch):
+        calls = []
+        derive = oracle._atom_rate_curves
+        monkeypatch.setattr(oracle, "_atom_rate_curves",
+                            lambda inst: calls.append(1) or derive(inst))
+        z = np.array([0.0, 0.4, 1.0, 2.5])
+        inst = DiscreteInstance(np.array([0.0, 1.0, 4.0, 2.0]), np.array([0, 2]),
+                                np.array([0.5, 0.5]), np.abs(z[:, None] - z[None, :]),
+                                p=2.0, eps=0.5)
+        path = tmp_path / "inst.json"
+        path.write_text(instance_to_json(inst))
+        assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
 
 GOOD_INSTANCE = {"loss": [0.0, 1.0], "atoms": [[0, 1.0]],

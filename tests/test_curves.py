@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drcert.curves import (
+    ConcaveCurve,
     Curve,
+    _upper_hull,
     curve_from_samples,
     is_concave,
     least_concave_majorant,
@@ -337,3 +339,68 @@ def test_concave_values_match_pointwise(vals, seed, tail, extra):
     ts = np.concatenate([[0.0], t, (t[1:] + t[:-1]) / 2, [t[-1] * 1.5 + 1.0], extra])
     assert np.array_equal(env.values(ts), [concave_value_reference(env, float(x)) for x in ts])
     assert env.value(float(ts[-1])) == concave_value_reference(env, float(ts[-1]))
+
+
+def upper_hull_reference(t, v):
+    """Upper concave hull of one curve by a chain over every knot (Andrew 1979).
+
+    Collinear points are retained, so a flat run keeps every knot.
+    """
+    ht, hv = [t[0]], [v[0]]
+    for x, y in zip(t[1:], v[1:]):
+        while len(ht) >= 2:
+            s_in = (hv[-1] - hv[-2]) / (ht[-1] - ht[-2])
+            s_out = (y - hv[-1]) / (x - ht[-1])
+            if s_in < s_out:  # middle point lies strictly below the chord
+                ht.pop()
+                hv.pop()
+            else:
+                break
+        ht.append(x)
+        hv.append(y)
+    return np.array(ht), np.array(hv)
+
+
+def hull_with_tail(ht, hv):
+    tail = float((hv[-1] - hv[-2]) / (ht[-1] - ht[-2])) if ht.size >= 2 else 0.0
+    return ConcaveCurve(ht, hv, tail_slope=tail)
+
+
+# budget steps: 1e-170 and 1e-120 vanish under a power (coinciding knots),
+# 1.0 with a rise of 1.0 gives collinear rising knots
+steps = st.one_of(st.sampled_from([1e-170, 1e-120, 1.0, 0.25]), st.floats(1e-3, 3.0))
+rises = st.one_of(st.sampled_from([0.0, 0.0, 1.0]), st.floats(0.0, 5.0))
+rows = st.tuples(st.floats(0.0, 2.0), st.lists(st.tuples(steps, rises), max_size=12),
+                 st.integers(0, 60))
+
+
+def ragged_row(v0, moves, flat_tail):
+    """One non-decreasing curve: a start value, (step, rise) moves, a flat tail."""
+    dt = [m[0] for m in moves] + [0.5] * flat_tail
+    dv = [m[1] for m in moves] + [0.0] * flat_tail
+    t = np.concatenate([[0.0], np.cumsum(dt)])
+    v = np.concatenate([[v0], v0 + np.cumsum(dv)])
+    # a tiny step after a large budget does not move it: keep the last value
+    keep = np.append(t[1:] > t[:-1], True)
+    return Curve(t[keep], v[keep])
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.lists(rows, min_size=1, max_size=6), p=st.sampled_from([1.0, 2.0, 3.0]),
+       extra=st.lists(st.floats(0.0, 400.0), max_size=8))
+def test_ragged_hull_matches_reference_rows(family, p, extra):
+    curves = [p_transform(ragged_row(*row), p) for row in family]
+    sizes = [c.t.size for c in curves]
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    ht, hv, hs = _upper_hull(np.concatenate([c.t for c in curves]),
+                             np.concatenate([c.v for c in curves]), starts)
+    ends = np.append(hs[1:], ht.size)
+    for c, lo, hi in zip(curves, hs, ends):
+        got = hull_with_tail(ht[lo:hi], hv[lo:hi])
+        want = hull_with_tail(*upper_hull_reference(c.t, c.v))
+        assert got.tail_slope == want.tail_slope
+        ts = np.concatenate([c.t, (c.t[1:] + c.t[:-1]) / 2, [c.t[-1] * 1.5 + 1.0], extra])
+        assert np.array_equal(got.values(ts), want.values(ts))
+        # the walk skips flat knots: no hull knot repeats its predecessor's value
+        # except a row's last
+        assert np.all(np.diff(got.v)[:-1] > 0)

@@ -225,6 +225,28 @@ class TestFgsm:
                 assert np.allclose(fgsm_perturb(net, (x, y), 0.05, r)[0], xt,
                                    rtol=0, atol=1e-15)
 
+    def test_regression_point_is_not_clipped(self):
+        # on a 2-4-1 absdev net the point (5, 3) moves by eps along the ascent
+        # direction; clipped to [0, 1] it would land on (1, 1)
+        net = init_mlp([2, 4, 1], act="tanh", head="absdev", seed=0)
+        x, y = np.array([5.0, 3.0]), np.array([0.0])
+        for r in (1, 2, math.inf):
+            xt, _ = fgsm_perturb(net, (x, y), 0.01, r)
+            _, g = loss_and_grad_x(net, (x, y))
+            assert np.array_equal(xt, x + 0.01 * ascent_direction(g, r))
+            assert vector_norm(xt - x, r) == pytest.approx(0.01, rel=1e-12)
+
+    def test_classification_rows_stay_clipped(self):
+        rng = np.random.default_rng(13)
+        net = random_net(rng)
+        X = rng.choice([0.0, 1.0], size=(6, net.in_dim))
+        Y = np.eye(3)[rng.integers(0, 3, size=6)]
+        for r in (1, 2, math.inf):
+            Xt, _ = fgsm_perturb(net, (X, Y), 0.5, r)
+            _, g = loss_and_grad_x(net, (X, Y))
+            assert np.array_equal(Xt, np.clip(X + 0.5 * ascent_direction(g, r), 0.0, 1.0))
+            assert np.all((Xt >= 0) & (Xt <= 1))
+
     def test_zero_gradient_row_stays(self):
         net = Mlp((Layer(np.zeros((1, 2)), np.zeros(1), "identity"),), head="absdev")
         X = np.array([[0.2, 0.7], [0.4, 0.1]])

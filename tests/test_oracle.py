@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcert import oracle
 from drcert.certificates import lower_bound, upper_bound
 from drcert.errors import InstanceTooLargeError
 from drcert.oracle import (
@@ -78,6 +80,35 @@ class TestBasics:
         with pytest.raises(InstanceTooLargeError):
             DiscreteInstance(np.zeros(n), np.array([0]), np.array([1.0]),
                              np.zeros((n, n)))
+
+    def test_arrays_are_read_only_copies(self):
+        loss, atoms, w = np.array([0.0, 1.0]), np.array([0]), np.array([1.0])
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        inst = DiscreteInstance(loss, atoms, w, cost, p=1.0, eps=0.5)
+        for name in ("loss", "cost", "weights", "atom_index"):
+            with pytest.raises(ValueError):
+                getattr(inst, name)[0] = 5
+        # the caller's arrays stay theirs: changing one leaves the instance as it was
+        cost[0, 1] = 0.0
+        assert dr_risk_exact(inst) == 0.5
+
+    def test_profile_too_large_fails_before_allocating(self):
+        # 512 atoms on 514 points with distinct distances: 512 x 262,657 cells,
+        # just over the bound; the matrix would take 1 GiB
+        rng = np.random.default_rng(3)
+        n, m = 514, 512
+        cost = rng.uniform(1.0, 2.0, size=(n, n))
+        np.fill_diagonal(cost, 0.0)
+        inst = DiscreteInstance(rng.normal(size=n), np.arange(m), np.full(m, 1.0 / m), cost)
+        assert m * (m * (n - 1) + 1) > oracle._PROFILE_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLargeError):
+                instance_rate_profile(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_forbidden_moves_excluded(self):
         cost = np.array([[0.0, math.inf], [math.inf, 0.0]])
@@ -221,6 +252,10 @@ class TestSandwich:
         assert risk == dr_risk_enumerate(inst) == pytest.approx(2.25)
         cc = upper_bound(instance_rate_profile(inst), 2.0, 0.5)
         assert math.isfinite(cc) and cc >= risk - inst.empirical_risk
+        # a second atom whose own first knots coincide after the power
+        two = line_instance([0.0, 1e-170, 2e-170, 1.0], [0.0, 1.0, 2.0, 3.0],
+                            [0, 1], [0.5, 0.5], p=2.0, eps=0.5)
+        assert dr_risk_exact(two) == pytest.approx(dr_risk_enumerate(two), abs=1e-12)
 
 
 class TestJson:

@@ -4,7 +4,8 @@ An adversarial score of a map is a non-decreasing concave upper bound on its
 modulus of continuity with value 0 at t=0.  Scores compose across layers, so a
 network certificate is built by alternating linear-layer gains with activation
 scores and finishing with a task head; the result upper-bounds every growth
-rate of the loss and hence the concave risk certificate at any budget.
+rate of the loss and hence the concave risk certificate at any budget.  Every
+node evaluates a budget array and its right slope there in closed form.
 """
 
 from __future__ import annotations
@@ -18,22 +19,22 @@ from . import nn
 from .errors import InvalidScoreError, UnboundedOutputError, UnknownActivationError
 from .rates import CostConfig
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class ScoreExpr:
-    """Base class; subclasses implement value(t) on t >= 0."""
-
-    lipschitz: float = math.inf
-
-    def value(self, t: float) -> float:
-        raise NotImplementedError
+    """Base class.  A node implements ``_values(t)`` and ``slope(t)``, its right
+    derivative (non-negative and non-increasing), on arrays of budgets t >= 0."""
 
     def values(self, ts) -> np.ndarray:
-        return np.array([self.value(float(t)) for t in np.asarray(ts, dtype=float)])
+        """The score at every budget of ``ts`` (any shape)."""
+        return self._values(np.asarray(ts, dtype=float))
 
-    def __call__(self, t: float) -> float:
-        return self.value(t)
+    def value(self, t: float) -> float:
+        return float(self.values(t))
+
+    @property
+    def lipschitz(self) -> float:
+        """The steepest slope of a concave score: its right slope at 0."""
+        return float(self.slope(np.float64(0.0)))
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,11 @@ class LinearGain(ScoreExpr):
         if self.gain < 0 or not math.isfinite(self.gain):
             raise InvalidScoreError("linear gain must be finite and non-negative")
 
-    @property
-    def lipschitz(self) -> float:
-        return self.gain
-
-    def value(self, t: float) -> float:
+    def _values(self, t):
         return self.gain * t
+
+    def slope(self, t):
+        return np.full(np.shape(t), self.gain)
 
 
 def identity_score() -> LinearGain:
@@ -82,28 +82,28 @@ class SaturatingScore(ScoreExpr):
         if self.width < 1:
             raise ValueError("width must be >= 1")
         object.__setattr__(self, "r", float(self.r))
+        if self.r not in (1.0, 2.0, math.inf):
+            raise ValueError("r must be one of 1, 2, inf")
+
+    @property
+    def scale(self) -> float:
+        """Width factor of the r-norm: n for r=1, sqrt(n) for r=2, 1 for r=inf."""
+        return {1.0: float(self.width), 2.0: math.sqrt(self.width)}.get(self.r, 1.0)
 
     def _sigma(self, x):
         if self.kind == "tanh":
             return np.tanh(x)
         return _sigmoid(x)
 
-    @property
-    def lipschitz(self) -> float:
-        return 1.0 if self.kind == "tanh" else 0.25
-
-    def value(self, t: float) -> float:
-        r, n = self.r, self.width
-        if r == 1.0:
-            scale = float(n)
-        elif r == 2.0:
-            scale = math.sqrt(n)
-        elif math.isinf(r):
-            scale = 1.0
-        else:
-            raise ValueError("r must be one of 1, 2, inf")
+    def _values(self, t):
+        scale = self.scale
         u = t / (2.0 * scale)
-        return float(scale * (self._sigma(u) - self._sigma(-u)))
+        return scale * (self._sigma(u) - self._sigma(-u))
+
+    def slope(self, t):
+        # d/dt = (s'(u) + s'(-u)) / 2 = s'(u), as s' is even
+        s = self._sigma(t / (2.0 * self.scale))
+        return 1.0 - s * s if self.kind == "tanh" else s * (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -121,30 +121,12 @@ class HolderScore(ScoreExpr):
             raise InvalidScoreError(
                 "a power loss with exponent above 1 admits no finite score")
 
-    @property
-    def lipschitz(self) -> float:
-        return self.c if self.alpha == 1.0 else math.inf
+    def _values(self, t):
+        return self.c * t ** self.alpha
 
-    def value(self, t: float) -> float:
-        return float(self.c * t ** self.alpha)
-
-
-@dataclass(frozen=True)
-class HuberScore(ScoreExpr):
-    """Huber loss at threshold c is c-Lipschitz and its score is exactly ct."""
-
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidScoreError("threshold must be positive")
-
-    @property
-    def lipschitz(self) -> float:
-        return self.c
-
-    def value(self, t: float) -> float:
-        return self.c * t
+    def slope(self, t):
+        with np.errstate(divide="ignore"):  # infinite at t = 0 for alpha < 1
+            return self.c * self.alpha * t ** (self.alpha - 1.0)
 
 
 @dataclass(frozen=True)
@@ -157,14 +139,11 @@ class TruncatedScore(ScoreExpr):
         if self.c <= 0:
             raise InvalidScoreError("threshold must be positive")
 
-    @property
-    def lipschitz(self) -> float:
-        return self.c
+    def _values(self, t):
+        return np.where(t <= self.c, (2.0 * t * self.c - t * t) / 2.0, self.c * self.c / 2.0)
 
-    def value(self, t: float) -> float:
-        if t <= self.c:
-            return (2.0 * t * self.c - t * t) / 2.0
-        return self.c * self.c / 2.0
+    def slope(self, t):
+        return np.maximum(self.c - t, 0.0)
 
 
 _BARRON_A = 27.0 / 256.0
@@ -178,8 +157,9 @@ def _barron_shift(t, c):
     # base point maximizing gamma(s+t)-gamma(s); root of the stationarity
     # quartic (verified against a brute-force sup to <1e-9)
     a = _BARRON_A
-    inner = math.sqrt(t**4 + 4.0 * a * c * c * t * t + 16.0 * a * a * c**4)
-    return (math.sqrt(3.0 * t * t + 6.0 * inner - 12.0 * a * c * c) - 3.0 * t) / 6.0
+    inner = np.sqrt(t**4 + 4.0 * a * c * c * t * t + 16.0 * a * a * c**4)
+    s = (np.sqrt(3.0 * t * t + 6.0 * inner - 12.0 * a * c * c) - 3.0 * t) / 6.0
+    return np.maximum(s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,15 +174,18 @@ class BarronRobustScore(ScoreExpr):
         if self.c <= 0:
             raise InvalidScoreError("scale must be positive")
 
-    @property
-    def lipschitz(self) -> float:
-        return self.c
+    def _values(self, t):
+        s = _barron_shift(t, self.c)
+        return _barron_gamma(s + t, self.c) - _barron_gamma(s, self.c)
 
-    def value(self, t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        s = max(_barron_shift(t, self.c), 0.0)
-        return float(_barron_gamma(s + t, self.c) - _barron_gamma(s, self.c))
+    def slope(self, t):
+        # the worst shift is stationary, so only the end point s + t moves
+        u = _barron_shift(t, self.c) + t
+        ac2 = _BARRON_A * self.c * self.c
+        return ac2 * self.c * self.c * u / (ac2 + u * u) ** 2
+
+
+_INV_E = math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -210,16 +193,14 @@ class EntropyScore(ScoreExpr):
     """-t log t on [0, 1/e], constant 1/e beyond: concave, non-Lipschitz at 0,
     and its own score."""
 
-    @property
-    def lipschitz(self) -> float:
-        return math.inf
+    def _values(self, t):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log 0
+            inside = -t * np.log(t)
+        return np.where(t <= 0.0, 0.0, np.where(t >= _INV_E, _INV_E, inside))
 
-    def value(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t >= math.exp(-1.0):
-            return math.exp(-1.0)
-        return float(-t * math.log(t))
+    def slope(self, t):
+        with np.errstate(divide="ignore"):  # infinite at t = 0
+            return np.maximum(-np.log(t) - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -227,22 +208,25 @@ class Compose(ScoreExpr):
     outer: ScoreExpr
     inner: ScoreExpr
 
-    @property
-    def lipschitz(self) -> float:
-        return self.outer.lipschitz * self.inner.lipschitz
+    def _values(self, t):
+        return self.outer._values(self.inner._values(t))
 
-    def value(self, t: float) -> float:
-        return self.outer.value(self.inner.value(t))
+    def slope(self, t):
+        # chain rule; a flat factor keeps the product flat against an infinite one
+        a, b = self.outer.slope(self.inner._values(t)), self.inner.slope(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
 @dataclass(frozen=True)
 class SupConvLinear(ScoreExpr):
     """sup over tau in [0, t] of inner(t - tau) + c * tau.
 
-    Couples the feature budget with a linear label channel.  The objective is
-    concave in tau, so a golden-section search plus the two endpoints is exact
-    to the shrink tolerance (and exactly right for linear inner scores, whose
-    sup sits at an endpoint).
+    Couples the feature budget with a linear label channel.  For a concave
+    inner g the sup is g(min(t, u)) + c * max(0, t - u), where g's slope drops
+    below c at u.  With lo < hi the adjacent floats around u, budgets up to lo
+    read g and budgets beyond read the tangent g(lo) + max(g'(lo), c) * (t - lo),
+    which is never below the exact sup: rounding in u errs upward.
     """
 
     inner: ScoreExpr
@@ -252,29 +236,28 @@ class SupConvLinear(ScoreExpr):
         if self.c < 0 or not math.isfinite(self.c):
             raise InvalidScoreError("linear channel gain must be finite and >= 0")
 
-    @property
-    def lipschitz(self) -> float:
-        return max(self.inner.lipschitz, self.c)
-
-    def value(self, t: float) -> float:
-        if t <= 0.0:
-            return self.inner.value(0.0)
-        obj = lambda tau: self.inner.value(t - tau) + self.c * tau
-        best = max(obj(0.0), obj(t))
-        lo, hi = 0.0, t
-        m1 = hi - _GOLDEN * (hi - lo)
-        m2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = obj(m1), obj(m2)
-        while hi - lo > 1e-12 * max(1.0, t):
-            if f1 < f2:
-                lo, m1, f1 = m1, m2, f2
-                m2 = lo + _GOLDEN * (hi - lo)
-                f2 = obj(m2)
+    def _knee(self, t) -> np.float64:
+        """The largest float lo in [0, max t] with inner slope >= c (else 0): one
+        bisection over the bit patterns of non-negative floats, to adjacent floats."""
+        top = np.float64(np.max(t, initial=0.0))
+        lo, hi = 0, int(top.view(np.int64)) + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.inner.slope(np.int64(mid).view(np.float64)) >= self.c:
+                lo = mid
             else:
-                hi, m2, f2 = m2, m1, f1
-                m1 = hi - _GOLDEN * (hi - lo)
-                f1 = obj(m1)
-        return float(max(best, f1, f2))
+                hi = mid
+        return np.int64(lo).view(np.float64)
+
+    def _values(self, t):
+        g, lo = self.inner, self._knee(t)
+        m = max(g.slope(lo), self.c)
+        with np.errstate(invalid="ignore"):  # an infinite m at t = lo is not selected
+            return np.where(t <= lo, g._values(t), g._values(lo) + m * (t - lo))
+
+    def slope(self, t):
+        g, lo = self.inner, self._knee(t)
+        return np.where(t < lo, g.slope(t), max(g.slope(lo), self.c))
 
 
 # -- constructors ---------------------------------------------------------------
@@ -344,7 +327,10 @@ def gamma_score(kind: str, **params) -> ScoreExpr:
     if kind == "holder":
         return HolderScore(params.get("c", 1.0), params["alpha"])
     if kind == "huber":
-        return HuberScore(params["c"])
+        # the Huber loss at threshold c is c-Lipschitz and its score is exactly ct
+        if params["c"] <= 0:
+            raise InvalidScoreError("threshold must be positive")
+        return LinearGain(params["c"])
     if kind == "truncated":
         return TruncatedScore(params["c"])
     if kind in ("barron", "barronrobust"):

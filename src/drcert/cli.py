@@ -212,7 +212,7 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
     score = advscore.mlp_feature_score(trained, r)
     grads = nn.loss_and_grad_x(trained, (Xtr, ytr))[1]
     cert_rows = [(e, score.lipschitz * e, grad_dual_certificate(grads, config.p, e, r),
-                  score.value(e)) for e in config.eps_grid]
+                  float(v)) for e, v in zip(config.eps_grid, score.values(config.eps_grid))]
     write_csv_atomic(config.out / "certificates.csv",
                      ["eps", "cert_lip", "cert_grad_dual", "cert_advscore"], cert_rows)
     nn.save_weights(trained, config.out / "weights.csv")

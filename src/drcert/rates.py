@@ -57,7 +57,7 @@ def dual_norm(x, r) -> float:
 #
 # A searched loss provides ``loss(x, y)``, the batched ``losses(X, Y)`` and
 # ``grads(X, Y)`` over rows with one label per row, and ``label_shift(x, y, b)``,
-# the label after its best move of cost b in ||y' - y||_1.
+# the label after its best move of each cost in the array b, in ||y' - y||_1.
 
 @dataclass(frozen=True)
 class LinearPowerRegression:
@@ -118,23 +118,24 @@ class _MlpLoss:
 class MlpClassification(_MlpLoss):
     """l(x, y) = <y, f(x)> for a network with a -log-softmax output."""
 
-    def label_shift(self, x, y, budget):
+    def label_shift(self, x, y, budgets):
         """Move simplex mass (total variation budget/2) from low-score classes
-        onto the arg-max class of the network output."""
-        if budget <= 0:
-            return y
+        onto the arg-max class of the network output: one forward pass for all
+        budgets, then class by class, each budget with its own arithmetic."""
+        move = np.asarray(budgets, dtype=float) / 2.0
+        y2 = np.array(np.broadcast_to(y, move.shape + np.shape(y)), dtype=float)
+        if not np.any(move > 0):
+            return y2
         o = nn.forward(self.net, x)
         scores = -np.log(np.exp(o - np.max(o)) / np.sum(np.exp(o - np.max(o))))
         target = int(np.argmax(scores))
-        y2 = np.asarray(y, dtype=float).copy()
-        move = budget / 2.0
         for j in np.argsort(scores):
-            if j == target or move <= 0:
+            if j == target:
                 continue
-            take = min(move, y2[j])
-            y2[j] -= take
-            y2[target] += take
-            move -= take
+            take = np.where(move > 0, np.minimum(move, y2[..., j]), 0.0)
+            y2[..., j] -= take
+            y2[..., target] += take
+            move = move - take
         return y2
 
 
@@ -142,12 +143,15 @@ class MlpClassification(_MlpLoss):
 class MlpRegression(_MlpLoss):
     """l(x, y) = |y - f(x)| for a network with an absolute-deviation output."""
 
-    def label_shift(self, x, y, budget):
-        """Shift the real label by the whole budget, in the direction that hurts."""
-        if budget <= 0:
-            return y
-        cands = [y + budget, y - budget]
-        return cands[int(np.argmax([self.loss(x, c) for c in cands]))]
+    def label_shift(self, x, y, budgets):
+        """Shift the real label by each whole budget, in the direction that hurts."""
+        b = np.asarray(budgets, dtype=float)
+        if not np.any(b > 0):
+            return np.full(b.shape, y, dtype=float)
+        o = nn.forward(self.net, x)
+        up, down = y + b, y - b
+        hurts_up = nn.head_loss(self.net, o, up) >= nn.head_loss(self.net, o, down)
+        return np.where(hurts_up, up, down)
 
 
 @dataclass
@@ -289,16 +293,20 @@ def _search_rates(loss, X, Y, grid, cfg):
     # a rate is a difference against the clean loss: one point per call
     # keeps that reference's rounding independent of the batch
     base = np.array([loss.loss(x, y) for x, y in zip(X, Y)])[:, None]
+    # every sample's label after the label move of each (positive knot, split)
+    # group: one label_shift call per sample
+    moves = np.outer(grid[knots], fracs).ravel() / kappa
+    shifted = np.array([loss.label_shift(x, y, moves) for x, y in zip(X, Y)], dtype=float)
     out = np.zeros((X.shape[0], grid.size))
-    for ks in (knots[a:a + width] for a in range(0, knots.size, width)):
+    for a in range(0, knots.size, width):
+        ks = knots[a:a + width]
+        groups = slice(a * fracs.size, (a + ks.size) * fracs.size)
         radii = np.outer(grid[ks], 1.0 - fracs).ravel()  # one group per (knot, split)
-        budgets = np.outer(grid[ks], fracs).ravel() / kappa  # its label move
         starts, points = _knot_draws(cfg, grid[ks], radii, X.shape[1], loss.cost.r)
         block = max(1, _BLOCK // radii.size)
         for lo in range(0, X.shape[0], block):
-            Xb, Yb, b = X[lo:lo + block], Y[lo:lo + block], base[lo:lo + block]
-            labels = np.array([[loss.label_shift(x, y, bud) for bud in budgets]
-                               for x, y in zip(Xb, Yb)], dtype=float)
+            Xb, b = X[lo:lo + block], base[lo:lo + block]
+            labels = shifted[lo:lo + block, groups]
             best = np.full((Xb.shape[0], radii.size), -math.inf)
             # every group's clean point, label-only groups included (no steps)
             clean = np.zeros((radii.size, 1, X.shape[1]))

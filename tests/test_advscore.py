@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drcert.advscore import (
     BarronRobustScore,
     EntropyScore,
     HolderScore,
-    HuberScore,
     LinearGain,
+    SaturatingScore,
     SupConvLinear,
     TruncatedScore,
     activation_score,
@@ -60,6 +62,8 @@ class TestActivationScores:
     def test_unknown_activation(self):
         with pytest.raises(UnknownActivationError):
             activation_score("gelu")
+        with pytest.raises(ValueError, match="r must be"):  # at construction
+            SaturatingScore("tanh", 2, r=3)
 
     def test_width_scalings(self):
         t = 1.7
@@ -305,10 +309,99 @@ class TestMisc:
         nodes = [
             LinearGain(2.0), identity_score(),
             activation_score("sigmoid", 3, 2),
-            HuberScore(1.0), TruncatedScore(1.0), BarronRobustScore(2.0),
+            gamma_score("huber", c=1.0), TruncatedScore(1.0), BarronRobustScore(2.0),
             EntropyScore(), HolderScore(1.0, 0.5),
             SupConvLinear(LinearGain(1.0), 0.5),
             compose(activation_score("tanh", 1, 2), LinearGain(3.0)),
         ]
         for node in nodes:
             assert node.value(0.0) == 0.0
+
+
+# -- closed-form values and right slopes on arrays -------------------------------
+
+GAINS = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+LEAVES = st.one_of(
+    st.builds(LinearGain, GAINS),
+    st.builds(SaturatingScore, st.sampled_from(["sigmoid", "tanh", "softmax"]),
+              st.integers(1, 16), st.sampled_from([1.0, 2.0, math.inf])),
+    st.builds(HolderScore, st.floats(0.1, 3.0), st.floats(0.2, 1.0)),
+    st.builds(TruncatedScore, st.floats(0.1, 3.0)),
+    st.builds(BarronRobustScore, st.floats(0.1, 3.0)),
+    st.just(EntropyScore()),
+)
+CHAINS = st.recursive(LEAVES, lambda kids: st.builds(compose, kids, kids), max_leaves=5)
+NODES = st.one_of(CHAINS, st.builds(SupConvLinear, CHAINS, GAINS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=NODES, ts=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=12),
+       h=st.floats(1e-6, 2.0))
+def test_slopes_are_right_derivatives_of_a_concave_score(A, ts, h):
+    """Slopes are >= 0 and non-increasing, and every tangent lies above the
+    score: values(t + h) <= values(t) + slope(t) * h (one call reads both)."""
+    t = np.sort(np.concatenate([[0.0], ts]))
+    both = np.concatenate([t, t + h])
+    v, s = A.values(both), A.slope(both)
+    order = np.argsort(both, kind="stable")
+    tol = 1e-12 * (1.0 + np.abs(np.nan_to_num(v, posinf=0.0)))
+    assert np.all(s >= 0.0)
+    assert np.all(s[order][1:] <= s[order][:-1] * (1.0 + 1e-9))
+    assert np.all(v[t.size:] <= v[:t.size] + s[:t.size] * h + tol[t.size:])
+    assert np.all(v[order][1:] >= v[order][:-1] - tol[order][1:])
+
+
+def test_values_keep_the_shape_and_value_reads_one_budget():
+    A = SupConvLinear(compose(activation_score("tanh", 3, 2), LinearGain(2.0)), 0.4)
+    grid = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    v = A.values(grid)
+    assert v.shape == (3, 4)
+    assert all(A.value(float(x)) == pytest.approx(y, rel=1e-15)
+               for x, y in zip(grid.ravel(), v.ravel()))
+
+
+def _exact_saturating(kind, width, r):
+    """50-digit inner g and its knee: the budget where g's slope falls to c."""
+    S = {1.0: mpmath.mpf(width), 2.0: mpmath.sqrt(width)}.get(float(r), mpmath.mpf(1))
+    sig = mpmath.tanh if kind == "tanh" else (lambda x: 1 / (1 + mpmath.exp(-x)))
+
+    def g(s):
+        return S * (sig(s / (2 * S)) - sig(-s / (2 * S)))
+
+    def knee(c):
+        c = mpmath.mpf(c)
+        if kind == "tanh":
+            return 2 * S * mpmath.atanh(mpmath.sqrt(1 - c)) if c < 1 else mpmath.mpf(0)
+        if c >= 0.25:
+            return mpmath.mpf(0)
+        root = mpmath.sqrt(1 - 4 * c)
+        return 2 * S * mpmath.log((1 + root) / (1 - root))
+
+    return g, knee
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("width", [1, 2, 5, 16])
+@pytest.mark.parametrize("r", [1, 2, math.inf])
+def test_supconv_against_a_50_digit_reference(kind, width, r):
+    """The exact sup is g(min(t, u)) + c * max(0, t - u).  The closed form never
+    falls below it except by float rounding (the inner's own shortfall at the
+    point it reads, plus two ulps for the tangent's arithmetic), and no tau on a
+    dense grid, nor the tau of the bracketed knee, beats it."""
+    inner = SaturatingScore(kind, width, r)
+    g, knee = _exact_saturating(kind, width, r)
+    ts = np.geomspace(1e-3, 1e2, 24)
+    with mpmath.workdps(50):
+        for frac in (0.05, 0.3, 0.9, 1.1, 3.0):  # c on both sides of Lip
+            c = frac * inner.lipschitz
+            A = SupConvLinear(inner, c)
+            v, lo, u = A.values(ts), A._knee(ts), knee(c)
+            for t, vt in zip(ts, v):
+                read = t if t <= lo else lo
+                own = max(0, g(mpmath.mpf(read)) - mpmath.mpf(float(inner.values(read))))
+                exact = g(min(mpmath.mpf(t), u)) + c * max(0, mpmath.mpf(t) - u)
+                assert exact - mpmath.mpf(float(vt)) <= own + 2 * np.spacing(vt)
+            taus = np.linspace(0.0, 1.0, 4001) * ts[:, None]
+            grid = np.max(inner.values(ts[:, None] - taus) + c * taus, axis=1)
+            at_knee = np.where(ts > lo, inner.values(lo) + c * (ts - lo), 0.0)
+            assert np.all(np.maximum(grid, at_knee) <= v)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from drcert import rates
+from drcert import nn, rates
 from drcert.curves import Curve
-from drcert.nn import dual_exponent, init_mlp, loss_and_grad_x, vector_norm
+from drcert.nn import dual_exponent, forward, init_mlp, loss_and_grad_x, vector_norm
 from drcert.rates import (
     CostConfig,
     LinearPowerRegression,
@@ -52,8 +52,8 @@ class CallbackLoss:
                 g[i, j] = (self.loss(row + e, y) - self.loss(row - e, y)) / (2 * h)
         return g
 
-    def label_shift(self, x, y, budget):
-        return y
+    def label_shift(self, x, y, budgets):
+        return np.broadcast_to(y, np.shape(budgets) + np.shape(y))
 
 
 def power_loss_rate_bounds(alpha, theta_dual_norm, c_hat, t):
@@ -216,8 +216,8 @@ class CountingLoss:
         self.rows.append(len(X))
         return self.inner.grads(X, Y)
 
-    def label_shift(self, x, y, budget):
-        return self.inner.label_shift(x, y, budget)
+    def label_shift(self, x, y, budgets):
+        return self.inner.label_shift(x, y, budgets)
 
 
 SMALL = SearchConfig(n_starts=3, n_steps=12, n_boundary=8, n_label_splits=3, seed=4)
@@ -243,6 +243,56 @@ def test_batched_search_matches_points(r, kappa, head, block, n, seed):
             one = individual_rate(loss, (x, y), grid, SMALL)
             assert np.allclose(row, one.v, rtol=1e-12, atol=0)
     assert prof.quality == "search"
+
+
+def label_shift_reference(loss, x, y, budget):
+    """One budget's label move, with its own forward pass and class walk."""
+    if budget <= 0:
+        return np.asarray(y, dtype=float)
+    if isinstance(loss, MlpRegression):
+        cands = [y + budget, y - budget]
+        return cands[int(np.argmax([loss.loss(x, c) for c in cands]))]
+    o = forward(loss.net, x)
+    scores = -np.log(np.exp(o - np.max(o)) / np.sum(np.exp(o - np.max(o))))
+    target = int(np.argmax(scores))
+    y2 = np.asarray(y, dtype=float).copy()
+    move = budget / 2.0
+    for j in np.argsort(scores):
+        if j == target or move <= 0:
+            continue
+        take = min(move, y2[j])
+        y2[j] -= take
+        y2[target] += take
+        move -= take
+    return y2
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.sampled_from(["logsoftmax", "absdev"]), seed=st.integers(0, 2**16),
+       budgets=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1,
+                        max_size=12))
+def test_batched_label_shift_matches_each_budget(head, seed, budgets):
+    rng = np.random.default_rng(seed)
+    net = init_mlp([3, 4, 5 if head == "logsoftmax" else 1], act="tanh", head=head,
+                   seed=seed)
+    loss = (MlpClassification if head == "logsoftmax" else MlpRegression)(net)
+    x = rng.uniform(0, 1, size=3)
+    y = rng.dirichlet(np.ones(5)) if head == "logsoftmax" else float(rng.normal())
+    want = np.array([label_shift_reference(loss, x, y, b) for b in budgets])
+    assert np.array_equal(loss.label_shift(x, y, np.array(budgets)), want)
+
+
+def test_label_moves_take_one_forward_pass_per_sample():
+    # CLI-sized search at finite kappa: 12 samples x 3 positive knots x 5 splits
+    net = init_mlp([16, 8, 10], act="tanh", seed=3)
+    loss = MlpClassification(net, CostConfig(r=math.inf, kappa=0.1))
+    rng = np.random.default_rng(4)
+    data = list(zip(rng.uniform(size=(12, 16)), np.eye(10)[rng.integers(0, 10, 12)]))
+    cfg = SearchConfig(n_starts=4, n_steps=5, n_boundary=64, seed=0)
+    with mock.patch.object(nn, "forward", wraps=nn.forward) as fwd:
+        maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
+    one_row = sum(np.ndim(call.args[1]) == 1 for call in fwd.call_args_list)
+    assert one_row == 2 * len(data)  # each sample's clean loss and its label moves
 
 
 def test_search_calls_stay_within_block():

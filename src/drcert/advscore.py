@@ -226,7 +226,9 @@ class SupConvLinear(ScoreExpr):
     inner g the sup is g(min(t, u)) + c * max(0, t - u), where g's slope drops
     below c at u.  With lo < hi the adjacent floats around u, budgets up to lo
     read g and budgets beyond read the tangent g(lo) + max(g'(lo), c) * (t - lo),
-    which is never below the exact sup: rounding in u errs upward.
+    which is never below the exact sup: rounding in u errs upward.  Where g'(lo)
+    is infinite, budgets beyond lo read g(hi) + c * (t - lo) at slope c
+    instead, which still bounds the sup since g(u) <= g(hi) and u >= lo.
     """
 
     inner: ScoreExpr
@@ -249,15 +251,21 @@ class SupConvLinear(ScoreExpr):
                 hi = mid
         return np.int64(lo).view(np.float64)
 
-    def _values(self, t):
+    def _line(self, t):
+        """(lo, b, m): budgets up to lo read the inner, budgets beyond b + m (t - lo)."""
         g, lo = self.inner, self._knee(t)
         m = max(g.slope(lo), self.c)
-        with np.errstate(invalid="ignore"):  # an infinite m at t = lo is not selected
-            return np.where(t <= lo, g._values(t), g._values(lo) + m * (t - lo))
+        if math.isinf(m):
+            return lo, g._values(np.nextafter(lo, math.inf)), self.c
+        return lo, g._values(lo), m
+
+    def _values(self, t):
+        lo, b, m = self._line(t)
+        return np.where(t <= lo, self.inner._values(t), b + m * (t - lo))
 
     def slope(self, t):
-        g, lo = self.inner, self._knee(t)
-        return np.where(t < lo, g.slope(t), max(g.slope(lo), self.c))
+        lo, _, m = self._line(t)
+        return np.where(t < lo, self.inner.slope(t), m)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -360,14 +368,15 @@ def mlp_feature_score(net: nn.Mlp, r) -> ScoreExpr:
 
 
 def mlp_score(net: nn.Mlp, cost: CostConfig, head: str = "classification",
-              M=math.inf, gamma: ScoreExpr | None = None) -> ScoreExpr:
+              M=math.inf) -> ScoreExpr:
     """Full loss score of a network: layer composition plus the task head.
 
     A log-softmax output doubles the feature score: the loss difference at a
     fixed simplex label splits into the log-sum-exp shift plus the label
     pairing, and each term moves by at most the pre-head output change
     (search-based rate estimates do exceed the bare feature score on such
-    nets, so the factor is not droppable).
+    nets, so the factor is not droppable).  The regression head scores the
+    absolute deviation; :func:`regression_head_score` composes another loss.
     """
     F = mlp_feature_score(net, cost.r)
     if head == "classification":
@@ -375,6 +384,6 @@ def mlp_score(net: nn.Mlp, cost: CostConfig, head: str = "classification",
             F = compose(LinearGain(2.0), F)
         return classification_head_score(F, cost, M=M)
     if head == "regression":
-        return regression_head_score(F, gamma or identity_score(), cost)
+        return regression_head_score(F, identity_score(), cost)
     raise ValueError(f"unknown head {head!r}")
 

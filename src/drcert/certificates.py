@@ -182,17 +182,17 @@ class CertificateReport:
 
 
 def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
-                       L=None, grads=None, r=2.0) -> CertificateReport:
-    """Evaluate all certificate columns over a budget grid."""
+                       L: float, grads, r) -> CertificateReport:
+    """Evaluate all certificate columns over a budget grid: the Lipschitz
+    baseline from the constant L and the gradient-dual one from ``grads``
+    (one row per sample) against the feature norm r."""
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0 or np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
         raise ValueError("eps grid must be positive and ascending")
     lbs = lower_bound(profile, p, eps_grid)
     ccs = upper_bound(profile, p, eps_grid)
-    lips = np.array([lipschitz_certificate(L, e) if L is not None else math.inf
-                     for e in eps_grid])
-    gds = np.array([grad_dual_certificate(grads, p, e, r) if grads is not None else 0.0
-                    for e in eps_grid])
+    lips = np.array([lipschitz_certificate(L, e) for e in eps_grid])
+    gds = np.array([grad_dual_certificate(grads, p, e, r) for e in eps_grid])
     finite = not (np.all(np.isinf(lbs)) and np.all(np.isinf(ccs)))
     return CertificateReport(eps_grid, float(p) if not math.isinf(p) else math.inf,
                              lbs, ccs, lips, gds, float(empirical_risk), finite)

@@ -10,6 +10,7 @@ error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,9 +25,7 @@ from .certificates import certificate_report, grad_dual_certificate
 from .errors import (
     ConfigError,
     DataError,
-    DivergenceError,
     DrcertError,
-    NumericError,
     ParseError,
     RangeError,
 )
@@ -42,16 +41,6 @@ from .rates import (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
-
-
 def write_text_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -63,7 +52,7 @@ def write_text_atomic(path: Path, text: str) -> None:
 def write_csv_atomic(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        lines.append(",".join(map(str, row)))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -106,18 +95,21 @@ class ExperimentConfig:
             raise DataError(f"dataset not readable: {self.data}")
 
 
-def _config_from_args(args, task: str) -> ExperimentConfig:
+def _config_from_args(args: dict, task: str) -> ExperimentConfig:
+    """The run's configuration from the flags given, each popped from ``args``
+    (which keeps the driver's own); a flag left out keeps the field default."""
+    fields = {k: args.pop(k) for k in ("data", "seed", "out", "epochs", "lr", "adversarial")
+              if k in args}
     try:  # float() reads "inf"; CostConfig rejects r, kappa it cannot use
-        cost = CostConfig(r=float(args.cost_r), kappa=float(args.kappa))
-        p = float(args.p)
+        fields["cost"] = CostConfig(**{k: float(args.pop(k)) for k in ("r", "kappa")
+                                       if k in args})
+        if "p" in args:
+            fields["p"] = float(args.pop("p"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        task=task, data=args.data, cost=cost, p=p,
-        eps_grid=_parse_floats(args.eps, "eps"), seed=int(args.seed),
-        out=Path(args.out), epochs=int(args.epochs), lr=float(args.lr),
-        adversarial=bool(getattr(args, "adversarial", False)),
-    )
+    if "eps" in args:
+        fields["eps_grid"] = _parse_floats(args.pop("eps"), "eps")
+    return ExperimentConfig(task=task, **fields)
 
 
 # -- certify --------------------------------------------------------------------
@@ -128,14 +120,17 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
 
     The linear model uses exact closed-form rates (lower and upper bounds
     coincide).  Network models get a search-based lower bound (estimate) and
-    the adversarial score as the certified upper bound.
+    the adversarial score as the certified upper bound.  ``theta`` belongs to
+    the linear model and ``weights_path`` to the network; either one given to
+    the other model is a configuration error.
     """
     config.validate()
     eps = np.asarray(config.eps_grid, dtype=float)
     out = config.out
     cost = config.cost
-    search = SearchConfig(n_starts=4, n_steps=40, n_boundary=64, seed=config.seed)
     if model == "linear":
+        if weights_path is not None:
+            raise ConfigError("--weights needs --model mlp")
         X, Y = datasets.ingest_regression_csv(config.data, seed=config.seed)
         if theta is None:
             theta = np.linalg.lstsq(X, Y, rcond=None)[0]
@@ -148,6 +143,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
             advscore.LinearGain(dual_norm(theta, cost.r)),
             advscore.identity_score(), cost)
     elif model == "mlp":
+        if theta is not None:
+            raise ConfigError("--theta needs --model linear")
         if weights_path is None:
             raise ConfigError("mlp certification needs --weights")
         net = nn.load_weights(weights_path)
@@ -166,7 +163,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
         grads = loss.grads(X, Y)
     else:
         raise ConfigError(f"unknown model {model!r}")
-    profile = maximal_rate(loss, zip(X, Y), np.concatenate([[0.0], eps]), config=search)
+    profile = maximal_rate(loss, zip(X, Y), np.concatenate([[0.0], eps]),
+                           config=SearchConfig(seed=config.seed))
     emp = float(np.mean(loss.losses(X, Y)))
     report = certificate_report(profile, config.p, eps, empirical_risk=emp,
                                 L=score.lipschitz, grads=grads, r=cost.r)
@@ -203,9 +201,9 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
         score = advscore.mlp_feature_score(current, r)
         return score.lipschitz * cert_eps, gd, score.value(cert_eps)
 
-    tcfg = nn.TrainConfig(lr=config.lr, epochs=config.epochs, batch_size=32,
+    tcfg = nn.TrainConfig(lr=config.lr, epochs=config.epochs,
                           eps=cert_eps if config.adversarial else 0.0, r=r,
-                          adversarial=config.adversarial, seed=config.seed)
+                          seed=config.seed)
     trained, trace = nn.train(net, (Xtr, ytr), (Xte, yte), tcfg, cert_fn=cert_fn)
     rows = [tuple(row[c] for c in nn.TRACE_COLUMNS) for row in trace]
     write_csv_atomic(config.out / "trace.csv", nn.TRACE_COLUMNS, rows)
@@ -222,8 +220,7 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
 # -- classify -------------------------------------------------------------------
 
 def run_classification_gap(config: ExperimentConfig, sides=(8, 14, 16),
-                           runs: int = 10, data_side: int | None = None,
-                           batch_size: int = 32) -> dict:
+                           runs: int = 10, data_side: int | None = None) -> dict:
     """FGSM-train the linear classifier across grid sides, budgets and seeds.
 
     Emits the aggregated accuracy/gap table plus a per-budget trend check of
@@ -251,9 +248,7 @@ def run_classification_gap(config: ExperimentConfig, sides=(8, 14, 16),
                 net = nn.init_mlp([n_dim, datasets.N_CLASSES], act="identity",
                                   head="logsoftmax", seed=seed)
                 tcfg = nn.TrainConfig(lr=config.lr, epochs=config.epochs,
-                                      batch_size=batch_size, eps=float(eps),
-                                      r=config.cost.r, adversarial=eps > 0,
-                                      seed=seed)
+                                      eps=float(eps), r=config.cost.r, seed=seed)
                 _, trace = nn.train(net, (Xtr, Ytr), (Xte, Yte), tcfg)
                 last = trace[-1]
                 tr_acc.append(last["train_acc"])
@@ -309,13 +304,7 @@ def run_complexity_check(config: ExperimentConfig) -> dict:
                                                  seed=config.seed)
     bound = complexity.arc_rc_gap_bound(eps, n)
     payload = {
-        "calculus": {
-            "eps_monotone": rep.eps_monotone, "subadditive": rep.subadditive,
-            "affine_scaling": rep.affine_scaling,
-            "class_monotone": rep.class_monotone,
-            "hull_invariant": rep.hull_invariant, "contraction": rep.contraction,
-            "ok": rep.ok, "first_violation": rep.first_violation,
-        },
+        "calculus": {**dataclasses.asdict(rep), "ok": rep.ok},
         "rc": {"value": rc.value, "se": rc.std_error, "draws": rc.n_sigma_draws},
         "arc": {"value": arc.value, "se": arc.std_error, "draws": arc.n_sigma_draws},
         "gap": gap, "gap_se": gap_se, "gap_bound": bound,
@@ -354,18 +343,47 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
 
 
 # -- argument parsing -----------------------------------------------------------
+#
+# Each flag's value lands under its dest, which names an ExperimentConfig input
+# (see _config_from_args) or a driver keyword.  A flag left out is absent, so
+# each default is written once: in ExperimentConfig or the driver signature.
 
-def _add_common(sub):
-    sub.add_argument("--data", default="synthetic:200")
-    sub.add_argument("--cost-r", default="2", dest="cost_r")
-    sub.add_argument("--kappa", default=math.inf, type=float)
-    sub.add_argument("--p", default="1")
-    sub.add_argument("--eps", default="0.001")
-    sub.add_argument("--seed", default=0, type=int)
-    sub.add_argument("--out", default="out")
-    sub.add_argument("--epochs", default=50, type=int)
-    sub.add_argument("--lr", default=0.05, type=float)
-    sub.add_argument("--adversarial", action="store_true")
+_FLAGS = {
+    "--data": {},
+    "--cost-r": {"dest": "r"},
+    "--kappa": {"type": float},
+    "--p": {},
+    "--eps": {},
+    "--seed": {"type": int},
+    "--out": {"type": Path},
+    "--epochs": {"type": int},
+    "--lr": {"type": float},
+    "--adversarial": {"action": "store_true"},
+    "--model": {"choices": ["linear", "mlp"]},
+    "--theta": {"help": "comma list of linear-model coefficients"},
+    "--weights": {"dest": "weights_path", "help": "network weights CSV"},
+    "--out-bound": {"type": float,
+                    "help": "output bound M for label-coupled classification"},
+    "--sides": {},
+    "--runs": {"type": int},
+    "--data-side": {"type": int},
+}
+
+# subcommand -> (help, the flags its driver reads, overridden defaults)
+_COMMANDS = {
+    "certify": ("certificate report over a budget grid",
+                "--data --cost-r --kappa --p --eps --seed --out"
+                " --model --theta --weights --out-bound", {}),
+    "regress": ("training dynamics with certificates",
+                "--data --cost-r --p --eps --seed --out --epochs --lr --adversarial", {}),
+    "classify": ("FGSM dimension-sweep gap experiment",
+                 "--data --cost-r --eps --seed --out --epochs --lr"
+                 " --sides --runs --data-side",
+                 {"eps": "0,0.02,0.04,0.06,0.08,0.1", "r": "inf", "epochs": 8, "lr": 0.5}),
+    "complexity": ("complexity calculus checks and gap demo", "--eps --seed --out",
+                   {"eps": "0.1"}),
+    "oracle": ("exact transport oracle on an instance JSON", "--data --out", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,63 +391,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="drcert",
         description="Certified bounds on Wasserstein distributionally robust risk.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    cert = subs.add_parser("certify", help="certificate report over a budget grid")
-    _add_common(cert)
-    cert.add_argument("--model", choices=["linear", "mlp"], default="linear")
-    cert.add_argument("--theta", default=None,
-                      help="comma list of linear-model coefficients")
-    cert.add_argument("--weights", default=None, help="network weights CSV")
-    cert.add_argument("--out-bound", default=math.inf, type=float, dest="out_bound",
-                      help="output bound M for label-coupled classification")
-
-    reg = subs.add_parser("regress", help="training dynamics with certificates")
-    _add_common(reg)
-    reg.set_defaults(kappa=1e-4)
-
-    cls = subs.add_parser("classify", help="FGSM dimension-sweep gap experiment")
-    _add_common(cls)
-    cls.set_defaults(eps="0,0.02,0.04,0.06,0.08,0.1", cost_r="inf",
-                     epochs=8, lr=0.5)
-    cls.add_argument("--sides", default="8,14,16")
-    cls.add_argument("--runs", default=10, type=int)
-    cls.add_argument("--data-side", default=None, type=int, dest="data_side")
-
-    comp = subs.add_parser("complexity", help="complexity calculus checks and gap demo")
-    _add_common(comp)
-    comp.set_defaults(eps="0.1")
-
-    orc = subs.add_parser("oracle", help="exact transport oracle on an instance JSON")
-    _add_common(orc)
+    for name, (text, flags, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(**defaults)
     return parser
 
 
+_DRIVERS = {"certify": run_certify, "regress": run_regression_dynamics,
+            "classify": run_classification_gap, "complexity": run_complexity_check,
+            "oracle": run_oracle_validate}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        config = _config_from_args(args, args.command)
-        if args.command == "certify":
-            theta = _parse_floats(args.theta, "theta") if args.theta else None
-            run_certify(config, model=args.model, theta=theta,
-                        weights_path=args.weights, out_bound=args.out_bound)
-        elif args.command == "regress":
-            run_regression_dynamics(config)
-        elif args.command == "classify":
-            sides = [int(s) for s in str(args.sides).split(",") if s]
-            run_classification_gap(config, sides=sides, runs=args.runs,
-                                   data_side=args.data_side)
-        elif args.command == "complexity":
-            run_complexity_check(config)
-        elif args.command == "oracle":
-            run_oracle_validate(config)
+        config = _config_from_args(args, command)
+        theta = args.pop("theta", "")
+        if theta:
+            args["theta"] = _parse_floats(theta, "theta")
+        if "sides" in args:
+            args["sides"] = [int(s) for s in args["sides"].split(",") if s]
+        _DRIVERS[command](config, **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, ParseError, RangeError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, DivergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # DivergenceError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except DrcertError as exc:

@@ -8,7 +8,6 @@ gap at eps=0 (identical tables) is exactly zero under the same seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,10 +28,6 @@ class ComplexityEstimate:
             raise ValueError("standard error must be non-negative")
         if not math.isfinite(self.value):
             raise ValueError("estimate must be finite")
-
-    def to_json(self) -> str:
-        return json.dumps({"value": self.value, "se": self.std_error,
-                           "draws": self.n_sigma_draws}, sort_keys=True)
 
 
 def paired_gap(loss_values, adv_loss_values, draws: int = 2000, seed: int = 0):
@@ -144,16 +139,15 @@ class CalculusReport:
 
 
 def complexity_calculus_checks(fixture: FiniteLossClass, eps: float, eps2: float,
-                               scale: float = 2.0, shift: float = 1.0,
                                mixture_grid: int = 11,
                                contraction=None, tol: float = 1e-9) -> CalculusReport:
     """Verify the calculus of the concave complexity on a finite fixture.
 
     Checks, in order: monotonicity in the budget, subadditivity, affine
-    scaling, class monotonicity under subsetting, convex-hull invariance over
-    pairwise mixtures on a weight grid, and (when ``contraction`` supplies
-    ``(ell, lip_ell, pre_tables)``) the contraction inequality for composed
-    losses ell o F.
+    scaling (of the tables L to 2L + 1), class monotonicity under subsetting,
+    convex-hull invariance over pairwise mixtures on a weight grid, and (when
+    ``contraction`` supplies ``(ell, lip_ell, pre_tables)``) the contraction
+    inequality for composed losses ell o F.
     """
     if not 0 < eps < eps2:
         raise ValueError("need 0 < eps < eps2")
@@ -171,10 +165,10 @@ def complexity_calculus_checks(fixture: FiniteLossClass, eps: float, eps2: float
     c_sum = fixture.concave_complexity(eps + eps2)
     if c_sum > c_eps + c_eps2 + tol:
         fail("subadditive", f"C({eps}+{eps2})={c_sum} > {c_eps + c_eps2}")
-    scaled = fixture.with_tables(scale * fixture.tables + shift)
+    scaled = fixture.with_tables(2.0 * fixture.tables + 1.0)
     c_scaled = scaled.concave_complexity(eps)
-    if abs(c_scaled - scale * c_eps) > tol * max(1.0, abs(c_scaled)):
-        fail("affine_scaling", f"C(c*L+b)={c_scaled} != c*C(L)={scale * c_eps}")
+    if abs(c_scaled - 2.0 * c_eps) > tol * max(1.0, abs(c_scaled)):
+        fail("affine_scaling", f"C(2L+1)={c_scaled} != 2C(L)={2.0 * c_eps}")
     if fixture.n_theta > 1:
         sub = fixture.with_tables(fixture.tables[: max(1, fixture.n_theta // 2)])
         if sub.concave_complexity(eps) > c_eps + tol:

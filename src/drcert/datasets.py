@@ -15,6 +15,10 @@ import numpy as np
 from .errors import DataError, ParseError, RangeError
 
 N_CLASSES = 10
+#: relative noise of the synthetic travel times
+REGRESSION_NOISE = 0.05
+#: half-width of the uniform noise on the synthetic class prototypes
+PIXEL_NOISE = 0.25
 
 
 def _synthetic_count(path, default=200):
@@ -30,56 +34,50 @@ def _synthetic_count(path, default=200):
     return n
 
 
-def synthetic_regression(n: int, seed: int = 0, center=(0.5, 0.5), scale: float = 1.0,
-                         noise: float = 0.05):
-    """Radial travel-time proxy: y = scale * ||x - center|| * (1 + noise)."""
+def synthetic_regression(n: int, seed: int = 0):
+    """Radial travel-time proxy: y = ||x - (0.5, 0.5)|| * (1 + noise), with
+    noise ~ REGRESSION_NOISE * N(0, 1) per row."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, 2))
-    base = scale * np.linalg.norm(X - np.asarray(center), axis=1)
-    y = base * (1.0 + noise * rng.normal(size=n))
+    base = np.linalg.norm(X - 0.5, axis=1)
+    y = base * (1.0 + REGRESSION_NOISE * rng.normal(size=n))
     return X, np.maximum(y, 0.0)
 
 
-def ingest_regression_csv(path, normalize: bool = False, seed: int = 0):
+def ingest_regression_csv(path, seed: int = 0):
     """Parse an ``x1,x2,y`` CSV (or generate ``synthetic:N`` data)."""
     if str(path).startswith("synthetic:"):
-        X, y = synthetic_regression(_synthetic_count(path), seed=seed)
-    else:
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "x1,x2,y":
-                raise ParseError(f"expected header 'x1,x2,y', got {header!r}", line=1)
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from exc
-        if not rows:
-            raise DataError("empty regression dataset")
-        arr = np.asarray(rows, dtype=float)
-        X, y = arr[:, :2], arr[:, 2]
-    if normalize:
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        X = (X - lo) / span
-    return X, y
+        return synthetic_regression(_synthetic_count(path), seed=seed)
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "x1,x2,y":
+            raise ParseError(f"expected header 'x1,x2,y', got {header!r}", line=1)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+    if not rows:
+        raise DataError("empty regression dataset")
+    arr = np.asarray(rows, dtype=float)
+    return arr[:, :2], arr[:, 2]
 
 
-def synthetic_classification(n: int, side: int, seed: int = 0, noise: float = 0.25):
+def synthetic_classification(n: int, side: int, seed: int = 0):
     """Digit-like grids: one seeded prototype per class plus uniform noise."""
     rng = np.random.default_rng(seed)
     proto_rng = np.random.default_rng(12345)  # prototypes shared across seeds
     protos = proto_rng.uniform(0.0, 1.0, size=(N_CLASSES, side * side))
     labels = rng.integers(0, N_CLASSES, size=n)
-    X = np.clip(protos[labels] + noise * rng.uniform(-1.0, 1.0, size=(n, side * side)),
-                0.0, 1.0)
+    X = np.clip(protos[labels]
+                + PIXEL_NOISE * rng.uniform(-1.0, 1.0, size=(n, side * side)), 0.0, 1.0)
     Y = np.zeros((n, N_CLASSES))
     Y[np.arange(n), labels] = 1.0
     return X, Y

@@ -61,7 +61,3 @@ class DataError(DrcertError, ValueError):
 
 class InstanceTooLargeError(DataError):
     """Instance beyond an advertised size limit (exit code 3)."""
-
-
-class NumericError(DrcertError, ArithmeticError):
-    """Numeric failure during a run (exit code 4)."""

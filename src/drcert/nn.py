@@ -89,13 +89,13 @@ class Mlp:
         return self.layers[-1].W.shape[0]
 
 
-def init_mlp(dims, act="tanh", head="logsoftmax", seed=0, scale=None):
-    """Seeded Gaussian init; ``dims`` = [in, hidden..., out]; last layer linear."""
+def init_mlp(dims, act="tanh", head="logsoftmax", seed=0):
+    """Seeded Gaussian init with standard deviation 1/sqrt(fan-in); ``dims`` =
+    [in, hidden..., out]; last layer linear."""
     rng = np.random.default_rng(seed)
     layers = []
     for k, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-        s = scale if scale is not None else 1.0 / math.sqrt(d_in)
-        W = rng.normal(0.0, s, size=(d_out, d_in))
+        W = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_out, d_in))
         b = np.zeros(d_out)
         layers.append(Layer(W, b, act if k < len(dims) - 2 else "identity"))
     return Mlp(tuple(layers), head=head)
@@ -260,7 +260,6 @@ class TrainConfig:
     batch_size: int = 32
     eps: float = 0.0
     r: float = math.inf
-    adversarial: bool = False
     seed: int = 0
 
 
@@ -276,7 +275,7 @@ def _accuracy(net: Mlp, X, Y):
 
 
 def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
-    """Plain SGD on clean or FGSM-perturbed batches.
+    """Plain SGD on clean batches, or on FGSM-perturbed ones when config.eps > 0.
 
     Returns (trained_net, trace) where trace is a list of per-epoch dicts with
     the TRACE_COLUMNS keys.  ``cert_fn(net) -> (lip, grad_dual, advscore)`` is
@@ -291,7 +290,7 @@ def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
         for start in range(0, X.shape[0], config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = X[idx], Y[idx]
-            if config.adversarial and config.eps > 0.0:
+            if config.eps > 0.0:
                 xb, _ = fgsm_perturb(net, (xb, yb), config.eps, config.r)
             loss, _, gW, gb = _backward(net, xb, yb, need_params=True)
             if not np.all(np.isfinite(loss)):

@@ -38,6 +38,8 @@ from .rates import RateProfile
 MAX_SUPPORT = 4096
 #: most (atom, distance) cells of an instance's rate profile: 1 GiB of floats
 _PROFILE_CELLS = 1 << 27
+#: pure assignments per vectorized pass of ``dr_risk_enumerate``
+_ENUM_CHUNK = 200_000
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -196,7 +198,7 @@ def dr_risk_plan_spend(inst: DiscreteInstance) -> float:
     return _solve(inst, inst.p)[1]
 
 
-def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
+def dr_risk_enumerate(inst: DiscreteInstance) -> float:
     """DR risk by enumerating LP vertices (small instances only).
 
     Vertices are either pure assignments within budget or budget-tight points
@@ -222,10 +224,10 @@ def dr_risk_enumerate(inst: DiscreteInstance, chunk: int = 200_000) -> float:
     feas = spends <= budget + 1e-12
     best = float(np.max(vals[feas])) if np.any(feas) else -math.inf
     # one-fractional-atom vertices: assignment P, atom i mixing P_i with b
-    for start in range(0, grids.shape[0], chunk):
-        G = grids[start:start + chunk]
-        V = vals[start:start + chunk]
-        S = spends[start:start + chunk]
+    for start in range(0, grids.shape[0], _ENUM_CHUNK):
+        G = grids[start:start + _ENUM_CHUNK]
+        V = vals[start:start + _ENUM_CHUNK]
+        S = spends[start:start + _ENUM_CHUNK]
         for i in range(m):
             a = G[:, i]
             c_a, l_a = c[i, a], l[a]

@@ -156,11 +156,9 @@ class MlpRegression(_MlpLoss):
 
 @dataclass
 class SearchConfig:
-    n_starts: int = 16
-    n_steps: int = 200
-    step_frac: float = 0.1
-    n_boundary: int = 512
-    n_label_splits: int = 5
+    n_starts: int = 4
+    n_steps: int = 40
+    n_boundary: int = 64
     seed: int = 0
 
 
@@ -232,6 +230,8 @@ def _random_ball_boundary(rng, n_points, dim, radius, r):
 # -- search --------------------------------------------------------------------
 
 _BLOCK = 256  # most rows in one loss call of the search; bounds its temporaries
+_STEP_FRAC = 0.1  # ascent step as a fraction of the group's radius
+_LABEL_SPLITS = 5  # label shares of a budget tried at finite kappa, 0 to 1
 
 
 def _seed_for(seed, t):
@@ -259,7 +259,7 @@ def _knot_draws(cfg, t, radii, dim, r):
     return starts, points
 
 
-def _climb(loss, X, labels, radii, offsets, best, n_steps=0, step_frac=0.0):
+def _climb(loss, X, labels, radii, offsets, best, n_steps=0):
     """Raise best[i, g] to the loss at X[i] + offsets[g, c] after n_steps of
     projected steepest ascent, over every sample i, group g of positive radius
     and offset c, at most _BLOCK rows per loss call."""
@@ -273,7 +273,7 @@ def _climb(loss, X, labels, radii, offsets, best, n_steps=0, step_frac=0.0):
         x, y, rad, delta = X[i], labels[i, g], radii[g], offsets[g, c]
         for _ in range(n_steps):
             step = nn.ascent_direction(loss.grads(x + delta, y), r)
-            delta = _project_ball(delta + step_frac * rad[:, None] * step, rad, r)
+            delta = _project_ball(delta + _STEP_FRAC * rad[:, None] * step, rad, r)
         np.maximum.at(best, (i, g), loss.losses(x + delta, y))
 
 
@@ -287,7 +287,7 @@ def _search_rates(loss, X, Y, grid, cfg):
     blocks whose draws hold at most _BLOCK points (or one knot's).
     """
     kappa = loss.cost.kappa
-    fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, cfg.n_label_splits)
+    fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, _LABEL_SPLITS)
     knots = np.flatnonzero(grid > 0)
     width = max(1, _BLOCK // max(1, fracs.size * (cfg.n_starts + cfg.n_boundary)))
     # a rate is a difference against the clean loss: one point per call
@@ -311,7 +311,7 @@ def _search_rates(loss, X, Y, grid, cfg):
             # every group's clean point, label-only groups included (no steps)
             clean = np.zeros((radii.size, 1, X.shape[1]))
             _climb(loss, Xb, labels, np.ones(radii.size), clean, best)
-            _climb(loss, Xb, labels, radii, starts, best, cfg.n_steps, cfg.step_frac)
+            _climb(loss, Xb, labels, radii, starts, best, cfg.n_steps)
             _climb(loss, Xb, labels, radii, points, best)
             top = best.reshape(Xb.shape[0], ks.size, fracs.size).max(axis=2)
             out[lo:lo + block, ks] = np.maximum(top, b) - b
@@ -323,8 +323,9 @@ def individual_rate(loss, z, grid, config: SearchConfig | None = None) -> Curve:
     return maximal_rate(loss, [z], grid, config=config).maximal
 
 
-def maximal_rate(loss, dataset, grid, weights=None, config: SearchConfig | None = None) -> RateProfile:
-    """Per-sample rate curves (one row each) and their pointwise max, with sample weights.
+def maximal_rate(loss, dataset, grid, config: SearchConfig | None = None) -> RateProfile:
+    """Per-sample rate curves (one row each) and their pointwise max, samples
+    weighted uniformly.
 
     Exact for closed-form losses; otherwise search-based lower estimates
     (valid for the lower-bound side only).
@@ -337,19 +338,16 @@ def maximal_rate(loss, dataset, grid, weights=None, config: SearchConfig | None 
         raise EmptyInputError("empty budget grid")
     X = np.array([x for x, _ in points], dtype=float)
     Y = np.array([y for _, y in points], dtype=float)
-    w = _weights(weights, len(points))
+    w = np.full(len(points), 1.0 / len(points))
     if isinstance(loss, LinearPowerRegression):
         return RateProfile(loss.rate_curve(X, Y, grid), w)
     rates = curve_from_samples(grid, _search_rates(loss, X, Y, grid, config or SearchConfig()))
     return RateProfile(rates, w, quality="search")
 
 
-def _weights(weights, n):
-    return np.full(n, 1.0 / n) if weights is None else weights
-
-
-def profile_from_curves(curves, weights=None, quality="exact") -> RateProfile:
-    """Stack per-sample curves that share one grid and one tail into a profile."""
+def profile_from_curves(curves) -> RateProfile:
+    """Stack per-sample curves that share one grid and one tail into a profile
+    of uniformly weighted samples."""
     curves = list(curves)
     first = curves[0]
     for c in curves[1:]:
@@ -358,4 +356,4 @@ def profile_from_curves(curves, weights=None, quality="exact") -> RateProfile:
             raise ValueError("per-sample curves must share the budget grid and tail")
     rates = Curve(first.t, np.array([c.v for c in curves]), tail=first.tail,
                   tail_exponent=first.tail_exponent)
-    return RateProfile(rates, _weights(weights, len(curves)), quality=quality)
+    return RateProfile(rates, np.full(len(curves), 1.0 / len(curves)))

@@ -380,20 +380,47 @@ def _exact_saturating(kind, width, r):
     return g, knee
 
 
-@pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
-@pytest.mark.parametrize("width", [1, 2, 5, 16])
-@pytest.mark.parametrize("r", [1, 2, math.inf])
-def test_supconv_against_a_50_digit_reference(kind, width, r):
+def _exact_entropy_after_gain(a):
+    """50-digit inner g(s) = E(a s), E(x) = -x log x up to 1/e, and its knee."""
+    a = mpmath.mpf(a)
+
+    def g(s):
+        x = a * s
+        return -x * mpmath.log(x) if 0 < x < 1 / mpmath.e else min(x, 1 / mpmath.e)
+
+    def knee(c):  # a * (-log(a u) - 1) = c
+        return mpmath.exp(-(mpmath.mpf(c) / a + 1)) / a
+
+    return g, knee
+
+
+def _supconv_case(name):
+    """The inner score, its 50-digit g and knee, and the channel gains c."""
+    if name == "entropy-after-1e-6":
+        # the knee lies below the float just above lo, where the inner's
+        # float slope is infinite
+        inner = compose(EntropyScore(), LinearGain(1e-6))
+        return (inner, *_exact_entropy_after_gain(1e-6), (0.3, 1.0, 3.0))
+    r, width, kind = name.split("-")
+    inner = SaturatingScore(kind, int(width), float(r))
+    g, knee = _exact_saturating(kind, int(width), float(r))
+    # c on both sides of Lip
+    return inner, g, knee, [f * inner.lipschitz for f in (0.05, 0.3, 0.9, 1.1, 3.0)]
+
+
+@pytest.mark.parametrize("case", [
+    f"{r}-{width}-{kind}" for r in (1, 2, math.inf) for width in (1, 16, 2, 5)
+    for kind in ("sigmoid", "tanh")] + ["entropy-after-1e-6"])
+def test_supconv_against_a_50_digit_reference(case):
     """The exact sup is g(min(t, u)) + c * max(0, t - u).  The closed form never
     falls below it except by float rounding (the inner's own shortfall at the
-    point it reads, plus two ulps for the tangent's arithmetic), and no tau on a
-    dense grid, nor the tau of the bracketed knee, beats it."""
-    inner = SaturatingScore(kind, width, r)
-    g, knee = _exact_saturating(kind, width, r)
+    point it reads, plus two ulps for the tangent's arithmetic), exceeds it by
+    at most 1e-12 relative, and no tau on a dense grid, nor the tau of the
+    bracketed knee, beats it."""
+    inner, g, knee, cs = _supconv_case(case)
     ts = np.geomspace(1e-3, 1e2, 24)
     with mpmath.workdps(50):
-        for frac in (0.05, 0.3, 0.9, 1.1, 3.0):  # c on both sides of Lip
-            c = frac * inner.lipschitz
+        for c in cs:
             A = SupConvLinear(inner, c)
             v, lo, u = A.values(ts), A._knee(ts), knee(c)
             for t, vt in zip(ts, v):
@@ -401,6 +428,7 @@ def test_supconv_against_a_50_digit_reference(kind, width, r):
                 own = max(0, g(mpmath.mpf(read)) - mpmath.mpf(float(inner.values(read))))
                 exact = g(min(mpmath.mpf(t), u)) + c * max(0, mpmath.mpf(t) - u)
                 assert exact - mpmath.mpf(float(vt)) <= own + 2 * np.spacing(vt)
+                assert mpmath.mpf(float(vt)) - exact <= 1e-12 * max(1, exact)
             taus = np.linspace(0.0, 1.0, 4001) * ts[:, None]
             grid = np.max(inner.values(ts[:, None] - taus) + c * taus, axis=1)
             at_knee = np.where(ts > lo, inner.values(lo) + c * (ts - lo), 0.0)

@@ -8,8 +8,11 @@ nothing constructs is dead too.  The exceptions below are library
 entry points kept for users, each with its reason.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from drcert.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "drcert"
@@ -73,3 +76,24 @@ def test_kept_names_still_exist():
                for node in ast.parse(path.read_text(encoding="utf-8")).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(KEPT) <= defined
+
+
+# each subcommand's flags: exactly those its driver reads
+FLAGS = {
+    "certify": {"--data", "--cost-r", "--kappa", "--p", "--eps", "--seed", "--out",
+                "--model", "--theta", "--weights", "--out-bound"},
+    "regress": {"--data", "--cost-r", "--p", "--eps", "--seed", "--out", "--epochs",
+                "--lr", "--adversarial"},
+    "classify": {"--data", "--cost-r", "--eps", "--seed", "--out", "--epochs", "--lr",
+                 "--sides", "--runs", "--data-side"},
+    "complexity": {"--eps", "--seed", "--out"},
+    "oracle": {"--data", "--out"},
+}
+
+
+def test_subcommand_flags_snapshot():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    got = {name: {flag for action in sub._actions for flag in action.option_strings}
+           - {"-h", "--help"} for name, sub in subs.choices.items()}
+    assert got == FLAGS

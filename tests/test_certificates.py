@@ -59,8 +59,9 @@ class TestFinitenessDichotomy:
 
     def test_simultaneous_flags_in_report(self):
         prof, _ = linear_profile([1.0], alpha=2.0)
-        rep1 = certificate_report(prof, 1.0, [0.1, 0.5], empirical_risk=0.0)
-        rep2 = certificate_report(prof, 2.0, [0.1, 0.5], empirical_risk=0.0)
+        kw = dict(empirical_risk=0.0, L=math.inf, grads=[[1.0]], r=2.0)
+        rep1 = certificate_report(prof, 1.0, [0.1, 0.5], **kw)
+        rep2 = certificate_report(prof, 2.0, [0.1, 0.5], **kw)
         assert not rep1.finite
         assert rep2.finite
 
@@ -135,7 +136,7 @@ class TestReport:
     def test_json_roundtrip_with_inf(self):
         prof, _ = linear_profile([1.0], alpha=2.0)
         rep = certificate_report(prof, 1.0, [0.1, 0.2], empirical_risk=1.5,
-                                 L=4.0, grads=[np.array([1.0])])
+                                 L=4.0, grads=[np.array([1.0])], r=2.0)
         text = rep.to_json()
         assert '"inf"' in text
         back = CertificateReport.from_json(text)
@@ -147,16 +148,17 @@ class TestReport:
         prof, loss = linear_profile([1.0, 1.0])
         L = loss.gain  # exact Lipschitz constant of the loss
         rep = certificate_report(prof, 1.0, np.linspace(0.1, 1.0, 5),
-                                 empirical_risk=0.0, L=L)
+                                 empirical_risk=0.0, L=L, grads=[[1.0, 1.0]], r=2.0)
         assert np.all(rep.lb <= rep.cc + 1e-9)
         assert np.all(rep.cc <= rep.lipschitz + 1e-9)
 
     def test_rejects_bad_grid(self):
         prof, _ = linear_profile([1.0])
+        kw = dict(empirical_risk=0.0, L=1.0, grads=[[1.0]], r=2.0)
         with pytest.raises(ValueError):
-            certificate_report(prof, 1.0, [], empirical_risk=0.0)
+            certificate_report(prof, 1.0, [], **kw)
         with pytest.raises(ValueError):
-            certificate_report(prof, 1.0, [0.2, 0.1], empirical_risk=0.0)
+            certificate_report(prof, 1.0, [0.2, 0.1], **kw)
 
 
 class TestPInfty:

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from drcert import nn, oracle
 from drcert.cli import (
     ExperimentConfig,
+    _config_from_args,
+    build_parser,
     main,
     run_certify,
     run_classification_gap,
@@ -17,6 +21,8 @@ from drcert.cli import (
 from drcert.errors import ConfigError
 from drcert.oracle import DiscreteInstance, instance_to_json
 from drcert.rates import CostConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read(path):
@@ -172,7 +178,7 @@ class TestClassify:
             seed = 4 + 1000 * run + 4
             net = nn.init_mlp([16, 10], act="identity", head="logsoftmax", seed=seed)
             tcfg = nn.TrainConfig(lr=0.5, epochs=3, batch_size=32, eps=0.0,
-                                  r=math.inf, adversarial=False, seed=seed)
+                                  r=math.inf, seed=seed)
             _, trace = nn.train(net, (Xtr, Ytr), (Xte, Yte), tcfg)
             accs.append(trace[-1]["train_acc"])
         assert row[3] == pytest.approx(float(np.mean(accs)))
@@ -274,12 +280,19 @@ class TestMainExitCodes:
         ["--model", "mlp", "--eps", "nan"],
         ["--model", "mlp", "--kappa", "nan"],
         ["--model", "mlp", "--kappa=-1"],
-    ], ids=["eps_nan", "eps_inf", "mlp_eps_nan", "mlp_kappa_nan", "mlp_kappa_negative"])
+        ["--model", "mlp", "--theta", "1.0,2.0"],
+        ["--model", "linear", "--weights"],
+    ], ids=["eps_nan", "eps_inf", "mlp_eps_nan", "mlp_kappa_nan", "mlp_kappa_negative",
+            "mlp_theta", "linear_weights"])
     def test_bad_budget_or_kappa_is_config_error(self, tmp_path, capsys, args):
+        # a network run gets its weights; the linear model gets them only to
+        # show that it rejects them
         wpath = tmp_path / "w.csv"
         nn.save_weights(nn.init_mlp([2, 4, 1], head="absdev", seed=0), wpath)
-        code = main(["certify", "--data", "synthetic:20", "--weights", str(wpath),
-                     "--out", str(tmp_path / "o")] + args)
+        if "mlp" in args or "--weights" in args:
+            args = [a for a in args if a != "--weights"] + ["--weights", str(wpath)]
+        code = main(["certify", "--data", "synthetic:20", "--out", str(tmp_path / "o")]
+                    + args)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
@@ -295,3 +308,90 @@ class TestMainExitCodes:
         assert code == 0
         data = json.loads(read(tmp_path / "o" / "oracle.json"))
         assert data["risk"] == pytest.approx(0.3)
+
+
+# -- flags ------------------------------------------------------------------------
+
+# every flag each subcommand dropped because its driver never read it
+DROPPED = {
+    "certify": ["--epochs", "--lr", "--adversarial"],
+    "regress": ["--kappa"],
+    "classify": ["--kappa", "--p", "--adversarial"],
+    "complexity": ["--data", "--cost-r", "--kappa", "--p", "--epochs", "--lr",
+                   "--adversarial"],
+    "oracle": ["--cost-r", "--kappa", "--p", "--eps", "--seed", "--epochs", "--lr",
+               "--adversarial"],
+}
+VALUES = {"--data": "synthetic:20", "--cost-r": "1", "--kappa": "0.5", "--p": "2",
+          "--eps": "0.1", "--seed": "5", "--epochs": "3", "--lr": "0.1"}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in DROPPED.items()
+                                          for f in flags])
+def test_dropped_flag_is_a_usage_error(tmp_path, command, flag):
+    value = [VALUES[flag]] if flag in VALUES else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, *value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def parsed(argv):
+    """The ExperimentConfig of an argv, and the flags left for its driver."""
+    args = vars(build_parser().parse_args(argv))
+    return _config_from_args(args, args.pop("command")), args
+
+
+# how a flag's value reads back from the config, or else from the driver flags
+READS = {
+    "--data": lambda c, v: c.data == v,
+    "--cost-r": lambda c, v: c.cost.r == float(v),
+    "--kappa": lambda c, v: c.cost.kappa == float(v),
+    "--p": lambda c, v: c.p == float(v),
+    "--eps": lambda c, v: c.eps_grid == [float(x) for x in v.split(",")],
+    "--seed": lambda c, v: c.seed == int(v),
+    "--out": lambda c, v: c.out == Path(v),
+    "--epochs": lambda c, v: c.epochs == int(v),
+    "--lr": lambda c, v: c.lr == float(v),
+}
+DRIVER_DEST = {"--weights": "weights_path", "--data-side": "data_side"}
+
+
+def readme_argvs():
+    """The argv of every ``drcert`` example in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+    lines = [line for line in text.splitlines()
+             if line.startswith("drcert ") and "<command>" not in line]
+    assert len(lines) == 6
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def benchmark_argvs(tmp_path, monkeypatch):
+    """The drcert argv of every benchmark workload op, recorded instead of run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    calls = []
+    monkeypatch.setattr(workloads, "_main", lambda argv: calls.append(
+        [str(a) for a in argv]))
+    z = np.array([0.0, 1.0])
+    inst = DiscreteInstance(np.array([0.0, 1.0]), np.array([0]), np.array([1.0]),
+                            np.abs(z[:, None] - z[None, :]), p=2.0, eps=0.1)
+    for name, workload in workloads.WORKLOADS.items():
+        workload.run(tmp_path / name, tmp_path / "out" / name, {"seed": 7, "inst": inst})
+    assert len(calls) == 6  # certify_net runs two nets, train_fgsm two commands
+    return calls
+
+
+def test_examples_and_benchmark_ops_parse_to_their_values(tmp_path, monkeypatch):
+    for argv in readme_argvs() + benchmark_argvs(tmp_path, monkeypatch):
+        config, driver = parsed(argv)
+        assert config.task == argv[0]
+        pairs = dict(zip(argv[1::2], argv[2::2]))
+        for flag, value in pairs.items():
+            if flag in READS:
+                assert READS[flag](config, value), (argv, flag)
+            else:
+                dest = DRIVER_DEST.get(flag, flag[2:])
+                assert str(driver.pop(dest)) == value, (argv, flag)
+        assert driver == {}, argv

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drcert.datasets import (
+    REGRESSION_NOISE,
     ingest_classification_csv,
     ingest_regression_csv,
     rescale_images,
@@ -35,15 +36,15 @@ class TestRegressionIngest:
         assert not np.array_equal(X1, X3)
 
     def test_radial_structure(self):
-        X, y = synthetic_regression(500, seed=1, noise=0.0)
+        # the distance to the centre times one relative noise draw per row,
+        # drawn after the points from the same seeded stream
+        X, y = synthetic_regression(500, seed=1)
+        rng = np.random.default_rng(1)
+        assert np.array_equal(X, rng.uniform(0.0, 1.0, size=(500, 2)))
+        noise = REGRESSION_NOISE * rng.normal(size=500)
         dist = np.linalg.norm(X - 0.5, axis=1)
-        assert np.allclose(y, dist)
-
-    def test_normalize_flag(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("x1,x2,y\n0.0,10.0,1.0\n2.0,30.0,2.0\n")
-        X, _ = ingest_regression_csv(path, normalize=True)
-        assert X.min() == 0.0 and X.max() == 1.0
+        assert np.array_equal(y, np.maximum(dist * (1.0 + noise), 0.0))
+        assert np.all(np.abs(y / dist - 1.0) <= 5 * REGRESSION_NOISE)
 
 
 class TestClassificationIngest:

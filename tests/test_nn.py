@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from drcert import nn
 from drcert.advscore import linear_layer_score
 from drcert.errors import DimMismatchError
 from drcert.nn import (
@@ -284,14 +286,16 @@ class TestTrain:
         assert len(losses) == 1
 
     def test_adversarial_eps_zero_matches_clean(self):
+        # training attacks exactly when eps > 0, one FGSM step per minibatch
         X, Y = separable_blobs()
         net = init_mlp([2, 4, 2], act="tanh", seed=4)
-        cfg_clean = TrainConfig(lr=0.2, epochs=8, seed=9, adversarial=False)
-        cfg_adv = TrainConfig(lr=0.2, epochs=8, seed=9, adversarial=True, eps=0.0)
-        _, tr_clean = train(net, (X, Y), (X, Y), cfg_clean)
-        _, tr_adv = train(net, (X, Y), (X, Y), cfg_adv)
-        assert all(a == b for a, b in zip(
-            [r["train_loss"] for r in tr_clean], [r["train_loss"] for r in tr_adv]))
+        with mock.patch.object(nn, "fgsm_perturb", wraps=nn.fgsm_perturb) as attack:
+            _, tr_clean = train(net, (X, Y), (X, Y), TrainConfig(lr=0.2, epochs=8, seed=9))
+            assert attack.call_count == 0
+            _, tr_adv = train(net, (X, Y), (X, Y),
+                              TrainConfig(lr=0.2, epochs=8, seed=9, eps=0.05))
+            assert attack.call_count == 8 * 2  # 40 rows in batches of 32
+        assert [r["train_loss"] for r in tr_clean] != [r["train_loss"] for r in tr_adv]
 
 
 class TestWeightsIO:

@@ -15,6 +15,7 @@ from drcert.rates import (
     LinearPowerRegression,
     MlpClassification,
     MlpRegression,
+    RateProfile,
     SearchConfig,
     dual_norm,
     individual_rate,
@@ -220,7 +221,7 @@ class CountingLoss:
         return self.inner.label_shift(x, y, budgets)
 
 
-SMALL = SearchConfig(n_starts=3, n_steps=12, n_boundary=8, n_label_splits=3, seed=4)
+SMALL = SearchConfig(n_starts=3, n_steps=12, n_boundary=8, seed=4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,7 +356,7 @@ class TestMaximalRate:
         with pytest.raises(ValueError):
             profile_from_curves([a, Curve([0.0, 1.0], [0.0, 1.0], tail="slope")])
         with pytest.raises(ValueError):
-            profile_from_curves([a, a], weights=[1.0])
+            RateProfile(profile_from_curves([a, a]).rates, [1.0])
 
 
 class TestBatchedLosses:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import InvalidScoreError, UnboundedOutputError, UnknownActivationError
 from .rates import CostConfig
 
 
@@ -44,8 +43,10 @@ class LinearGain(ScoreExpr):
     gain: float
 
     def __post_init__(self):
-        if self.gain < 0 or not math.isfinite(self.gain):
-            raise InvalidScoreError("linear gain must be finite and non-negative")
+        if self.gain == math.inf:  # finite inputs get here only by overflow
+            raise OverflowError("linear gain overflows")
+        if not self.gain >= 0:
+            raise ValueError("linear gain must be non-negative")
 
     def _values(self, t):
         return self.gain * t
@@ -78,7 +79,7 @@ class SaturatingScore(ScoreExpr):
 
     def __post_init__(self):
         if self.kind not in ("sigmoid", "tanh", "softmax"):
-            raise UnknownActivationError(self.kind)
+            raise ValueError(f"unknown activation {self.kind!r}")
         if self.width < 1:
             raise ValueError("width must be >= 1")
         object.__setattr__(self, "r", float(self.r))
@@ -116,9 +117,9 @@ class HolderScore(ScoreExpr):
 
     def __post_init__(self):
         if self.c <= 0:
-            raise InvalidScoreError("scale must be positive")
+            raise ValueError("scale must be positive")
         if not 0.0 < self.alpha <= 1.0:
-            raise InvalidScoreError(
+            raise ValueError(
                 "a power loss with exponent above 1 admits no finite score")
 
     def _values(self, t):
@@ -137,7 +138,7 @@ class TruncatedScore(ScoreExpr):
 
     def __post_init__(self):
         if self.c <= 0:
-            raise InvalidScoreError("threshold must be positive")
+            raise ValueError("threshold must be positive")
 
     def _values(self, t):
         return np.where(t <= self.c, (2.0 * t * self.c - t * t) / 2.0, self.c * self.c / 2.0)
@@ -172,7 +173,7 @@ class BarronRobustScore(ScoreExpr):
 
     def __post_init__(self):
         if self.c <= 0:
-            raise InvalidScoreError("scale must be positive")
+            raise ValueError("scale must be positive")
 
     def _values(self, t):
         s = _barron_shift(t, self.c)
@@ -235,8 +236,10 @@ class SupConvLinear(ScoreExpr):
     c: float
 
     def __post_init__(self):
-        if self.c < 0 or not math.isfinite(self.c):
-            raise InvalidScoreError("linear channel gain must be finite and >= 0")
+        if self.c == math.inf:  # finite inputs get here only by overflow
+            raise OverflowError("linear channel gain overflows")
+        if not self.c >= 0:
+            raise ValueError("linear channel gain must be >= 0")
 
     def _knee(self, t) -> np.float64:
         """The largest float lo in [0, max t] with inner slope >= c (else 0): one
@@ -281,7 +284,7 @@ def activation_score(kind: str, width_n: int = 1, r=math.inf) -> ScoreExpr:
         return SaturatingScore(kind, width_n, float(r))
     if kind in _UNIT_LIPSCHITZ:
         return identity_score()
-    raise UnknownActivationError(kind)
+    raise ValueError(f"unknown activation {kind!r}")
 
 
 def linear_layer_score(W, r) -> LinearGain:
@@ -324,8 +327,7 @@ def classification_head_score(F: ScoreExpr, cost: CostConfig, M=math.inf) -> Sco
     if math.isinf(cost.kappa):
         return F
     if math.isinf(M):
-        raise UnboundedOutputError(
-            "label perturbations need a finite output bound M")
+        raise ValueError("label perturbations need a finite output bound M")
     return SupConvLinear(F, M / cost.kappa)
 
 
@@ -337,7 +339,7 @@ def gamma_score(kind: str, **params) -> ScoreExpr:
     if kind == "huber":
         # the Huber loss at threshold c is c-Lipschitz and its score is exactly ct
         if params["c"] <= 0:
-            raise InvalidScoreError("threshold must be positive")
+            raise ValueError("threshold must be positive")
         return LinearGain(params["c"])
     if kind == "truncated":
         return TruncatedScore(params["c"])
@@ -347,7 +349,7 @@ def gamma_score(kind: str, **params) -> ScoreExpr:
         return EntropyScore()
     if kind in ("identity", "abs", "absdev"):
         return identity_score()
-    raise InvalidScoreError(f"unknown regression loss kind {kind!r}")
+    raise ValueError(f"unknown regression loss kind {kind!r}")
 
 
 def regression_head_score(F: ScoreExpr, Gamma: ScoreExpr, cost: CostConfig) -> ScoreExpr:

@@ -4,7 +4,7 @@ certificate reports, and plot-data emission.
 Subcommands: certify, regress, classify, complexity, oracle.  Every run with
 the same configuration and seed produces byte-identical outputs; files are
 written atomically (temp + rename).  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numeric failure.
+error, 3 data error, 4 numeric failure; any other exit is a bug.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,14 +21,8 @@ import numpy as np
 
 from . import advscore, complexity, datasets, nn, oracle
 from .certificates import certificate_report, grad_dual_certificate
-from .errors import (
-    ConfigError,
-    DataError,
-    DrcertError,
-    ParseError,
-    RangeError,
-)
-from .jsonio import encode_float
+from .errors import ConfigError, DataError
+from .jsonio import encode_float, write_text_atomic
 from .rates import (
     CostConfig,
     LinearPowerRegression,
@@ -41,14 +34,6 @@ from .rates import (
 )
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_csv_atomic(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -56,9 +41,9 @@ def write_csv_atomic(path: Path, header, rows) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_floats(text: str, what: str):
+def _parse_list(text: str, what: str, kind=float):
     try:
-        vals = [float(x) for x in str(text).split(",") if x != ""]
+        vals = [kind(x) for x in str(text).split(",") if x != ""]
     except ValueError as exc:
         raise ConfigError(f"bad {what} list {text!r}") from exc
     if not vals:
@@ -89,8 +74,8 @@ class ExperimentConfig:
             raise ConfigError("eps grid must be strictly positive for this task")
         if not (self.p >= 1.0):
             raise ConfigError("p must be >= 1")
-        if self.epochs < 0 or self.lr < 0:
-            raise ConfigError("epochs and lr must be non-negative")
+        if self.epochs < 0 or self.seed < 0 or not 0 <= self.lr < math.inf:
+            raise ConfigError("epochs and seed must be non-negative, lr finite and >= 0")
         if not str(self.data).startswith("synthetic:") and not Path(self.data).is_file():
             raise DataError(f"dataset not readable: {self.data}")
 
@@ -108,7 +93,7 @@ def _config_from_args(args: dict, task: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if "eps" in args:
-        fields["eps_grid"] = _parse_floats(args.pop("eps"), "eps")
+        fields["eps_grid"] = _parse_list(args.pop("eps"), "eps")
     return ExperimentConfig(task=task, **fields)
 
 
@@ -125,6 +110,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
     the other model is a configuration error.
     """
     config.validate()
+    if not out_bound > 0:
+        raise ConfigError("--out-bound must be > 0")
     eps = np.asarray(config.eps_grid, dtype=float)
     out = config.out
     cost = config.cost
@@ -137,6 +124,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (X.shape[1],):
             raise ConfigError("theta dimension does not match the features")
+        if not np.all(np.isfinite(theta)):
+            raise ConfigError("theta must be finite")
         loss = LinearPowerRegression(1.0, theta, cost)
         grads = -np.sign(loss.residuals(X, Y))[:, None] * theta
         score = advscore.regression_head_score(
@@ -149,15 +138,23 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
             raise ConfigError("mlp certification needs --weights")
         net = nn.load_weights(weights_path)
         if net.head == "logsoftmax":
+            if math.isfinite(cost.kappa) and math.isinf(out_bound):
+                raise ConfigError("a finite --kappa on a classification net "
+                                  "needs a finite --out-bound")
             side = int(math.isqrt(net.in_dim))
-            if side * side != net.in_dim:
-                raise ConfigError("classification nets need square pixel grids")
+            if side * side != net.in_dim or net.out_dim != datasets.N_CLASSES:
+                raise DataError(f"a classification net maps a square pixel grid to "
+                                f"{datasets.N_CLASSES} classes, not {net.in_dim} "
+                                f"inputs to {net.out_dim}")
             X, Y = datasets.ingest_classification_csv(config.data, side=side,
                                                       seed=config.seed)
             loss = MlpClassification(net, cost)
             score = advscore.mlp_score(net, cost, head="classification", M=out_bound)
         else:
             X, Y = datasets.ingest_regression_csv(config.data, seed=config.seed)
+            if X.shape[1] != net.in_dim:
+                raise DataError(f"the net reads {net.in_dim} features, "
+                                f"the data has {X.shape[1]}")
             loss = MlpRegression(net, cost)
             score = advscore.mlp_score(net, cost, head="regression")
         grads = loss.grads(X, Y)
@@ -189,7 +186,7 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
     """
     config.validate()
     X, y = datasets.ingest_regression_csv(config.data, seed=config.seed)
-    (Xtr, ytr), (Xte, yte) = datasets.split_train_test(X, y, 0.2, config.seed)
+    (Xtr, ytr), (Xte, yte) = datasets.split_train_test(X, y, config.seed)
     net = nn.init_mlp([X.shape[1], 16, 16, 1], act="tanh", head="absdev",
                       seed=config.seed)
     r = config.cost.r
@@ -227,6 +224,9 @@ def run_classification_gap(config: ExperimentConfig, sides=(8, 14, 16),
     the gap against the input dimension (slope vs 3-sigma band).
     """
     config.validate(allow_zero_eps=True)
+    if (min(sides, default=0) < 1 or min(runs, config.epochs) < 1
+            or (data_side is not None and data_side < 1)):
+        raise ConfigError("--sides entries, --runs, --epochs and --data-side must be >= 1")
     rows = []
     gaps = {e: ([], []) for e in config.eps_grid}  # eps -> (dims, gaps)
     for side in sides:
@@ -240,7 +240,7 @@ def run_classification_gap(config: ExperimentConfig, sides=(8, 14, 16),
             X0, Y = datasets.ingest_classification_csv(config.data, data_side,
                                                        seed=config.seed)
             X = datasets.rescale_images(X0, data_side, side)
-        (Xtr, Ytr), (Xte, Yte) = datasets.split_train_test(X, Y, 0.2, config.seed)
+        (Xtr, Ytr), (Xte, Yte) = datasets.split_train_test(X, Y, config.seed)
         for eps in config.eps_grid:
             tr_acc, te_acc, gap_vals = [], [], []
             for run in range(runs):
@@ -318,9 +318,8 @@ def run_complexity_check(config: ExperimentConfig) -> dict:
 def run_oracle_validate(config: ExperimentConfig) -> dict:
     if str(config.data).startswith("synthetic:"):
         raise ConfigError("oracle validation needs an instance JSON file")
-    if not Path(config.data).is_file():
-        raise DataError(f"instance not readable: {config.data}")
-    inst = oracle.instance_from_json(Path(config.data).read_text(encoding="utf-8"))
+    inst = oracle.instance_from_json(
+        Path(config.data).read_text(encoding="utf-8", errors="replace"))
     risk = oracle.dr_risk_exact(inst)
     spend = oracle.dr_risk_plan_spend(inst)
     payload = {
@@ -333,7 +332,7 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
     try:
         payload["enumeration"] = oracle.dr_risk_enumerate(inst)
         payload["enumeration_gap"] = abs(payload["enumeration"] - risk)
-    except DrcertError:
+    except DataError:
         pass  # instance too large to enumerate; exact result stands
     encoded = {k: encode_float(v) if isinstance(v, float) else v
                for k, v in payload.items()}
@@ -411,22 +410,19 @@ def main(argv=None) -> int:
         config = _config_from_args(args, command)
         theta = args.pop("theta", "")
         if theta:
-            args["theta"] = _parse_floats(theta, "theta")
+            args["theta"] = _parse_list(theta, "theta")
         if "sides" in args:
-            args["sides"] = [int(s) for s in args["sides"].split(",") if s]
+            args["sides"] = _parse_list(args["sides"], "sides", int)
         _DRIVERS[command](config, **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ParseError, RangeError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:  # DivergenceError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except DrcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidExponentError, NegativeBudgetError
-
 TAILS = ("const", "slope", "infinite")
 
 #: slope tolerance for the chord-monotonicity (concavity) test
@@ -60,9 +58,9 @@ class Curve:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
         if t.ndim != 1 or t.size == 0 or v.ndim not in (1, 2) or v.shape[-1] != t.size:
-            raise EmptyInputError("curve needs matching non-empty knot arrays")
+            raise ValueError("curve needs matching non-empty knot arrays")
         if t[0] != 0.0:
-            raise NegativeBudgetError("first knot must sit at t=0")
+            raise ValueError("first knot must sit at t=0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("knot budgets must be strictly increasing")
         if np.any(v[..., 0] < 0) or np.any(v[..., 1:] < v[..., :-1]):
@@ -90,7 +88,7 @@ class Curve:
         Both coincide with the sample at knots.
         """
         if t < 0:
-            raise NegativeBudgetError("budgets are non-negative")
+            raise ValueError("budgets are non-negative")
         tk, vk = self.t, self.v
         if t > tk[-1]:
             if self.tail == "const":
@@ -118,9 +116,9 @@ def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = 
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     if t.size == 0:
-        raise EmptyInputError("no samples")
+        raise ValueError("no samples")
     if np.any(t < 0):
-        raise NegativeBudgetError("budgets must be non-negative")
+        raise ValueError("budgets must be non-negative")
     order = np.argsort(t, kind="stable")
     t, v = t[order], v[..., order]
     if np.any(np.diff(t) == 0):
@@ -160,7 +158,7 @@ class ConcaveCurve:
         """Majorant at each budget in ``ts``: interpolated on the knots, linear beyond."""
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < 0):
-            raise NegativeBudgetError("budgets are non-negative")
+            raise ValueError("budgets are non-negative")
         if self.infinite:
             return np.where(ts == 0.0, self.v[0], math.inf)
         tk, vk = self.t, self.v
@@ -208,13 +206,14 @@ def _upper_hull(t: np.ndarray, v: np.ndarray, starts: np.ndarray):
 
 
 def least_concave_majorant(f: Curve) -> ConcaveCurve:
-    """Least concave majorant of the sampled curve.
+    """Least concave majorant of the sampled curve, its tail included.
 
-    The result is the upper concave envelope of the knot points, extended
-    beyond the last knot by the envelope's final slope.  A flat final run
-    keeps only its two ends as hull knots, not its collinear interior, so a
-    long flat tail costs two knots; every value and the tail slope are those
-    of the envelope over all knots.  A source flagged with an infinite tail
+    The result is the upper concave envelope of the knot points, extended at
+    the slope of the curve's own tail: 0 for ``const``, the last chord's for
+    ``slope``.  Final segments less steep than the tail (beyond ``SLOPE_TOL``,
+    so a rounding tie keeps its knot) lie under the tail's line and are
+    dropped.  A flat final run keeps only its two ends as hull knots, so a
+    long flat tail costs two knots.  A source flagged with an infinite tail
     (superlinear growth) or carrying infinite values yields the infinite
     majorant.
     """
@@ -224,11 +223,11 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
         return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
                             tail_slope=math.inf, infinite=True)
     ht, hv, _ = _upper_hull(f.t, f.v, np.zeros(1, dtype=int))
-    if ht.size >= 2:
-        tail = float((hv[-1] - hv[-2]) / (ht[-1] - ht[-2]))
-    else:
-        tail = 0.0
-    return ConcaveCurve(ht, hv, tail_slope=tail)
+    tail = f.tail_slope if f.tail == "slope" else 0.0
+    # hull slopes fall, so the segments under the tail's line come last
+    floor = tail - SLOPE_TOL * max(1.0, tail)
+    keep = 1 + int(np.sum(np.diff(hv) / np.diff(ht) >= floor))
+    return ConcaveCurve(ht[:keep], hv[:keep], tail_slope=tail)
 
 
 def star_majorant_after_power(f: Curve, p: float, eps: float):
@@ -242,11 +241,11 @@ def star_majorant_after_power(f: Curve, p: float, eps: float):
     silently drop that candidate).  A family gives one value per curve.
     """
     if math.isinf(p):
-        raise InvalidExponentError("p must be finite")
+        raise ValueError("p must be finite")
     if p < 1.0:
-        raise InvalidExponentError("p must be >= 1")
+        raise ValueError("p must be >= 1")
     if eps < 0:
-        raise NegativeBudgetError("budgets are non-negative")
+        raise ValueError("budgets are non-negative")
     rows = f.v.shape[:-1]
     if eps == 0.0:
         return _scalar_or_rows(np.zeros(rows))
@@ -292,9 +291,9 @@ def p_transform(f: Curve, p: float) -> Curve:
     resolves the infinite flag when q/p <= 1.
     """
     if math.isinf(p):
-        raise InvalidExponentError("p must be finite for the transform")
+        raise ValueError("p must be finite for the transform")
     if p < 1.0:
-        raise InvalidExponentError("p must be >= 1")
+        raise ValueError("p must be >= 1")
     if p == 1.0:
         return f
     t_new = np.power(f.t, p)

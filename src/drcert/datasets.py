@@ -10,15 +10,19 @@ or nearest replication (up) so that dimension sweeps stay comparable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DataError, ParseError, RangeError
+from .errors import DataError
 
 N_CLASSES = 10
 #: relative noise of the synthetic travel times
 REGRESSION_NOISE = 0.05
 #: half-width of the uniform noise on the synthetic class prototypes
 PIXEL_NOISE = 0.25
+#: share of the rows that :func:`split_train_test` holds out for testing
+TEST_FRAC = 0.2
 
 
 def _synthetic_count(path, default=200):
@@ -49,21 +53,25 @@ def ingest_regression_csv(path, seed: int = 0):
     if str(path).startswith("synthetic:"):
         return synthetic_regression(_synthetic_count(path), seed=seed)
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes read as U+FFFD and then fail to parse on their line
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         if header != "x1,x2,y":
-            raise ParseError(f"expected header 'x1,x2,y', got {header!r}", line=1)
+            raise DataError(f"line 1: expected header 'x1,x2,y', got {header!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
+                raise DataError(f"line {lineno}: expected 3 fields, got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+                raise DataError(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"line {lineno}: values must be finite")
+            rows.append(row)
     if not rows:
         raise DataError("empty regression dataset")
     arr = np.asarray(rows, dtype=float)
@@ -89,28 +97,28 @@ def ingest_classification_csv(path, side: int, seed: int = 0):
         return synthetic_classification(_synthetic_count(path), side, seed=seed)
     n_pix = side * side
     X_rows, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         expected = "label," + ",".join(f"p{k}" for k in range(1, n_pix + 1))
         if header != expected:
-            raise ParseError(f"expected header 'label,p1..p{n_pix}'", line=1)
+            raise DataError(f"line 1: expected header 'label,p1..p{n_pix}'")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != n_pix + 1:
-                raise ParseError(f"expected {n_pix + 1} fields, got {len(parts)}",
-                                 line=lineno)
+                raise DataError(f"line {lineno}: expected {n_pix + 1} fields, "
+                                f"got {len(parts)}")
             try:
                 label = int(parts[0])
                 pixels = [float(p) for p in parts[1:]]
             except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+                raise DataError(f"line {lineno}: {exc}") from exc
             if not 0 <= label < N_CLASSES:
-                raise RangeError(f"line {lineno}: label {label} outside 0..9")
-            if any(p < 0.0 or p > 1.0 for p in pixels):
-                raise RangeError(f"line {lineno}: pixel outside [0, 1]")
+                raise DataError(f"line {lineno}: label {label} outside 0..9")
+            if not all(0.0 <= p <= 1.0 for p in pixels):  # NaN fails too
+                raise DataError(f"line {lineno}: pixel outside [0, 1]")
             labels.append(label)
             X_rows.append(pixels)
     if not X_rows:
@@ -153,10 +161,10 @@ def rescale_images(X: np.ndarray, side_in: int, side_out: int) -> np.ndarray:
     return out.reshape(X.shape[0], side_out * side_out)
 
 
-def split_train_test(X, Y, test_frac: float = 0.2, seed: int = 0):
-    """Deterministic shuffled split."""
+def split_train_test(X, Y, seed: int = 0):
+    """Deterministic shuffled split, TEST_FRAC of the rows held out."""
     n = X.shape[0]
-    n_test = max(1, int(round(test_frac * n)))
+    n_test = max(1, int(round(TEST_FRAC * n)))
     if n_test >= n:
         raise DataError("dataset too small to split")
     order = np.random.default_rng(seed).permutation(n)

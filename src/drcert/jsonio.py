@@ -1,4 +1,5 @@
-"""JSON codec for extended reals.
+"""Output helpers shared by every file the toolkit writes: the JSON codec for
+extended reals and the atomic text write.
 
 JSON has no infinity, so infinite values travel as the strings ``"inf"`` and
 ``"-inf"``; finite values stay plain JSON numbers.  Every report and instance
@@ -11,6 +12,8 @@ applied per element.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 
 def encode_float(x) -> float | str:
@@ -22,3 +25,14 @@ def encode_float(x) -> float | str:
 def decode_float(x) -> float:
     """Inverse of :func:`encode_float` (also accepts plain JSON numbers)."""
     return float(x)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary sibling of ``path``, then rename it over
+    ``path``, so that a reader never sees a partly written file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimMismatchError, DivergenceError, UnknownActivationError
+from .errors import DataError, DivergenceError
+from .jsonio import write_text_atomic
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 HEADS = ("logsoftmax", "absdev")
@@ -32,7 +33,7 @@ def _act(kind, a):
         return 1.0 / (1.0 + np.exp(-a))
     if kind == "identity":
         return a
-    raise UnknownActivationError(kind)
+    raise ValueError(f"unknown activation {kind!r}")
 
 
 def _act_deriv(kind, a):
@@ -45,7 +46,7 @@ def _act_deriv(kind, a):
         return s * (1.0 - s)
     if kind == "identity":
         return np.ones_like(a)
-    raise UnknownActivationError(kind)
+    raise ValueError(f"unknown activation {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,12 @@ class Layer:
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
-        if W.ndim != 2 or b.shape != (W.shape[0],):
-            raise DimMismatchError("layer weight/bias shapes inconsistent")
+        if W.ndim != 2 or W.size == 0 or b.shape != (W.shape[0],):
+            raise ValueError("layer weight/bias shapes inconsistent")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
             raise ValueError("weights must be finite")
         if self.act not in ACTIVATIONS:
-            raise UnknownActivationError(self.act)
+            raise ValueError(f"unknown activation {self.act!r}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,11 @@ class Mlp:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if not self.layers:
+            raise ValueError("a network needs at least one layer")
         for prev, nxt in zip(self.layers[:-1], self.layers[1:]):
             if prev.W.shape[0] != nxt.W.shape[1]:
-                raise DimMismatchError("consecutive layer dimensions incompatible")
+                raise ValueError("consecutive layer dimensions incompatible")
         if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
 
@@ -105,7 +108,7 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Network output before the loss head.  Accepts (n,) or batched (B, n)."""
     h = np.asarray(x, dtype=float)
     if h.shape[-1] != net.in_dim:
-        raise DimMismatchError(f"input dim {h.shape[-1]} != {net.in_dim}")
+        raise ValueError(f"input dim {h.shape[-1]} != {net.in_dim}")
     for layer in net.layers:
         h = _act(layer.act, h @ layer.W.T + layer.b)
     return h
@@ -136,7 +139,7 @@ def _backward(net: Mlp, x, y, need_params=False):
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.in_dim:
-        raise DimMismatchError(f"input dim {x.shape[-1]} != {net.in_dim}")
+        raise ValueError(f"input dim {x.shape[-1]} != {net.in_dim}")
     pre, post = [], [x]
     h = x
     for layer in net.layers:
@@ -253,11 +256,14 @@ def fgsm_perturb(net: Mlp, z, eps: float, r) -> tuple:
     return (np.clip(xt, 0.0, 1.0) if net.head == "logsoftmax" else xt), y
 
 
+#: minibatch size of :func:`train`
+BATCH_SIZE = 32
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.1
     epochs: int = 50
-    batch_size: int = 32
     eps: float = 0.0
     r: float = math.inf
     seed: int = 0
@@ -287,18 +293,20 @@ def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
     trace = []
     for epoch in range(config.epochs):
         order = rng.permutation(X.shape[0])
-        for start in range(0, X.shape[0], config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, X.shape[0], BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             xb, yb = X[idx], Y[idx]
             if config.eps > 0.0:
                 xb, _ = fgsm_perturb(net, (xb, yb), config.eps, config.r)
             loss, _, gW, gb = _backward(net, xb, yb, need_params=True)
-            if not np.all(np.isfinite(loss)):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
             scale = config.lr / xb.shape[0]
-            layers = [replace(l, W=l.W - scale * gw, b=l.b - scale * gbv)
-                      for l, gw, gbv in zip(net.layers, gW, gb)]
-            net = Mlp(tuple(layers), head=net.head)
+            steps = [(l.W - scale * gw, l.b - scale * gbv)
+                     for l, gw, gbv in zip(net.layers, gW, gb)]
+            if not (np.isfinite(loss).all()
+                    and all(np.isfinite(W).all() and np.isfinite(b).all() for W, b in steps)):
+                raise DivergenceError(f"non-finite loss or weights at epoch {epoch}")
+            net = Mlp(tuple(replace(l, W=W, b=b) for l, (W, b) in zip(net.layers, steps)),
+                      head=net.head)
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(loss_value(net, X, Y))),
@@ -324,15 +332,23 @@ def save_weights(net: Mlp, path) -> None:
             lines.append(f"W,{k},{i},{vals}")
         vals = ",".join(repr(float(x)) for x in layer.b)
         lines.append(f"b,{k},{vals}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_weights(path) -> Mlp:
+    """Read a network written by :func:`save_weights`.
+
+    A malformed file raises ``DataError`` naming the path: a missing row,
+    ragged rows, an unknown head or activation, a non-finite value, or layer
+    shapes that do not chain.  A file that cannot be opened raises ``OSError``.
+    """
     head = "logsoftmax"
     acts, rows, biases = {}, {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    # undecodable bytes read as U+FFFD and then fail to parse
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = fh.readlines()
+    try:
+        for line in lines:
             parts = line.strip().split(",")
             if not parts or parts == [""]:
                 continue
@@ -346,8 +362,12 @@ def load_weights(path) -> Mlp:
                 rows.setdefault(k, {})[i] = [float(x) for x in parts[3:]]
             elif tag == "b":
                 biases[int(parts[1])] = [float(x) for x in parts[2:]]
-    layers = []
-    for k in sorted(rows):
-        W = np.array([rows[k][i] for i in sorted(rows[k])])
-        layers.append(Layer(W, np.array(biases[k]), acts.get(k, "identity")))
-    return Mlp(tuple(layers), head=head)
+        layers = []
+        for k in sorted(rows):
+            if k not in biases:
+                raise ValueError(f"layer {k} has no b row")
+            W = np.array([rows[k][i] for i in sorted(rows[k])])
+            layers.append(Layer(W, np.array(biases[k]), acts.get(k, "identity")))
+        return Mlp(tuple(layers), head=head)
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed weights {path}: {exc!r}") from exc

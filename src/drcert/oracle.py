@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, _upper_hull
-from .errors import DataError, InstanceTooLargeError, ParseError
+from .errors import DataError
 from .jsonio import decode_float, encode_float
 from .rates import RateProfile
 
@@ -63,7 +63,7 @@ class DiscreteInstance:
         loss = _read_only(self.loss, float)
         n = loss.size
         if n > MAX_SUPPORT:  # before the cost matrix is copied
-            raise InstanceTooLargeError(f"support of {n} exceeds {MAX_SUPPORT}")
+            raise DataError(f"support of {n} exceeds {MAX_SUPPORT}")
         ai = _read_only(self.atom_index, int)
         w = _read_only(self.weights, float)
         cost = _read_only(self.cost, float)
@@ -213,9 +213,11 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
     l, w = inst.loss, inst.weights
     m, n = c.shape
     if n ** m > 2_000_000:
-        raise InstanceTooLargeError("enumeration limited to n^m <= 2e6")
+        raise DataError("enumeration limited to n^m <= 2e6")
     budget = inst.eps ** inst.p
-    grids = np.indices((n,) * m).reshape(m, -1).T  # all pure assignments
+    # all pure assignments, atom 0 the most significant base-n digit (np.indices
+    # would order them alike, but takes at most 64 atoms)
+    grids = np.arange(n ** m)[:, None] // n ** np.arange(m - 1, -1, -1) % n
     vals = np.sum(w[None, :] * l[grids], axis=1)
     # 0 * inf: a zero-weight atom on a forbidden move spends NaN, which the
     # feasibility test below rejects
@@ -264,13 +266,13 @@ def instance_rate_profile(inst: DiscreteInstance):
     left at every pairwise distance, which captures each jump exactly on one
     shared grid, so certificates built from this profile are exact for the
     instance.  A profile of more than ``_PROFILE_CELLS`` (atom, distance)
-    cells raises ``InstanceTooLargeError`` before the matrix is allocated.
+    cells raises ``DataError`` before the matrix is allocated.
     """
     d = inst.atom_costs()
     grid = np.unique(np.concatenate([[0.0], d[np.isfinite(d)]]))
     m, k = inst.atom_index.size, grid.size
     if m * k > _PROFILE_CELLS:
-        raise InstanceTooLargeError(
+        raise DataError(
             f"rate profile of {m} atoms x {k} distances exceeds {_PROFILE_CELLS} cells")
     t, v, starts = inst._family
     # every knot budget is on the grid and each atom's first knot is its
@@ -281,7 +283,7 @@ def instance_rate_profile(inst: DiscreteInstance):
 
 
 def instance_from_json(text: str) -> DiscreteInstance:
-    """Read an instance; malformed input raises ``ParseError``.
+    """Read an instance; malformed input raises ``DataError``.
 
     ``loss`` and ``cost`` decode with one numpy conversion each, which reads
     the ``"inf"``/``"-inf"`` strings exactly as :func:`decode_float` does.
@@ -300,7 +302,7 @@ def instance_from_json(text: str) -> DiscreteInstance:
             support=np.asarray(support, dtype=float) if support is not None else None,
         )
     except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise ParseError(f"malformed instance: {exc!r}") from exc
+        raise DataError(f"malformed instance: {exc!r}") from exc
     return DiscreteInstance(**fields)
 
 

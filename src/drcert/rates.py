@@ -20,7 +20,6 @@ import numpy as np
 
 from . import nn
 from .curves import Curve, curve_from_samples
-from .errors import EmptyInputError
 
 _R_VALUES = (1.0, 2.0, math.inf)
 
@@ -332,10 +331,10 @@ def maximal_rate(loss, dataset, grid, config: SearchConfig | None = None) -> Rat
     """
     points = list(dataset)
     if not points:
-        raise EmptyInputError("empty dataset")
+        raise ValueError("empty dataset")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
-        raise EmptyInputError("empty budget grid")
+        raise ValueError("empty budget grid")
     X = np.array([x for x, _ in points], dtype=float)
     Y = np.array([y for _, y in points], dtype=float)
     w = np.full(len(points), 1.0 / len(points))

@@ -25,7 +25,6 @@ from drcert.advscore import (
     regression_head_score,
 )
 from drcert.curves import is_concave
-from drcert.errors import InvalidScoreError, UnboundedOutputError, UnknownActivationError
 from drcert.nn import Layer, Mlp, forward, init_mlp, opnorm, vector_norm
 from drcert.rates import CostConfig
 
@@ -60,7 +59,7 @@ class TestActivationScores:
         assert a.values([0.1, 1.0, 3.0]) == pytest.approx(b.values([0.1, 1.0, 3.0]))
 
     def test_unknown_activation(self):
-        with pytest.raises(UnknownActivationError):
+        with pytest.raises(ValueError):
             activation_score("gelu")
         with pytest.raises(ValueError, match="r must be"):  # at construction
             SaturatingScore("tanh", 2, r=3)
@@ -160,7 +159,7 @@ class TestClassificationHead:
         assert A.value(0.0) == 0.0
 
     def test_unbounded_output_rejected(self):
-        with pytest.raises(UnboundedOutputError):
+        with pytest.raises(ValueError):
             classification_head_score(LinearGain(1.0), CostConfig(r=2, kappa=1.0))
 
 
@@ -179,7 +178,7 @@ class TestGammaScores:
         G = gamma_score("holder", c=2.0, alpha=0.5)
         assert G.value(4.0) == pytest.approx(4.0)
         assert gamma_score("holder", c=1.0, alpha=1.0).value(0.7) == pytest.approx(0.7)
-        with pytest.raises(InvalidScoreError):
+        with pytest.raises(ValueError):
             gamma_score("holder", c=1.0, alpha=1.5)
 
     def test_entropy(self):

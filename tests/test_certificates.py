@@ -161,6 +161,15 @@ class TestReport:
             certificate_report(prof, 1.0, [0.2, 0.1], **kw)
 
 
+def test_sandwich_holds_past_the_grid_on_a_slope_tail():
+    # the last chord rises faster than the hull's last segment: reading the
+    # hull's slope past the grid put cc = 3.5 under lb = 3.9 at eps = 4
+    prof = RateProfile(Curve([0.0, 1.0, 2.0, 3.0], [[0.0, 2.0, 2.1, 3.0]], tail="slope"),
+                       np.array([1.0]))
+    assert lower_bound(prof, 1.0, 4.0) == pytest.approx(3.9)
+    assert upper_bound(prof, 1.0, 4.0) >= lower_bound(prof, 1.0, 4.0)
+
+
 class TestPInfty:
     def test_lb_inf_sums_rates(self):
         prof, loss = linear_profile([2.0])

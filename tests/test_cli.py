@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drcert import nn, oracle
 from drcert.cli import (
@@ -172,12 +173,12 @@ class TestClassify:
         from drcert.datasets import ingest_classification_csv, split_train_test
 
         X, Y = ingest_classification_csv("synthetic:50", 4, seed=4)
-        (Xtr, Ytr), (Xte, Yte) = split_train_test(X, Y, 0.2, 4)
+        (Xtr, Ytr), (Xte, Yte) = split_train_test(X, Y, 4)
         accs = []
         for run in range(2):
             seed = 4 + 1000 * run + 4
             net = nn.init_mlp([16, 10], act="identity", head="logsoftmax", seed=seed)
-            tcfg = nn.TrainConfig(lr=0.5, epochs=3, batch_size=32, eps=0.0,
+            tcfg = nn.TrainConfig(lr=0.5, epochs=3, eps=0.0,
                                   r=math.inf, seed=seed)
             _, trace = nn.train(net, (Xtr, Ytr), (Xte, Yte), tcfg)
             accs.append(trace[-1]["train_acc"])
@@ -223,6 +224,18 @@ class TestOracleCmd:
         path.write_text(instance_to_json(inst))
         assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
+
+    def test_enumerates_past_64_atoms(self, tmp_path):
+        # 65 atoms on one point: 1^65 assignments, within the enumeration
+        # limit, though numpy arrays take at most 64 dimensions
+        m = 65
+        inst = DiscreteInstance(np.array([1.5]), np.zeros(m, dtype=int), np.full(m, 1.0 / m),
+                                np.zeros((1, 1)), p=2.0, eps=0.5)
+        path = tmp_path / "inst.json"
+        path.write_text(instance_to_json(inst))
+        assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
+        data = json.loads(read(tmp_path / "o" / "oracle.json"))
+        assert data["enumeration"] == data["risk"] == oracle.dr_risk_exact(inst)
 
 
 GOOD_INSTANCE = {"loss": [0.0, 1.0], "atoms": [[0, 1.0]],
@@ -308,6 +321,132 @@ class TestMainExitCodes:
         assert code == 0
         data = json.loads(read(tmp_path / "o" / "oracle.json"))
         assert data["risk"] == pytest.approx(0.3)
+
+
+# -- bad input: one exit code per kind of fault ------------------------------------
+
+REG = "x1,x2,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n0.5,0.1,0.5\n0.9,0.7,0.2\n"
+PIXELS = "label,p1,p2,p3,p4\n3,0.1,0.2,0.3,0.4\n7,0.5,0.6,0.7,0.8\n"
+# a 2-2-1 absolute-deviation net and a 4-10 classifier, in the weights format
+NET = ("head,absdev\nact,0,tanh\nW,0,0,0.5,-0.25\nW,0,1,0.125,0.75\nb,0,0.0,0.1\n"
+       "act,1,identity\nW,1,0,1.0,-1.0\nb,1,0.0\n")
+NET3 = NET.replace("0.5,-0.25", "0.5,-0.25,0.3").replace("0.125,0.75", "0.125,0.75,0.2")
+CLS_NET = ("head,logsoftmax\nact,0,identity\n"
+           + "".join(f"W,0,{i},0.1,0.2,0.3,{i / 10}\n" for i in range(10))
+           + "b,0," + ",".join(["0.0"] * 10) + "\n")
+MLP = ["certify", "--model", "mlp"]
+LINEAR = ["certify", "--model", "linear"]
+CLASSIFY = ["classify", "--data", "synthetic:20", "--runs", "1", "--epochs", "1"]
+
+# name: (argv, {flag: file text, or None for a directory}, exit code)
+BAD_INPUTS = {
+    "regression_nan": (LINEAR, {"--data": REG + "0.2,nan,1.0\n"}, 3),
+    "regression_inf": (LINEAR, {"--data": REG + "0.2,0.3,inf\n"}, 3),
+    "pixel_above_one": (MLP, {"--weights": CLS_NET, "--data": PIXELS + "1,0.1,1.5,0.1,0.1\n"}, 3),
+    "pixel_nan": (MLP, {"--weights": CLS_NET, "--data": PIXELS + "1,0.1,nan,0.1,0.1\n"}, 3),
+    "weights_no_b_row": (MLP, {"--weights": NET.replace("b,1,0.0\n", ""), "--data": REG}, 3),
+    "weights_ragged_rows": (MLP, {"--weights": NET.replace("0.125,0.75", "0.125,0.75,1.0"),
+                                  "--data": REG}, 3),
+    "weights_head_softmax": (MLP, {"--weights": NET.replace("absdev", "softmax"),
+                                   "--data": REG}, 3),
+    "weights_nan": (MLP, {"--weights": NET.replace("0.125", "nan"), "--data": REG}, 3),
+    "weights_inf": (MLP, {"--weights": NET.replace("-0.25", "-inf"), "--data": REG}, 3),
+    "weights_activation_swish": (MLP, {"--weights": NET.replace("act,0,tanh", "act,0,swish"),
+                                       "--data": REG}, 3),
+    "weights_layers_do_not_chain": (MLP, {"--weights": NET.replace("1.0,-1.0", "1.0,-1.0,2.0"),
+                                          "--data": REG}, 3),
+    "weights_no_layers": (MLP, {"--weights": "head,absdev\n", "--data": REG}, 3),
+    "weights_directory": (MLP, {"--weights": None, "--data": REG}, 3),
+    "net_inputs_differ_from_data": (MLP, {"--weights": NET3, "--data": REG}, 3),
+    "classifier_inputs_not_square": (MLP, {"--weights": NET.replace("absdev", "logsoftmax"),
+                                           "--data": PIXELS}, 3),
+    "classifier_outputs_not_ten": (MLP, {"--weights": "head,logsoftmax\nW,0,0,0.1,0.2,0.3,0.4\n"
+                                                      "b,0,0.0\n", "--data": PIXELS}, 3),
+    "weights_overflow": (MLP + ["--cost-r", "inf"],  # the row sum overflows
+                         {"--weights": NET.replace("0.5,-0.25", "1e308,1e308"),
+                          "--data": REG}, 4),
+    "theta_nan": (LINEAR + ["--theta", "1,nan"], {"--data": REG}, 2),
+    "theta_inf": (LINEAR + ["--theta", "1,inf"], {"--data": REG}, 2),
+    "out_bound_zero": (LINEAR + ["--out-bound", "0"], {"--data": REG}, 2),
+    "out_bound_negative": (LINEAR + ["--out-bound=-1"], {"--data": REG}, 2),
+    "out_bound_nan": (MLP + ["--out-bound", "nan"], {"--weights": CLS_NET, "--data": PIXELS}, 2),
+    "kappa_without_out_bound": (MLP + ["--kappa", "0.5"],
+                                {"--weights": CLS_NET, "--data": PIXELS}, 2),
+    "kappa_overflow": (LINEAR + ["--kappa", "5e-324"], {"--data": REG}, 4),
+    "seed_negative": (LINEAR + ["--seed=-1"], {"--data": REG}, 2),
+    "lr_nan": (["regress", "--lr", "nan"], {"--data": REG}, 2),
+    "lr_overflow": (["regress", "--lr", "1e308", "--epochs", "2"], {"--data": REG}, 4),
+    "classify_sides_text": (CLASSIFY + ["--sides", "8,x"], {}, 2),
+    "classify_sides_zero": (CLASSIFY + ["--sides", "0"], {}, 2),
+    "classify_runs_zero": (CLASSIFY + ["--sides", "4", "--runs", "0"], {}, 2),
+    "classify_epochs_zero": (CLASSIFY + ["--sides", "4", "--epochs", "0"], {}, 2),
+    "classify_data_side_zero": (["classify", "--sides", "4", "--data-side", "0"],
+                                {"--data": PIXELS}, 2),
+}
+PREFIX = {2: "config error: ", 3: "data error: ", 4: "numeric failure: "}
+
+
+def run_with_files(tmp_path, argv, files):
+    """``main`` on argv plus each file flag, its text written under tmp_path."""
+    args = list(argv)
+    for k, (flag, text) in enumerate(files.items()):
+        path = tmp_path / f"in{k}"
+        if text is None:
+            path.mkdir(exist_ok=True)
+        else:
+            path.write_text(text, encoding="utf-8")
+        args += [flag, str(path)]
+    return main(args + ["--eps", "0.1", "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(tmp_path, capsys, name):
+    argv, files, code = BAD_INPUTS[name]
+    assert run_with_files(tmp_path, argv, files) == code
+    err = capsys.readouterr().err
+    assert err.startswith(PREFIX[code]) and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def mutate(draw, text, names):
+    """``text`` with one line dropped, one cell set to nan, inf or text, one
+    row widened, or one head or activation renamed to one of ``names``."""
+    lines = text.splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    cells = lines[k].split(",")
+    how = draw(st.sampled_from(["drop", "cell", "widen", "rename"]))
+    if how == "drop":
+        del lines[k]
+    elif how == "cell":
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "x", ""]))
+    elif how == "widen":
+        cells.append("0.5")
+    else:
+        named = [i for i, line in enumerate(lines) if line.startswith(("head,", "act,"))]
+        if named:
+            k = draw(st.sampled_from(named))
+            cells = lines[k].split(",")[:-1] + [draw(st.sampled_from(names))]
+    if how != "drop":
+        lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_weights_and_data_never_raise(tmp_path, capsys, data):
+    names = ["swish", "softmax", "relu", "sigmoid", "logsoftmax", "absdev"]
+    weights, rows = NET, REG
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            weights = mutate(data.draw, weights, names)
+        else:
+            rows = mutate(data.draw, rows, names)
+    code = run_with_files(tmp_path, MLP, {"--weights": weights, "--data": rows})
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert code == 0 or err.startswith(PREFIX[code])
 
 
 # -- flags ------------------------------------------------------------------------

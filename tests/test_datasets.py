@@ -10,7 +10,7 @@ from drcert.datasets import (
     synthetic_classification,
     synthetic_regression,
 )
-from drcert.errors import DataError, ParseError, RangeError
+from drcert.errors import DataError
 
 
 class TestRegressionIngest:
@@ -24,7 +24,7 @@ class TestRegressionIngest:
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,y\n0.1,0.2,1.0\n0.3,oops,2.0\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             ingest_regression_csv(path)
         assert "line 3" in str(err.value)
 
@@ -68,12 +68,12 @@ class TestClassificationIngest:
 
     def test_label_out_of_range(self, tmp_path):
         path = self.make_csv(tmp_path, rows=["11,0.1,0.1,0.1,0.1"])
-        with pytest.raises(RangeError):
+        with pytest.raises(DataError):
             ingest_classification_csv(path, side=2)
 
     def test_pixel_out_of_range(self, tmp_path):
         path = self.make_csv(tmp_path, rows=["1,0.1,1.5,0.1,0.1"])
-        with pytest.raises(RangeError):
+        with pytest.raises(DataError):
             ingest_classification_csv(path, side=2)
 
     def test_synthetic_one_hot(self):
@@ -120,8 +120,8 @@ class TestSplit:
     def test_deterministic_and_disjoint(self):
         X = np.arange(20.0).reshape(10, 2)
         Y = np.arange(10.0)
-        (Xtr, _), (Xte, _) = split_train_test(X, Y, 0.2, seed=2)
-        (Xtr2, _), (Xte2, _) = split_train_test(X, Y, 0.2, seed=2)
+        (Xtr, _), (Xte, _) = split_train_test(X, Y, seed=2)
+        (Xtr2, _), (Xte2, _) = split_train_test(X, Y, seed=2)
         assert np.array_equal(Xtr, Xtr2) and np.array_equal(Xte, Xte2)
         assert Xtr.shape[0] + Xte.shape[0] == 10
         all_rows = {tuple(r) for r in np.vstack([Xtr, Xte])}
@@ -129,4 +129,4 @@ class TestSplit:
 
     def test_too_small(self):
         with pytest.raises(DataError):
-            split_train_test(np.ones((1, 2)), np.ones(1), 0.5, 0)
+            split_train_test(np.ones((1, 2)), np.ones(1), 0)

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from drcert import nn
+from drcert import jsonio, nn
 from drcert.advscore import linear_layer_score
-from drcert.errors import DimMismatchError
 from drcert.nn import (
     Layer,
     Mlp,
@@ -70,7 +69,7 @@ class TestForward:
 
     def test_dim_mismatch(self):
         net = init_mlp([3, 2], seed=0)
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ValueError):
             forward(net, np.ones(4))
 
 
@@ -272,7 +271,7 @@ class TestTrain:
     def test_separable_reaches_full_accuracy(self):
         X, Y = separable_blobs()
         net = init_mlp([2, 8, 2], act="tanh", seed=1)
-        cfg = TrainConfig(lr=0.5, epochs=200, batch_size=8, seed=1)
+        cfg = TrainConfig(lr=0.5, epochs=200, seed=1)
         trained, trace = train(net, (X, Y), (X, Y), cfg)
         assert trace[-1]["train_acc"] == 1.0
         assert len(trace) == 200
@@ -311,3 +310,17 @@ class TestWeightsIO:
             assert l1.act == l2.act
         x = np.array([0.1, 0.2, 0.3])
         assert np.array_equal(forward(net, x), forward(loaded, x))
+
+    def test_save_replaces_the_file_whole(self, tmp_path, monkeypatch):
+        # a write that fails before its rename leaves the old file as it was
+        path = tmp_path / "w.csv"
+        save_weights(init_mlp([3, 2], seed=1), path)
+        before = path.read_text(encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(jsonio.os, "replace", fail)
+        with pytest.raises(OSError):
+            save_weights(init_mlp([3, 5, 2], seed=2), path)
+        assert path.read_text(encoding="utf-8") == before

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from drcert import oracle
 from drcert.certificates import lower_bound, upper_bound
-from drcert.errors import InstanceTooLargeError
+from drcert.errors import DataError
 from drcert.oracle import (
     DiscreteInstance,
     dr_risk_enumerate,
@@ -77,7 +77,7 @@ class TestBasics:
 
     def test_too_large_rejected(self):
         n = 5000
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(DataError):
             DiscreteInstance(np.zeros(n), np.array([0]), np.array([1.0]),
                              np.zeros((n, n)))
 
@@ -103,7 +103,7 @@ class TestBasics:
         assert m * (m * (n - 1) + 1) > oracle._PROFILE_CELLS
         tracemalloc.start()
         try:
-            with pytest.raises(InstanceTooLargeError):
+            with pytest.raises(DataError):
                 instance_rate_profile(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

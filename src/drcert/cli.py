@@ -413,7 +413,10 @@ def main(argv=None) -> int:
             args["theta"] = _parse_list(theta, "theta")
         if "sides" in args:
             args["sides"] = _parse_list(args["sides"], "sides", int)
-        _DRIVERS[command](config, **args)
+        # overflow is caught by explicit checks, which name it; numpy's own
+        # warnings would only print ahead of that message
+        with np.errstate(all="ignore"):
+            _DRIVERS[command](config, **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -82,6 +82,8 @@ class Mlp:
                 raise ValueError("consecutive layer dimensions incompatible")
         if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
+        if self.head == "absdev" and self.out_dim != 1:
+            raise ValueError(f"an absdev head reads one output, not {self.out_dim}")
 
     @property
     def in_dim(self):
@@ -335,39 +337,61 @@ def save_weights(net: Mlp, path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _once(table: dict, key, value, what: str) -> None:
+    if key in table:
+        raise ValueError(f"repeated {what} line")
+    table[key] = value
+
+
+def _numbered(table: dict, n: int, what: str) -> list:
+    """``table``'s values in key order; its keys must be exactly 0..n-1."""
+    if sorted(table) != list(range(n)):
+        raise ValueError(f"{what} numbered {sorted(table)}, need 0..{n - 1}")
+    return [table[k] for k in range(n)]
+
+
 def load_weights(path) -> Mlp:
     """Read a network written by :func:`save_weights`.
 
-    A malformed file raises ``DataError`` naming the path: a missing row,
-    ragged rows, an unknown head or activation, a non-finite value, or layer
-    shapes that do not chain.  A file that cannot be opened raises ``OSError``.
+    A malformed file raises ``DataError`` naming the path: a line with an
+    unknown tag, a missing or repeated line (the file holds exactly one
+    ``head`` line and, for layers numbered 0..L-1, one ``act`` and one ``b``
+    line each and ``W`` rows numbered 0..d-1), ragged rows, an unknown head or
+    activation, a non-finite value, or layer shapes that do not chain.  A
+    file that cannot be opened raises ``OSError``.
     """
-    head = "logsoftmax"
-    acts, rows, biases = {}, {}, {}
+    heads, acts, rows, biases = [], {}, {}, {}
     # undecodable bytes read as U+FFFD and then fail to parse
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = fh.readlines()
     try:
         for line in lines:
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
             tag = parts[0]
             if tag == "head":
-                head = parts[1]
+                _, head = parts
+                heads.append(head)
             elif tag == "act":
-                acts[int(parts[1])] = parts[2]
+                _, k, act = parts
+                _once(acts, int(k), act, f"act {k}")
             elif tag == "W":
                 k, i = int(parts[1]), int(parts[2])
-                rows.setdefault(k, {})[i] = [float(x) for x in parts[3:]]
+                _once(rows.setdefault(k, {}), i, [float(x) for x in parts[3:]], f"W {k},{i}")
             elif tag == "b":
-                biases[int(parts[1])] = [float(x) for x in parts[2:]]
+                _once(biases, int(parts[1]), [float(x) for x in parts[2:]], f"b {parts[1]}")
+            else:
+                raise ValueError(f"unknown line tag {tag!r}")
+        if len(heads) != 1:
+            raise ValueError(f"{len(heads)} head lines, need one")
+        n = len(rows)
         layers = []
-        for k in sorted(rows):
-            if k not in biases:
-                raise ValueError(f"layer {k} has no b row")
-            W = np.array([rows[k][i] for i in sorted(rows[k])])
-            layers.append(Layer(W, np.array(biases[k]), acts.get(k, "identity")))
-        return Mlp(tuple(layers), head=head)
+        for k, (W, b, act) in enumerate(zip(_numbered(rows, n, "W layers"),
+                                            _numbered(biases, n, "b lines"),
+                                            _numbered(acts, n, "act lines"))):
+            W = np.array(_numbered(W, len(W), f"layer {k} W rows"))
+            layers.append(Layer(W, np.array(b), act))
+        return Mlp(tuple(layers), head=heads[0])
     except (ValueError, IndexError) as exc:
         raise DataError(f"malformed weights {path}: {exc!r}") from exc

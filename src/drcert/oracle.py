@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .curves import Curve, _upper_hull
 from .errors import DataError
@@ -79,6 +80,8 @@ class DiscreteInstance:
             raise DataError("losses must be finite")
         if np.any(np.isnan(w)) or np.any(np.isnan(cost)):
             raise DataError("weights and costs must not be NaN")
+        if self.support is not None and np.any(np.isnan(np.asarray(self.support, float))):
+            raise DataError("support must not be NaN")
         if np.any(cost < 0):
             raise DataError("costs must be non-negative")
         if np.any(np.diag(cost) != 0):
@@ -121,23 +124,28 @@ def _atom_rate_curves(inst: DiscreteInstance):
     """Growth-rate curve of each atom in un-powered distance, as one family.
 
     Knots sit at the distances where the atom's best reachable loss strictly
-    increases, and values are the gain over the atom's own loss.  Ties in
-    distance are sorted by loss, highest first, so each distance gives at most
-    one knot; the free stay makes the first knot t=0, holding the best gain at
-    distance 0 (>= 0).  Forbidden (infinite) moves never become knots.  The
-    family is ragged: flat knot budgets ``t``, flat values ``v`` and the
-    offset of each atom's first knot, ``starts``.
+    increases, and values are the gain over the atom's own loss.  With the
+    points in ascending loss order, a point is a knot of an atom's curve iff
+    it is strictly nearer than every point after it (a record distance read
+    from the right); the knots then come out with distance and gain both
+    rising, and of knots with equal gains only the nearest stays.  A point
+    below the atom's own loss never qualifies, since the free stay comes
+    after it, so the first knot is t=0 with the best gain at distance 0
+    (>= 0).  Forbidden (infinite) moves never become knots.  The family is
+    ragged: flat knot budgets ``t``, flat values ``v`` and the offset of each
+    atom's first knot, ``starts``.
     """
-    by_loss = np.argsort(-inst.loss, kind="stable")
-    d = inst.atom_costs()[:, by_loss]
-    order = np.argsort(d, axis=1, kind="stable")
-    dist = np.take_along_axis(d, order, axis=1)
-    gain = inst.loss[by_loss][order] - inst.loss[inst.atom_index][:, None]
-    best = np.maximum.accumulate(gain, axis=1)
-    knot = np.isfinite(dist)
-    knot[:, 1:] &= best[:, 1:] > best[:, :-1]
-    starts = np.concatenate([[0], np.cumsum(np.sum(knot, axis=1))[:-1]])
-    family = dist[knot], best[knot], starts
+    asc = np.argsort(inst.loss, kind="stable")
+    d = inst.cost[np.ix_(inst.atom_index, asc)]
+    after = np.full_like(d, math.inf)
+    np.minimum.accumulate(d[:, :0:-1], axis=1, out=after[:, -2::-1])
+    row, col = np.nonzero(d < after)
+    gain = inst.loss[asc][col] - inst.loss[inst.atom_index][row]
+    keep = np.ones(row.size, dtype=bool)
+    keep[1:] = (gain[1:] != gain[:-1]) | (row[1:] != row[:-1])
+    row = row[keep]
+    starts = np.searchsorted(row, np.arange(inst.atom_index.size))
+    family = d[row, col[keep]], gain[keep], starts
     for a in family:
         a.setflags(write=False)
     return family
@@ -285,11 +293,14 @@ def instance_rate_profile(inst: DiscreteInstance):
 def instance_from_json(text: str) -> DiscreteInstance:
     """Read an instance; malformed input raises ``DataError``.
 
-    ``loss`` and ``cost`` decode with one numpy conversion each, which reads
-    the ``"inf"``/``"-inf"`` strings exactly as :func:`decode_float` does.
+    The text decodes with ``orjson``, which parses floats bit-exactly as
+    ``json.loads`` does but rejects the non-standard ``NaN``/``Infinity``
+    literals and out-of-range numbers.  ``loss`` and ``cost`` then decode with
+    one numpy conversion each, which reads the ``"inf"``/``"-inf"`` strings
+    exactly as :func:`decode_float` does.
     """
     try:
-        d = json.loads(text)
+        d = orjson.loads(text)
         atoms = d["atoms"]
         support = d.get("support")
         fields = dict(
@@ -308,11 +319,12 @@ def instance_from_json(text: str) -> DiscreteInstance:
 
 def instance_to_json(inst: DiscreteInstance) -> str:
     payload = {
-        "support": inst.support.tolist() if inst.support is not None else None,
+        "support": (None if inst.support is None
+                    else np.vectorize(encode_float, otypes=[object])(inst.support).tolist()),
         "loss": [encode_float(x) for x in inst.loss],
         "atoms": [[int(i), float(w)] for i, w in zip(inst.atom_index, inst.weights)],
         "cost": [[encode_float(x) for x in row] for row in inst.cost],
         "p": encode_float(inst.p),
         "eps": encode_float(inst.eps),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

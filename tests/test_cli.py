@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,11 @@ def changed_instance(**fields):
     return json.dumps({**GOOD_INSTANCE, **fields})
 
 
+def literal_instance(name, text):
+    """The good instance with field ``name`` spelled as the raw JSON ``text``."""
+    return changed_instance(**{name: "@"}).replace('"@"', text)
+
+
 BAD_INSTANCES = {
     "not_json": "atoms: [[0, 1.0]]",
     "no_atoms": json.dumps({k: v for k, v in GOOD_INSTANCE.items() if k != "atoms"}),
@@ -259,6 +265,13 @@ BAD_INSTANCES = {
     "nan_cost": changed_instance(cost=[[0.0, math.nan], [1.0, 0.0]]),
     "nan_eps": changed_instance(eps=math.nan),
     "oversized": changed_instance(loss=[0.0] * 4097),
+    # standard JSON only: infinities travel as "inf" strings
+    "infinity_literal_cost": literal_instance("cost", "[[0.0, Infinity], [1.0, 0.0]]"),
+    "neg_infinity_literal_cost": literal_instance("cost", "[[0.0, -Infinity], [1.0, 0.0]]"),
+    "overflowing_cost": literal_instance("cost", "[[0.0, 1e400], [1.0, 0.0]]"),
+    "infinity_literal_p": literal_instance("p", "Infinity"),
+    "neg_infinity_literal_p": literal_instance("p", "-Infinity"),
+    "overflowing_p": literal_instance("p", "1e400"),
 }
 
 
@@ -360,8 +373,23 @@ BAD_INPUTS = {
     "net_inputs_differ_from_data": (MLP, {"--weights": NET3, "--data": REG}, 3),
     "classifier_inputs_not_square": (MLP, {"--weights": NET.replace("absdev", "logsoftmax"),
                                            "--data": PIXELS}, 3),
-    "classifier_outputs_not_ten": (MLP, {"--weights": "head,logsoftmax\nW,0,0,0.1,0.2,0.3,0.4\n"
-                                                      "b,0,0.0\n", "--data": PIXELS}, 3),
+    "classifier_outputs_not_ten": (MLP, {"--weights": "head,logsoftmax\nact,0,identity\n"
+                                                      "W,0,0,0.1,0.2,0.3,0.4\nb,0,0.0\n",
+                                         "--data": PIXELS}, 3),
+    "weights_no_act_line": (MLP, {"--weights": NET.replace("act,0,tanh\n", ""), "--data": REG}, 3),
+    "weights_repeated_act_line": (MLP, {"--weights": NET + "act,0,relu\n", "--data": REG}, 3),
+    "weights_no_head": (MLP, {"--weights": CLS_NET.replace("head,logsoftmax\n", ""),
+                              "--data": PIXELS}, 3),
+    "weights_two_heads": (MLP, {"--weights": "head,absdev\n" + NET, "--data": REG}, 3),
+    "weights_unknown_tag": (MLP, {"--weights": NET + "bias,1,0.0\n", "--data": REG}, 3),
+    "weights_layer_renumbered": (MLP, {"--weights": NET.replace("act,1,", "act,7,")
+                                       .replace("W,1,0,", "W,7,0,").replace("b,1,", "b,7,"),
+                                       "--data": REG}, 3),
+    "weights_row_gap": (MLP, {"--weights": NET.replace("W,0,1,", "W,0,2,"), "--data": REG}, 3),
+    "weights_repeated_row": (MLP, {"--weights": NET + "W,0,1,0.125,0.75\n", "--data": REG}, 3),
+    "absdev_two_outputs": (MLP, {"--weights": NET.replace("b,1,0.0\n",
+                                                          "W,1,1,0.5,0.5\nb,1,0.0,0.0\n"),
+                                 "--data": REG}, 3),
     "weights_overflow": (MLP + ["--cost-r", "inf"],  # the row sum overflows
                          {"--weights": NET.replace("0.5,-0.25", "1e308,1e308"),
                           "--data": REG}, 4),
@@ -406,6 +434,19 @@ def test_bad_input_exit_code(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith(PREFIX[code]) and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,files", [
+    (LINEAR + ["--theta", "1e308,1e308"], {"--data": REG}),
+    BAD_INPUTS["weights_overflow"][:2],
+], ids=["theta_overflow", "weights_overflow"])
+def test_numeric_failure_is_the_only_message(tmp_path, capsys, argv, files):
+    # numpy's overflow warnings would print ahead of the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_with_files(tmp_path, argv, files) == 4
+    assert caught == []
+    assert capsys.readouterr().err.startswith(PREFIX[4])
 
 
 def mutate(draw, text, names):

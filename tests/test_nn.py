@@ -72,6 +72,11 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(net, np.ones(4))
 
+    def test_absdev_head_needs_one_output(self):
+        # the head reads output 0 only, so a second output would go uncertified
+        with pytest.raises(ValueError):
+            init_mlp([2, 2], head="absdev")
+
 
 class TestGradients:
     def test_matches_central_differences(self):

@@ -301,17 +301,21 @@ def assert_same_instance(a, b):
 @st.composite
 def instances(draw):
     n = draw(st.integers(1, 5))
-    values = st.floats(allow_nan=False, allow_infinity=False)
+    extremes = st.sampled_from([5e-324, 2.2e-308, 1e308])
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), extremes,
+                       extremes.map(lambda x: -x))
     loss = draw(st.lists(values, min_size=n, max_size=n))
     cost = np.array(draw(st.lists(
-        st.lists(st.one_of(st.just(math.inf), st.floats(0, 1e6)), min_size=n, max_size=n),
+        st.lists(st.one_of(st.just(math.inf), st.floats(0, 1e6), extremes),
+                 min_size=n, max_size=n),
         min_size=n, max_size=n)))
     np.fill_diagonal(cost, 0.0)
     atoms = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     weights = np.full(len(atoms), 1.0 / len(atoms))
     p = draw(st.one_of(st.just(math.inf), st.floats(1.0, 8.0)))
     eps = draw(st.floats(0, 1e3))
-    support = draw(st.one_of(st.none(), st.lists(values, min_size=n, max_size=n)))
+    points = st.floats(allow_nan=False)  # infinities included
+    support = draw(st.one_of(st.none(), st.lists(points, min_size=n, max_size=n)))
     return DiscreteInstance(np.array(loss), np.array(atoms), weights, cost, p=p,
                             eps=eps, support=None if support is None else np.array(support))
 
@@ -319,4 +323,54 @@ def instances(draw):
 @settings(max_examples=100, deadline=None)
 @given(inst=instances())
 def test_instance_json_roundtrip_exact(inst):
-    assert_same_instance(instance_from_json(instance_to_json(inst)), inst)
+    text = instance_to_json(inst)
+    assert "Infinity" not in text and "NaN" not in text
+    assert_same_instance(instance_from_json(text), inst)
+
+
+def test_nan_support_rejected():
+    with pytest.raises(DataError):
+        line_instance([0.0, math.nan], [0.0, 1.0], [0], [1.0])
+
+
+# -- the atoms' rate curves -----------------------------------------------------
+
+
+def sorted_rate_curves(inst):
+    """The atoms' curve family by sorting each row: the points by loss, highest
+    first, then stably by distance; a knot wherever the running best gain
+    strictly rises.  The reference for :func:`oracle._atom_rate_curves`."""
+    by_loss = np.argsort(-inst.loss, kind="stable")
+    d = inst.atom_costs()[:, by_loss]
+    order = np.argsort(d, axis=1, kind="stable")
+    dist = np.take_along_axis(d, order, axis=1)
+    gain = inst.loss[by_loss][order] - inst.loss[inst.atom_index][:, None]
+    best = np.maximum.accumulate(gain, axis=1)
+    knot = np.isfinite(dist)
+    knot[:, 1:] &= best[:, 1:] > best[:, :-1]
+    starts = np.concatenate([[0], np.cumsum(np.sum(knot, axis=1))[:-1]])
+    return dist[knot], best[knot], starts
+
+
+@st.composite
+def crowded_instances(draw):
+    """Equal losses, equal distances, coincident points (zero off-diagonal
+    cost), forbidden moves and single-point supports; losses far apart make
+    distinct losses give equal gains after rounding."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 6))
+    loss = draw(st.lists(st.sampled_from([-1e300, -1.0, 0.0, 1.0, 2.0, 1e16, 1e16 + 2,
+                                          1e300]), min_size=n, max_size=n))
+    cost = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, math.inf]), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    np.fill_diagonal(cost, 0.0)
+    atoms = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return DiscreteInstance(np.array(loss), np.array(atoms), np.full(m, 1.0 / m), cost)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inst=crowded_instances())
+def test_record_derivation_matches_sort(inst):
+    for got, want in zip(oracle._atom_rate_curves(inst), sorted_rate_curves(inst)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -8,9 +8,14 @@ robust risk at budget eps and the empirical risk is sandwiched between
 * upper_bound: the least concave majorant of the p-transformed maximal rate
   at eps^p.
 
-At p = inf the lower bound is the weighted sum of raw rates at eps and the
-upper bound is the right-limit of the maximal rate (conservatively, the value
-at the next grid knot).  Extended arithmetic follows the 0*inf = 0 convention.
+Both read the profile's ragged family: the lower bound in one flat pass over
+the rows' knots, the upper bound on the maximal rate over the pooled knots.
+At p = inf the lower bound is the weighted sum of the rates read from the
+left at eps, and the upper bound is the right-limit of the maximal rate
+(conservatively, the value at the next pooled knot beyond eps).  Where each
+jump has a knot just below it, as the oracle's atoms do, that reading is
+exact at every eps but the float just below a knot.  Extended arithmetic
+follows the 0*inf = 0 convention.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ def lower_bound(profile: RateProfile, p, eps):
 
     def at(e):
         if math.isinf(p):
-            terms = rates.value(e, side="left")
+            terms = rates.left_values(e)
         else:
             terms = star_majorant_after_power(rates, float(p), e)
         return float(np.dot(w, terms[live]))

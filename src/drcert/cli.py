@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import advscore, complexity, datasets, nn, oracle
-from .certificates import certificate_report, grad_dual_certificate
+from .certificates import certificate_report, grad_dual_certificate, lower_bound, upper_bound
 from .errors import ConfigError, DataError
 from .jsonio import encode_float, write_text_atomic
 from .rates import (
@@ -316,14 +316,21 @@ def run_complexity_check(config: ExperimentConfig) -> dict:
 
 
 def run_oracle_validate(config: ExperimentConfig) -> dict:
+    """Exact risk of an instance, its self-checks and the certificates ``lb``
+    and ``cc`` on ``risk - empirical_risk`` at the instance's (p, eps), read
+    from the solve's own curve family (``lb`` is 0 at eps = 0: staying put is
+    free)."""
     if str(config.data).startswith("synthetic:"):
         raise ConfigError("oracle validation needs an instance JSON file")
     inst = oracle.instance_from_json(
         Path(config.data).read_text(encoding="utf-8", errors="replace"))
     risk = oracle.dr_risk_exact(inst)
     spend = oracle.dr_risk_plan_spend(inst)
+    profile = oracle.instance_rate_profile(inst)
     payload = {
         "risk": risk,
+        "lb": lower_bound(profile, inst.p, inst.eps) if inst.eps > 0 else 0.0,
+        "cc": upper_bound(profile, inst.p, inst.eps),
         "empirical_risk": inst.empirical_risk,
         "budget_spent": spend,
         "budget": inst.eps ** inst.p if not math.isinf(inst.p) else None,

@@ -1,11 +1,12 @@
 """Sampled univariate rate curves and their least concave / star-shaped majorants.
 
-A :class:`Curve` is a non-decreasing, non-negative function sampled on a budget
-grid starting at t=0.  Between knots a raw curve evaluates conservatively to the
-right-knot value (an upper reading for non-decreasing functions); majorants are
-exact on the knot set and interpolate linearly in between, which is exact for a
-concave piecewise-linear function.  A family of curves on one grid is one
-:class:`Curve` whose values are a (samples x knots) matrix.
+A :class:`CurveFamily` holds non-decreasing, non-negative functions sampled on
+budget grids starting at t=0 as one ragged family (flat ``t``, flat ``v``, row
+``starts``), read in one flat pass with a ``reduceat`` per row; a
+:class:`Curve` is a family of one row.  Between knots a raw curve evaluates
+conservatively to the right-knot value (an upper reading for non-decreasing
+functions); majorants are exact on the knot set and interpolate linearly in
+between, which is exact for a concave piecewise-linear function.
 
 Beyond the last knot a curve behaves according to its ``tail``:
 
@@ -29,89 +30,122 @@ TAILS = ("const", "slope", "infinite")
 #: slope tolerance for the chord-monotonicity (concavity) test
 SLOPE_TOL = 1e-12
 
-#: most (curve, knot) products a family reading holds at once (2 MB of floats)
-_BLOCK = 1 << 18
-
-
-def _scalar_or_rows(a):
-    """A 0-d reading as a float; a family's readings stay an array."""
-    return float(a) if np.ndim(a) == 0 else a
-
 
 @dataclass(frozen=True)
-class Curve:
-    """Non-decreasing sampled curve on [0, inf) with first knot at t=0.
+class CurveFamily:
+    """Ragged family of non-decreasing curves under one tail rule.
 
-    ``v`` has shape (k,) for one curve or (n, k) for a family of n curves on
-    the shared grid ``t``; the family shares one tail rule, and every reading
-    works along the last axis (one value per curve).
+    Row i holds the knots ``t[starts[i]:starts[i + 1]]`` (the last row runs to
+    the end): first knot at t=0, budgets strictly increasing, values
+    non-negative and non-decreasing.
     """
 
     t: np.ndarray
     v: np.ndarray
+    starts: np.ndarray
     tail: str = "const"
     tail_exponent: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "v", v)
-        if t.ndim != 1 or t.size == 0 or v.ndim not in (1, 2) or v.shape[-1] != t.size:
-            raise ValueError("curve needs matching non-empty knot arrays")
-        if t[0] != 0.0:
+        t, v = np.asarray(self.t, dtype=float), np.asarray(self.v, dtype=float)
+        starts = np.asarray(self.starts, dtype=np.intp)
+        for name, a in (("t", t), ("v", v), ("starts", starts)):
+            object.__setattr__(self, name, a)
+            a.setflags(write=False)
+        if t.ndim != 1 or v.shape != t.shape or starts.ndim != 1 or starts.size == 0:
+            raise ValueError("curves need matching flat knot arrays and row starts")
+        if starts[0] != 0 or np.any(np.diff(starts) <= 0) or starts[-1] >= t.size:
+            raise ValueError("every curve needs at least one knot")
+        if np.any(t[starts] != 0.0):
             raise ValueError("first knot must sit at t=0")
-        if np.any(np.diff(t) <= 0):
+        inner = np.ones(t.size, dtype=bool)
+        inner[starts] = False  # knot k > 0 of its row: compare with knot k - 1
+        if np.any(np.diff(t)[inner[1:]] <= 0):
             raise ValueError("knot budgets must be strictly increasing")
-        if np.any(v[..., 0] < 0) or np.any(v[..., 1:] < v[..., :-1]):
+        if np.any(v[starts] < 0) or np.any(np.diff(v)[inner[1:]] < 0):
             raise ValueError("curve values must be non-negative and non-decreasing")
         if self.tail not in TAILS:
             raise ValueError(f"unknown tail kind {self.tail!r}")
         if self.tail == "infinite" and self.tail_exponent is not None:
             if self.tail_exponent <= 1.0:
                 raise ValueError("an infinite tail implies superlinear growth (exponent > 1)")
-        t.setflags(write=False)
-        v.setflags(write=False)
 
     @property
-    def tail_slope(self):
-        """Slope of the last knot chord (0 for a single-knot curve)."""
-        if self.t.size < 2:
-            return _scalar_or_rows(np.zeros(self.v.shape[:-1]))
-        return _scalar_or_rows((self.v[..., -1] - self.v[..., -2]) / (self.t[-1] - self.t[-2]))
+    def ends(self) -> np.ndarray:
+        """One past each row's last knot."""
+        return np.append(self.starts[1:], self.t.size)
 
-    def value(self, t: float, side: str = "right"):
+    def _tail_slopes(self) -> np.ndarray:
+        """Slope of each row's last knot chord (0 for a single-knot row)."""
+        last = self.ends - 1
+        prev = np.maximum(last - 1, self.starts)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            slope = (self.v[last] - self.v[prev]) / (self.t[last] - self.t[prev])
+        return np.where(last > self.starts, slope, 0.0)
+
+    def left_values(self, t: float, tail: str | None = None) -> np.ndarray:
+        """Each row read from the left at budget ``t``: its last knot at or
+        below ``t``, and past its last knot the tail rule ``tail`` (by default
+        the family's own).  A lower reading, exact at knots."""
+        if t < 0:
+            raise ValueError("budgets are non-negative")
+        vals = np.maximum.reduceat(np.where(self.t <= t, self.v, -math.inf), self.starts)
+        last = self.ends - 1
+        past = self.t[last] < t
+        tail = tail or self.tail
+        if tail == "slope":
+            grown = self.v[last] + self._tail_slopes() * (t - self.t[last])
+            return np.where(past, grown, vals)
+        return np.where(past, math.inf, vals) if tail == "infinite" else vals
+
+    def pointwise_max(self) -> Curve:
+        """The rows' pointwise maximum as one curve on the pooled knots.
+
+        At each distinct budget of any row it takes the largest value any row
+        has reached by that budget (one stable sort, one running max).  Every
+        pooled knot stays, flat ones too, so that a reading from the right
+        stops at the next knot of any row.  On a shared grid this is the
+        row-wise max.
+        """
+        order = np.argsort(self.t, kind="stable")
+        t, v = self.t[order], np.maximum.accumulate(self.v[order])
+        last = np.append(t[1:] > t[:-1], True)  # each budget's last, largest value
+        return Curve(t[last], v[last], tail=self.tail, tail_exponent=self.tail_exponent)
+
+
+class Curve(CurveFamily):
+    """One non-decreasing sampled curve on [0, inf): a family of one row."""
+
+    def __init__(self, t, v, tail: str = "const", tail_exponent: float | None = None):
+        super().__init__(t, v, np.zeros(1, dtype=np.intp), tail, tail_exponent)
+
+    @property
+    def tail_slope(self) -> float:
+        """Slope of the last knot chord (0 for a single-knot curve)."""
+        return float(self._tail_slopes()[0])
+
+    def value(self, t: float, side: str = "right") -> float:
         """Conservative evaluation at budget ``t``.
 
         ``side="right"`` returns the next knot's value between knots (an upper
         reading), ``side="left"`` the previous knot's value (a lower reading).
-        Both coincide with the sample at knots.
+        Both coincide with the sample at knots and follow the tail past them.
         """
-        if t < 0:
-            raise ValueError("budgets are non-negative")
-        tk, vk = self.t, self.v
-        if t > tk[-1]:
-            if self.tail == "const":
-                return _scalar_or_rows(vk[..., -1])
-            if self.tail == "slope":
-                return _scalar_or_rows(vk[..., -1] + self.tail_slope * (t - tk[-1]))
-            return _scalar_or_rows(np.full(vk.shape[:-1], math.inf))
-        if side == "right":
-            idx = int(np.searchsorted(tk, t, side="left"))
-        elif side == "left":
-            idx = int(np.searchsorted(tk, t, side="right")) - 1
-        else:
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        return _scalar_or_rows(vk[..., idx])
+        if side == "left" or t < 0 or t > self.t[-1]:
+            return float(self.left_values(t)[0])
+        return float(self.v[int(np.searchsorted(self.t, t, side="left"))])
 
 
-def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = None) -> Curve:
+def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = None):
     """Build a :class:`Curve` from values ``v`` sampled at budgets ``t``.
 
-    ``v`` is (k,) or, for a family, (n, k).  Samples are sorted by budget;
-    values are made non-decreasing by a running maximum (rates never decrease
-    with budget) and clamped to be >= 0 at t=0.  A t=0 knot of value 0 is
-    prepended when the budgets do not include 0.
+    ``v`` is (k,) for one curve or (n, k) for a family of n rows on the
+    shared grid ``t``.  Samples are sorted by budget; values are made
+    non-decreasing by a running maximum (rates never decrease with budget)
+    and clamped to be >= 0 at t=0.  A t=0 knot of value 0 is prepended when
+    the budgets do not include 0.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -127,7 +161,11 @@ def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = 
         t = np.concatenate([[0.0], t])
         v = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
     v[..., 0] = np.maximum(v[..., 0], 0.0)
-    return Curve(t, np.maximum.accumulate(v, axis=-1), tail=tail, tail_exponent=tail_exponent)
+    v = np.maximum.accumulate(v, axis=-1)
+    if v.ndim == 1:
+        return Curve(t, v, tail=tail, tail_exponent=tail_exponent)
+    return CurveFamily(np.tile(t, len(v)), v.ravel(), np.arange(len(v)) * t.size,
+                       tail=tail, tail_exponent=tail_exponent)
 
 
 @dataclass(frozen=True)
@@ -217,8 +255,6 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
     (superlinear growth) or carrying infinite values yields the infinite
     majorant.
     """
-    if f.v.ndim != 1:
-        raise ValueError("the concave majorant is taken of one curve, not a family")
     if f.tail == "infinite" or np.any(np.isinf(f.v)):
         return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
                             tail_slope=math.inf, infinite=True)
@@ -230,65 +266,63 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
     return ConcaveCurve(ht[:keep], hv[:keep], tail_slope=tail)
 
 
-def star_majorant_after_power(f: Curve, p: float, eps: float):
+
+
+def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
     """Least star-shaped majorant of t -> f(t^(1/p)), evaluated at eps^p.
 
     That is sup over u >= eps of (eps/u)^p f(u) (at p = 1 the plain least
     star-shaped majorant sup_u eps f(u)/u), taken over the knots at or beyond
-    eps plus the tail, and 0 at eps = 0.  It is computed on the original
-    budget axis, so the u = eps candidate contributes with ratio exactly 1
-    (powering the knots and the query separately can disagree by one ulp and
-    silently drop that candidate).  A family gives one value per curve.
+    eps, the tail and u = eps, read from the left with ratio exactly 1 (rates
+    never decrease), and 0 at eps = 0.  It is computed on the original budget
+    axis (powering the knots and the query separately can disagree by one
+    ulp).  A family gives one value per row, a :class:`Curve` a float.
     """
+    best = _star_rows(f, p, eps)
+    return float(best[0]) if isinstance(f, Curve) else best
+
+
+def _star_rows(f: CurveFamily, p: float, eps: float) -> np.ndarray:
     if math.isinf(p):
         raise ValueError("p must be finite")
     if p < 1.0:
         raise ValueError("p must be >= 1")
     if eps < 0:
         raise ValueError("budgets are non-negative")
-    rows = f.v.shape[:-1]
     if eps == 0.0:
-        return _scalar_or_rows(np.zeros(rows))
+        return np.zeros(f.starts.size)
     tail, expo = f.tail, f.tail_exponent
     if tail == "infinite":
         if expo is None or expo / p > 1.0 + 1e-12:
-            return _scalar_or_rows(np.full(rows, math.inf))
+            return np.full(f.starts.size, math.inf)
         tail = "slope"  # growth no longer superlinear after the transform
-    tk, vk = f.t, f.v
-    best = np.zeros(rows)
-    first = int(np.searchsorted(tk, eps, side="left"))  # knots >= eps
-    if first < tk.size:
-        ratio = (eps / tk[first:]) ** p
-        # a block of curves at a time, so that a long family's products never
-        # all exist at once next to the family itself
-        flat = vk.reshape(-1, tk.size)
-        step = max(1, _BLOCK // tk.size)
-        with np.errstate(invalid="ignore"):
-            best = np.concatenate([np.max(ratio * flat[i:i + step, first:], axis=1)
-                                   for i in range(0, flat.shape[0], step)]).reshape(rows)
-    if eps > tk[-1]:
-        # inside the tail region the value at t = eps itself dominates
-        if tail == "const":
-            best = np.maximum(best, vk[..., -1])
-        else:
-            best = np.maximum(best, vk[..., -1] + f.tail_slope * (eps - tk[-1]))
-    if tail == "slope" and tk.size >= 2:
+    t, v = f.t, f.v
+    far = t >= eps
+    terms = np.full(t.size, -math.inf)
+    with np.errstate(invalid="ignore"):
+        terms[far] = (eps / t[far]) ** p * v[far]
+    best = np.maximum(np.maximum.reduceat(terms, f.starts), f.left_values(eps, tail))
+    rows = np.flatnonzero(f.ends - 1 > f.starts)  # the rows with a last chord
+    if tail == "slope" and rows.size:
         # limit of (eps/t)^p * f(t) as t -> inf along the linear extension,
-        # written with ratios so the knot/query powers cannot disagree
-        a = tk[-1] / eps
-        b = tk[-2] / eps
-        denom = a ** p - (b ** p if b > 0 else 0.0)
-        if denom > 0:
-            best = np.maximum(best, (vk[..., -1] - vk[..., -2]) / denom)
-    return _scalar_or_rows(best)
+        # written with ratios so the knot/query powers cannot disagree; the
+        # powers are Python floats, whose rounding does not depend on an
+        # array's layout the way a vectorised power's can
+        hi = f.ends[rows] - 1
+        a, b = (t[hi] / eps).tolist(), (t[hi - 1] / eps).tolist()
+        denom = np.array([x ** p - (y ** p if y > 0 else 0.0) for x, y in zip(a, b)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limit = np.where(denom > 0, (v[hi] - v[hi - 1]) / denom, -math.inf)
+        best[rows] = np.maximum(best[rows], limit)
+    return best
 
 
-def p_transform(f: Curve, p: float) -> Curve:
-    """Re-parameterize the budget axis: returns the curve t -> f(t^(1/p)).
+def p_transform(f: CurveFamily, p: float) -> CurveFamily:
+    """Re-parameterize the budget axis: returns the curves t -> f(t^(1/p)).
 
     Knots move to t_k^p with values unchanged, so no interpolation error is
     introduced at knots.  Tail growth of order q becomes order q/p, which
-    resolves the infinite flag when q/p <= 1.
+    resolves the infinite flag when q/p <= 1.  A :class:`Curve` stays one.
     """
     if math.isinf(p):
         raise ValueError("p must be finite for the transform")
@@ -296,24 +330,29 @@ def p_transform(f: Curve, p: float) -> Curve:
         raise ValueError("p must be >= 1")
     if p == 1.0:
         return f
-    t_new = np.power(f.t, p)
-    # distinct knots can share a power (underflow, rounding); they then cost
-    # the same budget, so keep the last, largest value of each such run
-    keep = np.append(t_new[1:] > t_new[:-1], True)
     tail, expo = f.tail, f.tail_exponent
     if expo is not None:
         expo = expo / p
         if tail == "infinite" and expo <= 1.0 + 1e-12:
             tail = "slope"
             expo = min(expo, 1.0)
-    v = f.v if keep.all() else f.v[..., keep]
-    return Curve(t_new[keep], v, tail=tail, tail_exponent=expo)
+    t_new = np.power(f.t, p)
+    # distinct knots can share a power (underflow, rounding); they then cost
+    # the same budget, so keep the last, largest value of each such run
+    keep = np.append(t_new[1:] > t_new[:-1], True)
+    keep[f.ends - 1] = True  # a row's last knot ends its run
+    if isinstance(f, Curve):
+        return Curve(t_new[keep], f.v[keep], tail=tail, tail_exponent=expo)
+    starts = np.cumsum(keep)[f.starts] - keep[f.starts]
+    return CurveFamily(t_new[keep], f.v[keep], starts, tail=tail, tail_exponent=expo)
 
 
 def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:
     """Chord-slope monotonicity test (slopes non-increasing left to right).
 
-    Accepts a :class:`ConcaveCurve` or explicit knot arrays ``(t, v)``.
+    Accepts a :class:`ConcaveCurve` or explicit knot arrays ``(t, v)``.  A
+    slope may exceed its predecessor by ``tol`` times the largest of 1 and
+    the two slopes' magnitudes.
     """
     if isinstance(obj, ConcaveCurve):
         if obj.infinite:
@@ -322,11 +361,6 @@ def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:
     else:
         t = np.asarray(obj, dtype=float)
         vv = np.asarray(v, dtype=float)
-    if t.size <= 2:
-        return True
     slopes = np.diff(vv) / np.diff(t)
-    for s1, s2 in zip(slopes[:-1], slopes[1:]):
-        if s2 > s1 + tol * max(1.0, abs(s1), abs(s2)):
-            return False
-    return True
-
+    s1, s2 = slopes[:-1], slopes[1:]
+    return not np.any(s2 > s1 + tol * np.maximum(1.0, np.maximum(np.abs(s1), np.abs(s2))))

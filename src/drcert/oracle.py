@@ -12,7 +12,8 @@ decreasing slope, the last segment fractionally, is exact (Dantzig 1957).
 ``dr_risk_exact`` solves it that way, so its cost grows with the number of
 hull segments; at p = inf every atom simply reads its curve at eps.  The
 curves depend on neither p nor eps, so an instance derives them once, as one
-flat family, and every solve and the rate profile read that family.
+ragged :class:`~drcert.curves.CurveFamily`; every solve and the rate
+profile, at any support size up to ``MAX_SUPPORT``, read that family.
 ``dr_risk_enumerate`` enumerates all basic solutions (pure assignments plus
 one-fractional-atom vertices) for small instances and serves as the
 independent check.
@@ -31,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .curves import Curve, _upper_hull
+from .curves import CurveFamily, _upper_hull, p_transform
 from .errors import DataError
 from .jsonio import decode_float, encode_float
 from .rates import RateProfile
 
 MAX_SUPPORT = 4096
-#: most (atom, distance) cells of an instance's rate profile: 1 GiB of floats
-_PROFILE_CELLS = 1 << 27
 #: pure assignments per vectorized pass of ``dr_risk_enumerate``
 _ENUM_CHUNK = 200_000
 
@@ -105,10 +104,11 @@ class DiscreteInstance:
         return self.cost[self.atom_index, :]
 
     @functools.cached_property
-    def _family(self):
-        """The atoms' growth-rate curves (:func:`_atom_rate_curves`), derived
-        on first use; they depend on neither p nor eps."""
-        return _atom_rate_curves(self)
+    def _family(self) -> CurveFamily:
+        """The atoms' growth-rate curves (:func:`_atom_rate_curves`) with
+        their step knots (:func:`_exact_steps`), derived on first use; they
+        depend on neither p nor eps."""
+        return _exact_steps(*_atom_rate_curves(self))
 
 
 def _powered_costs(inst: DiscreteInstance) -> np.ndarray:
@@ -133,22 +133,41 @@ def _atom_rate_curves(inst: DiscreteInstance):
     after it, so the first knot is t=0 with the best gain at distance 0
     (>= 0).  Forbidden (infinite) moves never become knots.  The family is
     ragged: flat knot budgets ``t``, flat values ``v`` and the offset of each
-    atom's first knot, ``starts``.
+    atom's first knot, ``starts``.  The only matrix is the gathered costs,
+    whose suffix minimum (taken in place) rises right after each record.
     """
     asc = np.argsort(inst.loss, kind="stable")
-    d = inst.cost[np.ix_(inst.atom_index, asc)]
-    after = np.full_like(d, math.inf)
-    np.minimum.accumulate(d[:, :0:-1], axis=1, out=after[:, -2::-1])
-    row, col = np.nonzero(d < after)
+    near = inst.cost[np.ix_(inst.atom_index, asc)]
+    rev = near[:, ::-1]
+    np.minimum.accumulate(rev, axis=1, out=rev)
+    record = np.empty(near.shape, dtype=bool)
+    record[:, :-1] = near[:, :-1] < near[:, 1:]
+    record[:, -1] = near[:, -1] < math.inf
+    row, col = np.nonzero(record)
     gain = inst.loss[asc][col] - inst.loss[inst.atom_index][row]
     keep = np.ones(row.size, dtype=bool)
     keep[1:] = (gain[1:] != gain[:-1]) | (row[1:] != row[:-1])
     row = row[keep]
     starts = np.searchsorted(row, np.arange(inst.atom_index.size))
-    family = d[row, col[keep]], gain[keep], starts
+    family = near[row, col[keep]], gain[keep], starts
     for a in family:
         a.setflags(write=False)
     return family
+
+
+def _exact_steps(t, v, starts) -> CurveFamily:
+    """The atoms' step curves (v_{k-1} on [t_{k-1}, t_k)) with a knot at the
+    float just below each jump t_k, carrying v_{k-1} (none where that float is
+    t_{k-1}): the value at the first knot at or after any budget is then the
+    exact rate there, not the next jump's.  These knots do not rise, so the
+    hull of a solve walks past them."""
+    step = np.ones(t.size, dtype=bool)
+    step[starts] = False
+    below = np.nextafter(t, 0.0)
+    step[1:] &= below[1:] > t[:-1]
+    at = np.flatnonzero(step)
+    return CurveFamily(np.insert(t, at, below[at]), np.insert(v, at, v[at - 1]),
+                       starts + np.searchsorted(at, starts))
 
 
 def _row_of(starts: np.ndarray, size: int) -> np.ndarray:
@@ -159,24 +178,18 @@ def _row_of(starts: np.ndarray, size: int) -> np.ndarray:
 def _solve(inst: DiscreteInstance, p: float):
     """Optimal (risk, powered-cost spend) at exponent p; see the module docstring.
 
-    Reads the instance's cached curve family: powers its budgets once, keeping
-    the last knot of any run whose powers coincide within an atom (as
-    :func:`~drcert.curves.p_transform` does), hulls every atom in one pass and
+    Reads the instance's cached curve family: p-transforms it once
+    (:func:`~drcert.curves.p_transform`), hulls every atom in one pass and
     sorts all hull segments by slope at once.
     """
-    t, v, starts = inst._family
+    family = inst._family
     w, eps = inst.weights, inst.eps
     if math.isinf(p):
         # each curve read from the left at eps: its largest value within eps
-        gains = np.maximum.reduceat(np.where(t <= eps, v, -math.inf), starts)
+        gains = family.left_values(eps)
         return inst.empirical_risk + float(np.dot(w, gains)), 0.0
-    tp = np.power(t, p)
-    # distinct knots can share a power (underflow, rounding); they then cost
-    # the same budget, so keep the last, largest value of each such run
-    last = np.append(tp[1:] > tp[:-1], True)
-    last[np.append(starts[1:], t.size) - 1] = True
-    starts = np.cumsum(last)[starts] - last[starts]
-    ht, hv, hs = _upper_hull(tp[last], v[last], starts)
+    powered = p_transform(family, p)
+    ht, hv, hs = _upper_hull(powered.t, powered.v, powered.starts)
     inner = np.ones(ht.size - 1, dtype=bool)
     inner[hs[1:] - 1] = False  # no segment joins one atom's hull to the next
     wk = w[_row_of(hs, ht.size)[1:][inner]]
@@ -266,28 +279,17 @@ def wp_ordering_check(inst: DiscreteInstance, p_list) -> bool:
                for k in range(len(risks) - 1))
 
 
-def instance_rate_profile(inst: DiscreteInstance):
+def instance_rate_profile(inst: DiscreteInstance) -> RateProfile:
     """Per-atom growth-rate curves over the instance's own finite support.
 
     The rate of atom i at budget t is the best loss increase among support
-    points within (un-powered) distance t.  Each atom's curve is read from the
-    left at every pairwise distance, which captures each jump exactly on one
-    shared grid, so certificates built from this profile are exact for the
-    instance.  A profile of more than ``_PROFILE_CELLS`` (atom, distance)
-    cells raises ``DataError`` before the matrix is allocated.
+    points within (un-powered) distance t.  The profile is the instance's
+    cached family as it stands: each atom's knots are its record distances
+    plus a step knot just below each jump (:func:`_exact_steps`), so every
+    reading is exact for the instance and its size is the knot count, not
+    atoms x distances.
     """
-    d = inst.atom_costs()
-    grid = np.unique(np.concatenate([[0.0], d[np.isfinite(d)]]))
-    m, k = inst.atom_index.size, grid.size
-    if m * k > _PROFILE_CELLS:
-        raise DataError(
-            f"rate profile of {m} atoms x {k} distances exceeds {_PROFILE_CELLS} cells")
-    t, v, starts = inst._family
-    # every knot budget is on the grid and each atom's first knot is its
-    # t=0, so repeating each knot's value up to the next knot fills the rows
-    at = _row_of(starts, t.size) * k + np.searchsorted(grid, t)
-    rates = np.repeat(v, np.diff(at, append=m * k)).reshape(m, k)
-    return RateProfile(Curve(grid, rates), inst.weights)
+    return RateProfile(inst._family, inst.weights)
 
 
 def instance_from_json(text: str) -> DiscreteInstance:
@@ -297,22 +299,26 @@ def instance_from_json(text: str) -> DiscreteInstance:
     ``json.loads`` does but rejects the non-standard ``NaN``/``Infinity``
     literals and out-of-range numbers.  ``loss`` and ``cost`` then decode with
     one numpy conversion each, which reads the ``"inf"``/``"-inf"`` strings
-    exactly as :func:`decode_float` does.
+    exactly as :func:`decode_float` does.  Atom indices are JSON integers.
     """
     try:
         d = orjson.loads(text)
         atoms = d["atoms"]
         support = d.get("support")
+        index = [a[0] for a in atoms]
+        bad = [i for i in index if type(i) is not int]  # a bool, float or string
+        if bad:
+            raise ValueError(f"atom index {bad[0]!r} is not a JSON integer")
         fields = dict(
             loss=np.asarray(d["loss"], dtype=float),
-            atom_index=np.array([int(a[0]) for a in atoms]),
+            atom_index=np.array(index, dtype=int),
             weights=np.array([float(a[1]) for a in atoms]),
             cost=np.asarray(d["cost"], dtype=float),
             p=decode_float(d.get("p", 1.0)),
             eps=decode_float(d.get("eps", 0.0)),
             support=np.asarray(support, dtype=float) if support is not None else None,
         )
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed instance: {exc!r}") from exc
     return DiscreteInstance(**fields)
 

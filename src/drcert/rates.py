@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .curves import Curve, curve_from_samples
+from .curves import Curve, CurveFamily, curve_from_samples
 
 _R_VALUES = (1.0, 2.0, math.inf)
 
@@ -86,8 +86,8 @@ class LinearPowerRegression:
         """Largest residual change per unit of cost budget."""
         return max(dual_norm(self.theta, self.cost.r), self.cost.label_gain)
 
-    def rate_curve(self, X, y, grid) -> Curve:
-        """Exact rates over the grid: one row per point of (X, y), one curve for one point."""
+    def rate_curve(self, X, y, grid) -> CurveFamily:
+        """Exact rates over the grid: one row per point of (X, y)."""
         c_hat = np.abs(self.residuals(X, y))[..., None]
         t = np.asarray(grid, dtype=float)
         values = (c_hat + t * self.gain) ** self.alpha - c_hat ** self.alpha
@@ -163,12 +163,14 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Weighted rate curves of n samples on one grid: ``rates.v`` is (n, k).
+    """Weighted rate curves of n samples: ``rates`` is a family of n rows.
 
-    ``maximal`` is their pointwise (row-wise) max, sharing the family's tail.
+    ``maximal`` is their pointwise max on the pooled knots
+    (:meth:`~drcert.curves.CurveFamily.pointwise_max`), sharing the family's
+    tail.
     """
 
-    rates: Curve
+    rates: CurveFamily
     weights: np.ndarray
     quality: str = "exact"  # "exact" for closed forms, "search" for estimates
     maximal: Curve = field(init=False, repr=False)
@@ -176,15 +178,13 @@ class RateProfile:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        r = self.rates
-        if r.v.shape != (w.size, r.t.size):
+        if w.shape != self.rates.starts.shape:
             raise ValueError("rates need one row per sample weight")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
-        object.__setattr__(self, "maximal", Curve(r.t, np.max(r.v, axis=0), tail=r.tail,
-                                                  tail_exponent=r.tail_exponent))
+        object.__setattr__(self, "maximal", self.rates.pointwise_max())
 
 
 # -- ball geometry -------------------------------------------------------------
@@ -353,6 +353,6 @@ def profile_from_curves(curves) -> RateProfile:
         if not np.array_equal(c.t, first.t) or (c.tail, c.tail_exponent) != (
                 first.tail, first.tail_exponent):
             raise ValueError("per-sample curves must share the budget grid and tail")
-    rates = Curve(first.t, np.array([c.v for c in curves]), tail=first.tail,
-                  tail_exponent=first.tail_exponent)
+    rates = curve_from_samples(first.t, [c.v for c in curves], tail=first.tail,
+                               tail_exponent=first.tail_exponent)
     return RateProfile(rates, np.full(len(curves), 1.0 / len(curves)))

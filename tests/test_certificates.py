@@ -13,7 +13,7 @@ from drcert.certificates import (
     p_ordering_check,
     upper_bound,
 )
-from drcert.curves import Curve, least_concave_majorant, p_transform, star_majorant_after_power
+from drcert.curves import Curve, curve_from_samples, least_concave_majorant, p_transform
 from drcert.rates import CostConfig, LinearPowerRegression, RateProfile, maximal_rate
 
 
@@ -164,8 +164,8 @@ class TestReport:
 def test_sandwich_holds_past_the_grid_on_a_slope_tail():
     # the last chord rises faster than the hull's last segment: reading the
     # hull's slope past the grid put cc = 3.5 under lb = 3.9 at eps = 4
-    prof = RateProfile(Curve([0.0, 1.0, 2.0, 3.0], [[0.0, 2.0, 2.1, 3.0]], tail="slope"),
-                       np.array([1.0]))
+    prof = RateProfile(curve_from_samples([0.0, 1.0, 2.0, 3.0], [[0.0, 2.0, 2.1, 3.0]],
+                                      tail="slope"), np.array([1.0]))
     assert lower_bound(prof, 1.0, 4.0) == pytest.approx(3.9)
     assert upper_bound(prof, 1.0, 4.0) >= lower_bound(prof, 1.0, 4.0)
 
@@ -175,7 +175,7 @@ class TestPInfty:
         prof, loss = linear_profile([2.0])
         eps = prof.maximal.t[7]
         expected = sum(w * v for w, v in zip(prof.weights,
-                                             prof.rates.value(float(eps), side="left")))
+                                             prof.rates.left_values(float(eps))))
         assert lower_bound(prof, math.inf, float(eps)) == pytest.approx(expected)
 
     def test_cc_inf_right_limit(self):
@@ -202,31 +202,61 @@ def test_report_json_roundtrip_exact(cols, p, emp, finite):
     assert (back.p, back.empirical_risk, back.finite) == (p, emp, finite)
 
 
-# -- array bounds against a per-row reference ------------------------------------
+# -- ragged readings against a dense reference -------------------------------------
 
-def reference_bounds(prof, p, eps):
-    """lower_bound / upper_bound at one budget, one sample curve at a time."""
-    fam = prof.rates
-    rows = [Curve(fam.t, v, tail=fam.tail, tail_exponent=fam.tail_exponent) for v in fam.v]
-    lb = 0.0
-    for w, row in zip(prof.weights, rows):
-        if w > 0:  # 0 * inf = 0
-            lb += w * (row.value(eps, side="left") if math.isinf(p)
-                       else star_majorant_after_power(row, p, eps))
-    peak = rows[0].v
-    for row in rows[1:]:
-        peak = np.maximum(peak, row.v)
-    top = Curve(fam.t, peak, tail=fam.tail, tail_exponent=fam.tail_exponent)
+def dense_reference(t, V, tail, expo, weights, p, eps):
+    """lower_bound / upper_bound at one budget, read off the (samples x knots)
+    matrix ``V`` on the grid ``t`` one whole column at a time.
+
+    Returns (lb without the u = eps candidate, lb with it, cc): the star
+    majorant here takes the knots at or beyond eps and the tail only, and the
+    candidate is each row's reading from the left at eps.
+    """
+    live = weights > 0  # 0 * inf = 0
+    past = eps > t[-1]
+    slope = (V[:, -1] - V[:, -2]) / (t[-1] - t[-2]) if t.size >= 2 else np.zeros(len(V))
+    star_tail = tail
+    if tail == "infinite" and not math.isinf(p) and expo is not None and expo / p <= 1 + 1e-12:
+        star_tail = "slope"
+    if not past:
+        left = V[:, np.searchsorted(t, eps, side="right") - 1]
+    elif (tail if math.isinf(p) else star_tail) == "const":
+        left = V[:, -1]
+    elif (tail if math.isinf(p) else star_tail) == "slope":
+        left = V[:, -1] + slope * (eps - t[-1])
+    else:
+        left = np.full(len(V), math.inf)
     if math.isinf(p):
-        above = fam.t[fam.t > eps]
+        best = left
+    elif star_tail == "infinite":
+        best = np.full(len(V), math.inf)
+    else:
+        best = np.zeros(len(V))
+        first = int(np.searchsorted(t, eps, side="left"))
+        if first < t.size:
+            with np.errstate(invalid="ignore"):
+                best = np.max((eps / t[first:]) ** p * V[:, first:], axis=1)
+        if past:
+            best = np.maximum(best, left)
+        if star_tail == "slope" and t.size >= 2:
+            a, b = float(t[-1]) / eps, float(t[-2]) / eps
+            denom = a ** p - (b ** p if b > 0 else 0.0)
+            if denom > 0:
+                best = np.maximum(best, (V[:, -1] - V[:, -2]) / denom)
+    w = weights[live]
+    lb_old = float(np.dot(w, best[live]))
+    lb_new = float(np.dot(w, np.maximum(best, left)[live]))
+    top = Curve(t, V.max(axis=0), tail=tail, tail_exponent=expo)
+    if math.isinf(p):
+        above = t[t > eps]
         cc = top.value(float(above[0])) if above.size else top.value(eps)
     else:
         cc = least_concave_majorant(p_transform(top, p)).value(eps ** p)
-    return lb, cc
+    return lb_old, lb_new, cc
 
 
 @st.composite
-def families(draw):
+def shared_grids(draw):
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 8))
     t = np.concatenate([[0.0], np.cumsum(draw(st.lists(
@@ -237,20 +267,23 @@ def families(draw):
                                        ("infinite", 1.5), ("infinite", 2.0), ("infinite", 3.0)]))
     mass = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
     mass[draw(st.integers(0, n - 1))] += 1.0  # some weight is positive; others may be 0
-    rates = Curve(t, np.cumsum(steps, axis=1), tail=tail, tail_exponent=expo)
-    return RateProfile(rates, mass / mass.sum())
+    return t, np.cumsum(steps, axis=1), tail, expo, mass / mass.sum()
 
 
-@settings(max_examples=150, deadline=None)
-@given(prof=families(), p=st.sampled_from([1.0, 1.5, 2.0, math.inf]),
-       eps=st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=4))
-def test_array_bounds_match_row_reference(prof, p, eps):
-    eps = np.sort(eps)
+@settings(max_examples=200, deadline=None)
+@given(grid=shared_grids(), p=st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+       eps=st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=4), on_knots=st.booleans())
+def test_array_bounds_match_row_reference(grid, p, eps, on_knots):
+    t, V, tail, expo, weights = grid
+    prof = RateProfile(curve_from_samples(t, V, tail=tail, tail_exponent=expo), weights)
+    eps = np.unique(np.concatenate([eps, t[1:]]) if on_knots else eps)
     lbs, ccs = lower_bound(prof, p, eps), upper_bound(prof, p, eps)
     assert lbs.shape == ccs.shape == eps.shape
     for e, lb, cc in zip(eps, lbs, ccs):
-        ref_lb, ref_cc = reference_bounds(prof, p, float(e))
-        assert lb == pytest.approx(ref_lb, rel=1e-12)
-        assert cc == pytest.approx(ref_cc, rel=1e-12)
+        lb_old, lb_new, ref_cc = dense_reference(t, V, tail, expo, weights, p, float(e))
+        assert cc == ref_cc
+        assert lb == lb_new >= lb_old
+        if e in t or e > t[-1]:  # the candidate is a knot's or the tail's own term
+            assert lb == lb_old
         assert lower_bound(prof, p, float(e)) == lb  # scalar eps gives the same float
         assert upper_bound(prof, p, float(e)) == cc

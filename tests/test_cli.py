@@ -272,6 +272,12 @@ BAD_INSTANCES = {
     "infinity_literal_p": literal_instance("p", "Infinity"),
     "neg_infinity_literal_p": literal_instance("p", "-Infinity"),
     "overflowing_p": literal_instance("p", "1e400"),
+    # an atom index is a JSON integer: no truncation, no parsing of text
+    "fractional_atom_index": changed_instance(loss=[0.0, 1.0, 2.0], atoms=[[0.9, 1.0]],
+                                              cost=[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                                    [2.0, 1.0, 0.0]]),
+    "string_atom_index": changed_instance(atoms=[["1", 1.0]]),
+    "boolean_atom_index": changed_instance(atoms=[[True, 1.0]]),
 }
 
 
@@ -322,6 +328,28 @@ class TestMainExitCodes:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_oracle_writes_the_sandwich(self, tmp_path, seed):
+        # the good instance, or a random planar one with forbidden moves
+        text = json.dumps(GOOD_INSTANCE)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            z = rng.uniform(0.0, 1.0, size=(40, 2))
+            cost = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+            cost[rng.random(cost.shape) < 0.1] = math.inf
+            np.fill_diagonal(cost, 0.0)
+            text = instance_to_json(DiscreteInstance(
+                rng.normal(size=40), rng.choice(40, size=10, replace=False),
+                rng.dirichlet(np.ones(10)), cost, p=2.0, eps=0.2))
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
+        data = json.loads(read(tmp_path / "o" / "oracle.json"))
+        emp, risk = data["empirical_risk"], data["risk"]
+        tol = 1e-12 * max(1.0, abs(risk))
+        assert emp + data["lb"] <= risk + tol and risk <= emp + data["cc"] + tol
+        assert data["lb"] > 0
 
     def test_oracle_roundtrip(self, tmp_path):
         z = np.array([0.0, 1.0])

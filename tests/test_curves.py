@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from drcert.curves import (
     ConcaveCurve,
     Curve,
+    CurveFamily,
+    SLOPE_TOL,
     _upper_hull,
     curve_from_samples,
     is_concave,
@@ -305,38 +307,78 @@ def test_slope_tail_outgrows_the_hull():
     assert is_concave(env)
 
 
+def family_rows(fam):
+    """The rows of a :class:`CurveFamily`, each as a :class:`Curve`."""
+    return [Curve(t, v, tail=fam.tail, tail_exponent=fam.tail_exponent)
+            for t, v in zip(np.split(fam.t, fam.starts[1:]), np.split(fam.v, fam.starts[1:]))]
+
+
+def ragged_family(rng, tail, expo, rows=4):
+    """Rows of 1-9 knots on their own budgets, each first knot at t=0."""
+    sizes = rng.integers(1, 10, size=rows)
+    t = np.concatenate([np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, size=k - 1))])
+                        for k in sizes])
+    v = np.concatenate([np.maximum.accumulate(rng.uniform(0, 3, size=k)) for k in sizes])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return CurveFamily(t, v, starts, tail=tail, tail_exponent=expo)
+
+
 class TestFamilies:
-    def test_readings_along_last_axis(self):
+    def test_readings_match_rows(self):
         rng = np.random.default_rng(17)
         t = np.linspace(0.0, 2.0, 9)
         V = np.maximum.accumulate(rng.uniform(0, 3, size=(4, t.size)), axis=1)
         for tail, expo in (("const", None), ("slope", None), ("infinite", 2.0)):
-            fam = Curve(t, V, tail=tail, tail_exponent=expo)
-            rows = [Curve(t, v, tail=tail, tail_exponent=expo) for v in V]
-            assert np.array_equal(fam.tail_slope, [r.tail_slope for r in rows])
-            for x in (0.0, 0.3, float(t[4]), float(t[-1]), 3.7):
-                for side in ("left", "right"):
-                    assert np.array_equal(fam.value(x, side), [r.value(x, side) for r in rows])
-                for p in (1.0, 2.5):
-                    assert np.array_equal(star_majorant_after_power(fam, p, x),
-                                          [star_majorant_after_power(r, p, x) for r in rows])
-            g = p_transform(fam, 2.5)
-            assert np.array_equal(g.v, V)
-            assert (g.tail, g.tail_exponent) == (p_transform(rows[0], 2.5).tail,
-                                                 p_transform(rows[0], 2.5).tail_exponent)
+            for fam in (curve_from_samples(t, V, tail=tail, tail_exponent=expo),
+                        ragged_family(rng, tail, expo)):
+                rows = family_rows(fam)
+                for x in (0.0, 0.3, float(t[4]), float(t[-1]), 3.7, float(fam.t[3])):
+                    assert np.array_equal(fam.left_values(x),
+                                          [r.value(x, "left") for r in rows])
+                    for p in (1.0, 2.5):
+                        assert np.array_equal(star_majorant_after_power(fam, p, x),
+                                              [star_majorant_after_power(r, p, x)
+                                               for r in rows])
+                g = p_transform(fam, 2.5)
+                assert (g.tail, g.tail_exponent) == (p_transform(rows[0], 2.5).tail,
+                                                     p_transform(rows[0], 2.5).tail_exponent)
+                for got, row in zip(family_rows(g), rows):
+                    want = p_transform(row, 2.5)
+                    assert np.array_equal(got.t, want.t) and np.array_equal(got.v, want.v)
+
+    def test_pointwise_max_pools_every_knot(self):
+        rng = np.random.default_rng(5)
+        fam = ragged_family(rng, "const", None, rows=5)
+        top = fam.pointwise_max()
+        assert np.array_equal(top.t, np.unique(fam.t))
+        rows = family_rows(fam)
+        for x in top.t:
+            assert top.value(x) == max(r.value(x, "left") for r in rows)
+        # on a shared grid: the row-wise max
+        V = np.maximum.accumulate(rng.uniform(0, 3, size=(3, 6)), axis=1)
+        grid = curve_from_samples(np.arange(6.0), V).pointwise_max()
+        assert np.array_equal(grid.t, np.arange(6.0)) and np.array_equal(grid.v, V.max(axis=0))
 
     def test_from_samples_family(self):
         fam = curve_from_samples([2, 1], [[3, 1], [0, 5]])
-        assert np.array_equal(fam.t, [0, 1, 2])
-        assert np.array_equal(fam.v, [[0, 1, 3], [0, 5, 5]])
+        assert isinstance(fam, CurveFamily)
+        assert np.array_equal(fam.t, [0, 1, 2, 0, 1, 2])
+        assert np.array_equal(fam.v, [0, 1, 3, 0, 5, 5])
+        assert np.array_equal(fam.starts, [0, 3])
 
     def test_family_checks(self):
         with pytest.raises(ValueError):
-            Curve([0.0, 1.0], np.zeros((2, 3)))
+            Curve([0.0, 1.0], np.zeros((2, 2)))  # one curve per Curve
         with pytest.raises(ValueError):
-            Curve([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+            CurveFamily([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0, 3])  # an empty row
         with pytest.raises(ValueError):
-            least_concave_majorant(Curve([0.0, 1.0], [[0.0, 1.0], [0.0, 2.0]]))
+            CurveFamily([0.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0, 2])  # a row off t=0
+        with pytest.raises(ValueError):
+            CurveFamily([0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0, 2])  # repeated budget
+        with pytest.raises(ValueError):
+            CurveFamily([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 1.0], [0, 2])  # a row falls
+        with pytest.raises(ValueError):
+            CurveFamily([0.0], [0.0], [0], tail="infinite", tail_exponent=1.0)
 
 
 def concave_value_reference(env, t):
@@ -424,3 +466,24 @@ def test_ragged_hull_matches_reference_rows(family, p, extra):
         # the walk skips flat knots: no hull knot repeats its predecessor's value
         # except a row's last
         assert np.all(np.diff(got.v)[:-1] > 0)
+
+
+def is_concave_reference(t, v, tol):
+    """The chord-slope test one pair of slopes at a time."""
+    slopes = np.diff(v) / np.diff(t)
+    for s1, s2 in zip(slopes[:-1], slopes[1:]):
+        if s2 > s1 + tol * max(1.0, abs(s1), abs(s2)):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.floats(1e-3, 5.0), min_size=0, max_size=10),
+       rises=st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, math.inf, 1e-13])),
+                      min_size=10, max_size=10),
+       tol=st.sampled_from([0.0, SLOPE_TOL, 1e-10, 1e-3]))
+def test_is_concave_matches_pairwise_reference(steps, rises, tol):
+    t = np.concatenate([[0.0], np.cumsum(steps)])
+    with np.errstate(invalid="ignore"):
+        v = np.concatenate([[0.0], np.cumsum(rises[:len(steps)])])
+        assert is_concave(t, v, tol=tol) == is_concave_reference(t, v, tol)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from drcert import oracle
 from drcert.certificates import lower_bound, upper_bound
+from drcert.curves import CurveFamily
+from drcert.rates import RateProfile
 from drcert.errors import DataError
 from drcert.oracle import (
     DiscreteInstance,
@@ -91,24 +94,6 @@ class TestBasics:
         # the caller's arrays stay theirs: changing one leaves the instance as it was
         cost[0, 1] = 0.0
         assert dr_risk_exact(inst) == 0.5
-
-    def test_profile_too_large_fails_before_allocating(self):
-        # 512 atoms on 514 points with distinct distances: 512 x 262,657 cells,
-        # just over the bound; the matrix would take 1 GiB
-        rng = np.random.default_rng(3)
-        n, m = 514, 512
-        cost = rng.uniform(1.0, 2.0, size=(n, n))
-        np.fill_diagonal(cost, 0.0)
-        inst = DiscreteInstance(rng.normal(size=n), np.arange(m), np.full(m, 1.0 / m), cost)
-        assert m * (m * (n - 1) + 1) > oracle._PROFILE_CELLS
-        tracemalloc.start()
-        try:
-            with pytest.raises(DataError):
-                instance_rate_profile(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
 
     def test_forbidden_moves_excluded(self):
         cost = np.array([[0.0, math.inf], [math.inf, 0.0]])
@@ -258,6 +243,35 @@ class TestSandwich:
         assert dr_risk_exact(two) == pytest.approx(dr_risk_enumerate(two), abs=1e-12)
 
 
+def test_support_cap_sandwich_within_memory():
+    # m = n = MAX_SUPPORT on a line: the profile is the atoms' family
+    # (~70k knots), where atoms x distances would be 4096 x 8.4M cells
+    rng = np.random.default_rng(4096)
+    n = oracle.MAX_SUPPORT
+    z = np.sort(rng.uniform(0.0, 1.0, size=n))
+    cost = z[:, None] - z[None, :]
+    np.abs(cost, out=cost)
+    inst = DiscreteInstance(rng.normal(size=n), np.arange(n), np.full(n, 1.0 / n), cost,
+                            eps=0.01)
+    del cost
+    tracemalloc.start()
+    try:
+        prof = instance_rate_profile(inst)
+        bounds = {p: (lower_bound(prof, p, inst.eps), upper_bound(prof, p, inst.eps))
+                  for p in (1.0, 2.0, math.inf)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    assert prof.rates.t.size < 200_000
+    emp = inst.empirical_risk
+    for p, (lb, cc) in bounds.items():
+        risk = dr_risk_exact(dataclasses.replace(inst, p=p))
+        tol = 1e-9 * max(1.0, abs(risk))
+        assert emp + lb <= risk + tol and risk <= emp + cc + tol
+        assert lb > 0 and cc < math.inf
+
+
 class TestJson:
     def test_roundtrip(self):
         inst = line_instance([0.0, 0.5, 2.0], [1.0, -1.0, 3.0], [0, 2],
@@ -374,3 +388,77 @@ def crowded_instances(draw):
 def test_record_derivation_matches_sort(inst):
     for got, want in zip(oracle._atom_rate_curves(inst), sorted_rate_curves(inst)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# -- the ragged sandwich ----------------------------------------------------------
+
+
+def exact_p_inf_gap(inst, eps):
+    """The largest gain any atom reaches within eps, straight from the costs:
+    the exact maximal rate at eps."""
+    reach = np.where(inst.atom_costs() <= eps, inst.loss, -math.inf)
+    return float(np.max(np.max(reach, axis=1) - inst.loss[inst.atom_index]))
+
+
+def p_inf_reading_is_exact(prof, inst, eps):
+    """Whether cc at p = inf equals the exact maximal rate at eps.  It must
+    wherever the float just above eps is not a knot of the family (there the
+    right-limit reading may take the knot's value)."""
+    if np.nextafter(eps, math.inf) in prof.rates.t:
+        return True
+    return upper_bound(prof, math.inf, eps) == exact_p_inf_gap(inst, eps)
+
+
+@st.composite
+def budgets(draw, inst):
+    """Budgets at, between and one float either side of the instance's distances."""
+    d = inst.atom_costs()
+    d = np.unique(d[np.isfinite(d) & (d > 0)])
+    at = draw(st.sampled_from(d.tolist())) if d.size else 1.0
+    return draw(st.sampled_from([at, float(np.nextafter(at, 0.0)),
+                                 float(np.nextafter(at, math.inf)), 0.5 * at,
+                                 at + draw(st.floats(0.0, 3.0))]))
+
+
+@st.composite
+def line_instances(draw):
+    """Up to 12 points on a line, losses anywhere in [-5, 5], up to 4 atoms."""
+    n = draw(st.integers(1, 12))
+    z = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    loss = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    atoms = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    w = np.array(draw(st.lists(st.integers(1, 4), min_size=len(atoms), max_size=len(atoms))),
+                 dtype=float)
+    return DiscreteInstance(loss, np.array(atoms), w / w.sum(), np.abs(z[:, None] - z[None, :]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), inst=st.one_of(crowded_instances(), line_instances()))
+def test_ragged_sandwich_and_exact_p_inf_reading(data, inst):
+    eps = data.draw(budgets(inst))
+    if not eps > 0:
+        return
+    prof = instance_rate_profile(inst)
+    emp = inst.empirical_risk
+    for p in (1.0, 2.0, math.inf):
+        risk = dr_risk_exact(dataclasses.replace(inst, p=p, eps=eps))
+        lb, cc = lower_bound(prof, p, eps), upper_bound(prof, p, eps)
+        tol = 1e-9 * max(1.0, abs(risk), abs(emp))
+        assert emp + lb <= risk + tol and risk <= emp + cc + tol
+    assert upper_bound(prof, math.inf, eps) >= exact_p_inf_gap(inst, eps)
+    assert p_inf_reading_is_exact(prof, inst, eps)
+
+
+def test_p_inf_reading_needs_the_step_knots():
+    # the same check on the records alone, without the knot below each jump:
+    # the reading past eps takes the next jump's value
+    rng = np.random.default_rng(8)
+    misses = 0
+    for _ in range(40):
+        inst = random_instance(rng)
+        records = RateProfile(CurveFamily(*oracle._atom_rate_curves(inst)), inst.weights)
+        d = np.unique(inst.atom_costs())
+        for eps in (d[1:] + d[:-1]) / 2:
+            assert p_inf_reading_is_exact(instance_rate_profile(inst), inst, float(eps))
+            misses += not p_inf_reading_is_exact(records, inst, float(eps))
+    assert misses > 0

@@ -240,7 +240,7 @@ def test_batched_search_matches_points(r, kappa, head, block, n, seed):
     with mock.patch.object(rates, "_BLOCK", block):
         prof = maximal_rate(loss, zip(X, Y), grid, config=SMALL)
         assert max(loss.rows) <= block
-        for x, y, row in zip(X, Y, prof.rates.v):
+        for x, y, row in zip(X, Y, prof.rates.v.reshape(n, len(grid))):
             one = individual_rate(loss, (x, y), grid, SMALL)
             assert np.allclose(row, one.v, rtol=1e-12, atol=0)
     assert prof.quality == "search"
@@ -311,7 +311,7 @@ class TestMaximalRate:
     def test_single_sample(self):
         loss = LinearPowerRegression(1.0, np.array([2.0]), CostConfig(r=2))
         prof = maximal_rate(loss, [(np.array([0.0]), 1.0)], [0.0, 1.0])
-        assert np.array_equal(prof.maximal.v, prof.rates.v[0])
+        assert np.array_equal(prof.maximal.v, prof.rates.v)
 
     def test_pointwise_max_of_two(self):
         grid = np.linspace(0, 1, 5)
@@ -331,8 +331,8 @@ class TestMaximalRate:
         expected = dual_norm(theta, 1) * prof.maximal.t
         assert np.allclose(prof.maximal.v, expected)
         assert prof.weights.sum() == pytest.approx(1.0)
-        assert prof.rates.v.shape == (6, 9)
-        assert np.array_equal(prof.maximal.v, prof.rates.v.max(axis=0))
+        assert np.array_equal(prof.rates.starts, np.arange(6) * 9)
+        assert np.array_equal(prof.maximal.v, prof.rates.v.reshape(6, 9).max(axis=0))
 
 
     def test_batched_closed_form_matches_rows(self):
@@ -342,9 +342,10 @@ class TestMaximalRate:
             loss = LinearPowerRegression(alpha, rng.normal(size=3), CostConfig(r=2))
             data = [(rng.normal(size=3), float(rng.normal())) for _ in range(5)]
             prof = maximal_rate(loss, data, grid)
-            for row, z in zip(prof.rates.v, data):
+            rows = prof.rates.v.reshape(len(data), -1)
+            for row, z in zip(rows, data):
                 one = individual_rate(loss, z, grid)
-                assert np.array_equal(one.t, prof.rates.t)
+                assert np.array_equal(np.tile(one.t, len(data)), prof.rates.t)
                 assert np.allclose(row, one.v, rtol=1e-15, atol=0)
                 assert (one.tail, one.tail_exponent) == (prof.rates.tail,
                                                          prof.rates.tail_exponent)

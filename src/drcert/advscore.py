@@ -59,8 +59,8 @@ def identity_score() -> LinearGain:
     return LinearGain(1.0)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+#: each saturating kind's scalar nonlinearity in ``nn.ACTIVATIONS``
+_SATURATING = {"sigmoid": "sigmoid", "tanh": "tanh", "softmax": "sigmoid"}
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class SaturatingScore(ScoreExpr):
     r: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("sigmoid", "tanh", "softmax"):
+        if self.kind not in _SATURATING:
             raise ValueError(f"unknown activation {self.kind!r}")
         if self.width < 1:
             raise ValueError("width must be >= 1")
@@ -91,20 +91,21 @@ class SaturatingScore(ScoreExpr):
         """Width factor of the r-norm: n for r=1, sqrt(n) for r=2, 1 for r=inf."""
         return {1.0: float(self.width), 2.0: math.sqrt(self.width)}.get(self.r, 1.0)
 
-    def _sigma(self, x):
-        if self.kind == "tanh":
-            return np.tanh(x)
-        return _sigmoid(x)
+    @property
+    def _activation(self):
+        """The (activation, derivative) pair that ``nn.ACTIVATIONS`` holds for s."""
+        return nn.ACTIVATIONS[_SATURATING[self.kind]]
 
     def _values(self, t):
-        scale = self.scale
+        sigma, scale = self._activation[0], self.scale
         u = t / (2.0 * scale)
-        return scale * (self._sigma(u) - self._sigma(-u))
+        return scale * (sigma(u) - sigma(-u))
 
     def slope(self, t):
         # d/dt = (s'(u) + s'(-u)) / 2 = s'(u), as s' is even
-        s = self._sigma(t / (2.0 * self.scale))
-        return 1.0 - s * s if self.kind == "tanh" else s * (1.0 - s)
+        sigma, deriv = self._activation
+        u = t / (2.0 * self.scale)
+        return deriv(u, sigma(u))
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,7 @@ class SupConvLinear(ScoreExpr):
 
 # -- constructors ---------------------------------------------------------------
 
-_SATURATING = ("sigmoid", "tanh", "softmax")
-_UNIT_LIPSCHITZ = ("relu", "softplus", "logsoftmax", "identity")
+_UNIT_LIPSCHITZ = ("relu", "identity")
 
 
 def activation_score(kind: str, width_n: int = 1, r=math.inf) -> ScoreExpr:

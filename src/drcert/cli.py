@@ -29,7 +29,6 @@ from .rates import (
     MlpClassification,
     MlpRegression,
     SearchConfig,
-    dual_norm,
     maximal_rate,
 )
 
@@ -128,9 +127,7 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
             raise ConfigError("theta must be finite")
         loss = LinearPowerRegression(1.0, theta, cost)
         grads = -np.sign(loss.residuals(X, Y))[:, None] * theta
-        score = advscore.regression_head_score(
-            advscore.LinearGain(dual_norm(theta, cost.r)),
-            advscore.identity_score(), cost)
+        score = advscore.LinearGain(loss.gain)
     elif model == "mlp":
         if theta is not None:
             raise ConfigError("--theta needs --model linear")

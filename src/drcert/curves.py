@@ -262,7 +262,8 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
     tail = f.tail_slope if f.tail == "slope" else 0.0
     # hull slopes fall, so the segments under the tail's line come last
     floor = tail - SLOPE_TOL * max(1.0, tail)
-    keep = 1 + int(np.sum(np.diff(hv) / np.diff(ht) >= floor))
+    with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
+        keep = 1 + int(np.sum(np.diff(hv) / np.diff(ht) >= floor))
     return ConcaveCurve(ht[:keep], hv[:keep], tail_slope=tail)
 
 

@@ -4,9 +4,9 @@ extended reals and the atomic text write.
 JSON has no infinity, so infinite values travel as the strings ``"inf"`` and
 ``"-inf"``; finite values stay plain JSON numbers.  Every report and instance
 file goes through this one encoder/decoder pair.  Large arrays may decode in
-one ``np.asarray(values, dtype=float)`` call instead: numpy parses ``"inf"``
-and ``"-inf"`` the way ``float()`` does, so that is :func:`decode_float`
-applied per element.
+one ``np.asarray(values, dtype=float)`` call instead: numpy reads ``"inf"``
+and ``"-inf"`` as :func:`decode_float` does, but it also takes booleans and
+numeric strings, which :func:`decode_float` rejects.
 """
 
 from __future__ import annotations
@@ -23,8 +23,11 @@ def encode_float(x) -> float | str:
 
 
 def decode_float(x) -> float:
-    """Inverse of :func:`encode_float` (also accepts plain JSON numbers)."""
-    return float(x)
+    """Inverse of :func:`encode_float`: a JSON number (not a boolean) or exactly
+    ``"inf"``/``"-inf"``; anything else raises ``ValueError``."""
+    if type(x) in (int, float) or x in ("inf", "-inf"):
+        return float(x)
+    raise ValueError(f"{x!r} is not a JSON number or \"inf\"/\"-inf\"")
 
 
 def write_text_atomic(path, text: str) -> None:

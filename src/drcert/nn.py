@@ -15,38 +15,22 @@ import numpy as np
 from .errors import DataError, DivergenceError
 from .jsonio import write_text_atomic
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
-HEADS = ("logsoftmax", "absdev")
-
 
 def _sgn(x):
     """sign with sgn(0) = +1."""
     return np.where(np.asarray(x) < 0, -1.0, 1.0)
 
 
-def _act(kind, a):
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    if kind == "tanh":
-        return np.tanh(a)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-a))
-    if kind == "identity":
-        return a
-    raise ValueError(f"unknown activation {kind!r}")
+#: Each activation kind: the activation, and its derivative given the
+#: pre-activation a and the output h (None where it is 1).
+ACTIVATIONS = {
+    "relu": (lambda a: np.maximum(a, 0.0), lambda a, h: a >= 0),  # kink: relu'(0) = 1
+    "tanh": (np.tanh, lambda a, h: 1.0 - h * h),
+    "sigmoid": (lambda a: 1.0 / (1.0 + np.exp(-a)), lambda a, h: h * (1.0 - h)),
+    "identity": (lambda a: a, None),
+}
 
-
-def _act_deriv(kind, a):
-    if kind == "relu":
-        return np.where(a < 0, 0.0, 1.0)  # kink convention: relu'(0) = 1
-    if kind == "tanh":
-        return 1.0 - np.tanh(a) ** 2
-    if kind == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-a))
-        return s * (1.0 - s)
-    if kind == "identity":
-        return np.ones_like(a)
-    raise ValueError(f"unknown activation {kind!r}")
+HEADS = ("logsoftmax", "absdev")
 
 
 @dataclass(frozen=True)
@@ -106,13 +90,23 @@ def init_mlp(dims, act="tanh", head="logsoftmax", seed=0):
     return Mlp(tuple(layers), head=head)
 
 
-def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Network output before the loss head.  Accepts (n,) or batched (B, n)."""
+def _walk(net: Mlp, x):
+    """The layers in order from input x: each layer's (input, pre-activation,
+    output).  Accepts (n,) or batched (B, n)."""
     h = np.asarray(x, dtype=float)
     if h.shape[-1] != net.in_dim:
         raise ValueError(f"input dim {h.shape[-1]} != {net.in_dim}")
     for layer in net.layers:
-        h = _act(layer.act, h @ layer.W.T + layer.b)
+        a = h @ layer.W.T + layer.b
+        out = ACTIVATIONS[layer.act][0](a)
+        yield h, a, out
+        h = out
+
+
+def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """Network output before the loss head.  Accepts (n,) or batched (B, n)."""
+    for _, _, h in _walk(net, x):
+        pass
     return h
 
 
@@ -139,17 +133,8 @@ def _backward(net: Mlp, x, y, need_params=False):
     Batched: x may be (B, n); losses and gradients then carry the batch axis.
     Parameter gradients need a batch and are summed over it.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != net.in_dim:
-        raise ValueError(f"input dim {x.shape[-1]} != {net.in_dim}")
-    pre, post = [], [x]
-    h = x
-    for layer in net.layers:
-        a = h @ layer.W.T + layer.b
-        h = _act(layer.act, a)
-        pre.append(a)
-        post.append(h)
-    o = h
+    steps = list(_walk(net, x))
+    o = steps[-1][2]
     if net.head == "logsoftmax":
         y = np.asarray(y, dtype=float)
         logp = _log_softmax(o)
@@ -164,10 +149,12 @@ def _backward(net: Mlp, x, y, need_params=False):
     gW = [None] * len(net.layers)
     gb = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
-        g = g * _act_deriv(layer.act, pre[k])
+        layer, (h_in, a, h) = net.layers[k], steps[k]
+        deriv = ACTIVATIONS[layer.act][1]
+        if deriv is not None:
+            g = g * deriv(a, h)
         if need_params:
-            gW[k] = g.T @ post[k]
+            gW[k] = g.T @ h_in
             gb[k] = g.sum(axis=0)
         g = g @ layer.W
     if need_params:

@@ -194,7 +194,9 @@ def _solve(inst: DiscreteInstance, p: float):
     inner[hs[1:] - 1] = False  # no segment joins one atom's hull to the next
     wk = w[_row_of(hs, ht.size)[1:][inner]]
     dt, dv = np.diff(ht)[inner], np.diff(hv)[inner]
-    slope, run, rise = dv / dt, wk * dt, wk * dv
+    with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
+        slope = dv / dt
+    run, rise = wk * dt, wk * dv
     # steepest segments first; the stable sort keeps each hull's own order
     keep = rise > 0
     order = np.argsort(-slope[keep], kind="stable")
@@ -230,11 +232,11 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
         # every move must stay within eps: each atom takes its best such target
         reach = np.where(inst.atom_costs() <= inst.eps, inst.loss, -math.inf)
         return float(np.dot(inst.weights, np.max(reach, axis=1)))
+    m, n = inst.atom_index.size, inst.loss.size
+    if n ** m > 2_000_000:  # before the m x n powered costs are built
+        raise DataError("enumeration limited to n^m <= 2e6")
     c = _powered_costs(inst)
     l, w = inst.loss, inst.weights
-    m, n = c.shape
-    if n ** m > 2_000_000:
-        raise DataError("enumeration limited to n^m <= 2e6")
     budget = inst.eps ** inst.p
     # all pure assignments, atom 0 the most significant base-n digit (np.indices
     # would order them alike, but takes at most 64 atoms)
@@ -299,7 +301,9 @@ def instance_from_json(text: str) -> DiscreteInstance:
     ``json.loads`` does but rejects the non-standard ``NaN``/``Infinity``
     literals and out-of-range numbers.  ``loss`` and ``cost`` then decode with
     one numpy conversion each, which reads the ``"inf"``/``"-inf"`` strings
-    exactly as :func:`decode_float` does.  Atom indices are JSON integers.
+    as :func:`decode_float` does (but is laxer, see :mod:`drcert.jsonio`).
+    Atom indices are JSON integers; atom weights, ``p`` and ``eps`` go
+    through :func:`decode_float`.
     """
     try:
         d = orjson.loads(text)
@@ -312,7 +316,7 @@ def instance_from_json(text: str) -> DiscreteInstance:
         fields = dict(
             loss=np.asarray(d["loss"], dtype=float),
             atom_index=np.array(index, dtype=int),
-            weights=np.array([float(a[1]) for a in atoms]),
+            weights=np.array([decode_float(a[1]) for a in atoms]),
             cost=np.asarray(d["cost"], dtype=float),
             p=decode_float(d.get("p", 1.0)),
             eps=decode_float(d.get("eps", 0.0)),

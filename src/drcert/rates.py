@@ -126,7 +126,7 @@ class MlpClassification(_MlpLoss):
         if not np.any(move > 0):
             return y2
         o = nn.forward(self.net, x)
-        scores = -np.log(np.exp(o - np.max(o)) / np.sum(np.exp(o - np.max(o))))
+        scores = -nn._log_softmax(o)
         target = int(np.argmax(scores))
         for j in np.argsort(scores):
             if j == target:

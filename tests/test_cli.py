@@ -278,6 +278,12 @@ BAD_INSTANCES = {
                                                     [2.0, 1.0, 0.0]]),
     "string_atom_index": changed_instance(atoms=[["1", 1.0]]),
     "boolean_atom_index": changed_instance(atoms=[[True, 1.0]]),
+    # weights, p and eps are JSON numbers or "inf"/"-inf": no booleans, no numeric text
+    "boolean_weight": changed_instance(atoms=[[0, True]]),
+    "string_weight": changed_instance(atoms=[[0, "1.0"]]),
+    "string_eps": changed_instance(eps="0.3"),
+    "boolean_p": changed_instance(p=True),
+    "string_p": changed_instance(p="2"),
 }
 
 

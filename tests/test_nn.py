@@ -102,6 +102,30 @@ class TestGradients:
             assert rel < 1e-5
             checked += 1
 
+    @pytest.mark.parametrize("kind", sorted(nn.ACTIVATIONS))
+    def test_every_activation_backprops_its_derivative(self, kind):
+        act, deriv = nn.ACTIVATIONS[kind]
+        a = np.linspace(-3.0, 3.0, 13) + 0.05  # away from relu's kink
+        fd = (act(a + 1e-6) - act(a - 1e-6)) / 2e-6
+        assert np.allclose(1.0 if deriv is None else deriv(a, act(a)), fd, rtol=1e-6)
+        rng = np.random.default_rng(5)
+        for head, y in (("logsoftmax", np.array([0.0, 1.0, 0.0])), ("absdev", 0.5)):
+            net = init_mlp([3, 5, 3 if head == "logsoftmax" else 1], act=kind,
+                           head=head, seed=7)
+            x = rng.normal(size=3)
+            pre = net.layers[0].W @ x + net.layers[0].b
+            assert np.min(np.abs(pre)) > 1e-3  # no kink within the difference step
+            _, g = loss_and_grad_x(net, (x, y))
+            fd = central_diff_grad(net, x, y)
+            assert np.linalg.norm(g - fd) < 1e-6 * np.linalg.norm(fd)
+
+    def test_relu_derivative_is_one_at_zero(self):
+        # a pre-activation of exactly 0 passes the whole gradient: relu'(0) = 1
+        net = Mlp((Layer(np.ones((1, 1)), np.zeros(1), "relu"),
+                   Layer(np.ones((1, 1)), np.zeros(1))), head="absdev")
+        _, g = loss_and_grad_x(net, (np.array([0.0]), -1.0))
+        assert g.tolist() == [1.0]
+
     def test_perfect_logits_near_zero_loss(self):
         net = Mlp((Layer(50.0 * np.eye(3), np.zeros(3), "identity"),))
         x = np.array([1.0, 0.0, 0.0])

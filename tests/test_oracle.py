@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,28 @@ class TestBasics:
         with pytest.raises(DataError):
             DiscreteInstance(np.zeros(n), np.array([0]), np.array([1.0]),
                              np.zeros((n, n)))
+
+    def test_enumeration_limit_checked_before_powering_costs(self, monkeypatch):
+        # 9 points, 7 atoms: 9^7 > 2e6 assignments, refused before any m x n work
+        def fail(inst):
+            raise AssertionError("powered costs built for an instance too large to enumerate")
+
+        monkeypatch.setattr(oracle, "_powered_costs", fail)
+        n = 9
+        inst = line_instance(np.arange(n), np.arange(n), np.arange(7), np.full(7, 1.0 / 7),
+                             p=2.0, eps=1.0)
+        with pytest.raises(DataError, match="enumeration limited"):
+            dr_risk_enumerate(inst)
+
+    def test_subnormal_distance_reads_a_jump_without_warnings(self):
+        # a rise of 1 over a run of 1e-310 overflows to an infinite slope: the
+        # correct reading of a jump, taken silently
+        inst = DiscreteInstance(np.array([0.0, 1.0]), np.array([0]), np.array([1.0]),
+                                np.array([[0.0, 1e-310], [1e-310, 0.0]]), p=1.0, eps=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dr_risk_exact(inst) == 1.0
+            assert upper_bound(instance_rate_profile(inst), 1.0, 0.5) == 1.0
 
     def test_arrays_are_read_only_copies(self):
         loss, atoms, w = np.array([0.0, 1.0]), np.array([0]), np.array([1.0])
@@ -432,6 +455,7 @@ def line_instances(draw):
     return DiscreteInstance(loss, np.array(atoms), w / w.sum(), np.abs(z[:, None] - z[None, :]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), inst=st.one_of(crowded_instances(), line_instances()))
 def test_ragged_sandwich_and_exact_p_inf_reading(data, inst):

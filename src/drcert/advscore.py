@@ -188,6 +188,10 @@ class BarronRobustScore(ScoreExpr):
 
 
 _INV_E = math.exp(-1.0)
+# near its peak -t log t = (1 - phi(w)) / e with w = 1 - e t, where
+# phi(w) = (1 - w) log(1 - w) + w = sum over k >= 2 of w^k / (k (k - 1)):
+# Horner coefficients for phi(w) / w^2, highest power first, tail < 1e-17 at w <= 1/4
+_PHI_OVER_W2 = np.array([1.0 / (k * (k - 1)) for k in range(27, 1, -1)])
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,13 @@ class EntropyScore(ScoreExpr):
     def _values(self, t):
         with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log 0
             inside = -t * np.log(t)
+        # the product above rounds up and down across adjacent floats where the
+        # curve is flat, and an outer score's slope reads that noise as a rise;
+        # the series has non-negative terms in w >= 0, so every rounding step
+        # is monotone and the values never fall as t grows
+        w = np.maximum(1.0 - t * math.e, 0.0)
+        peak = (1.0 - np.polyval(_PHI_OVER_W2, w) * w * w) * _INV_E
+        inside = np.where(w <= 0.25, peak, inside)
         return np.where(t <= 0.0, 0.0, np.where(t >= _INV_E, _INV_E, inside))
 
     def slope(self, t):

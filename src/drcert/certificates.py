@@ -11,33 +11,25 @@ robust risk at budget eps and the empirical risk is sandwiched between
 Both read the profile's ragged family: the lower bound in one flat pass over
 the rows' knots, the upper bound on the maximal rate over the pooled knots.
 At p = inf the lower bound is the weighted sum of the rates read from the
-left at eps, and the upper bound is the right-limit of the maximal rate
-(conservatively, the value at the next pooled knot beyond eps).  Where each
-jump has a knot just below it, as the oracle's atoms do, that reading is
-exact at every eps but the float just below a knot.  Extended arithmetic
+left at eps, and the upper bound reads the maximal rate at the first pooled
+knot at or beyond eps: sound, since a certified profile holds the exact
+(non-decreasing) rate at each knot, and exact at every eps where each jump
+has a knot just below it, as the oracle's atoms do.  Extended arithmetic
 follows the 0*inf = 0 convention.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from . import nn
 from .curves import least_concave_majorant, p_transform, star_majorant_after_power
-from .jsonio import decode_float, encode_float
+from .jsonio import decode_float, dumps
 from .rates import RateProfile
-
-
-def _right_limit(curve, eps: float) -> float:
-    """Value at the smallest grid knot strictly beyond eps (tail rule past the grid)."""
-    idx = int(np.searchsorted(curve.t, eps, side="right"))
-    if idx < curve.t.size:
-        return float(curve.v[idx])
-    return curve.value(eps, side="right")
 
 
 def _per_budget(bound, eps):
@@ -78,23 +70,17 @@ def upper_bound(profile: RateProfile, p, eps):
     if np.any(np.asarray(eps) < 0):
         raise ValueError("budget must be non-negative")
     if math.isinf(p):
-        return _per_budget(lambda e: _right_limit(profile.maximal, e), eps)
+        return _per_budget(lambda e: profile.maximal.value(e, side="right"), eps)
     env = least_concave_majorant(p_transform(profile.maximal, float(p)))
     return _per_budget(lambda e: env.value(e ** p), eps)
 
 
-def lipschitz_certificate(L: float, eps: float) -> float:
-    """Gap certificate from a global Lipschitz constant: L * eps."""
-    if L < 0:
-        raise ValueError("Lipschitz constant must be non-negative")
-    return L * eps
-
-
-def grad_dual_certificate(grads, p, eps: float, r=2.0) -> float:
+def grad_dual_certificate(grads, p, eps, r=2.0):
     """First-order gap estimate eps * (mean ||g||_*^q)^(1/q), 1/p + 1/q = 1.
 
-    ``grads`` holds one gradient per row.  Asymptotic in eps (not a certified
-    bound); dual norms are taken against the feature norm r.
+    ``grads`` holds one gradient per row and ``eps`` is a float or a 1-D array.
+    Asymptotic in eps (not a certified bound); dual norms are taken against
+    the feature norm r.
     """
     grads = np.asarray(grads, dtype=float)
     if grads.ndim != 2 or grads.shape[0] == 0:
@@ -114,10 +100,10 @@ class OrderingResult:
 def p_ordering_check(profile: RateProfile, eps: float, p_list, tol: float = 1e-9) -> OrderingResult:
     """Verify that lower and upper bounds are non-increasing in p at eps.
 
-    The p = inf slot of the upper chain is compared as the maximal rate value
-    at eps (the chain's exact endpoint); the certification-grade right-limit
-    convention of :func:`upper_bound` is deliberately conservative and only
-    meaningful as a bound, not in this comparison.
+    The p = inf slot of the upper chain is the maximal rate read from the left
+    at eps (the chain's exact endpoint).  :func:`upper_bound` reads the same
+    value at a knot, but the next knot's between knots, a bound that the
+    finite-p majorants may undercut there.
     """
     ps = list(p_list)
     if any(ps[i] > ps[i + 1] for i in range(len(ps) - 1)):
@@ -155,21 +141,14 @@ class CertificateReport:
     finite: bool
 
     def to_json(self) -> str:
-        payload = {
-            "p": encode_float(self.p),
-            "eps": [encode_float(e) for e in self.epsilon_grid],
-            "lb": [encode_float(v) for v in self.lb],
-            "cc": [encode_float(v) for v in self.cc],
-            "lip": [encode_float(v) for v in self.lipschitz],
-            "grad_dual": [encode_float(v) for v in self.grad_dual],
-            "empirical_risk": encode_float(self.empirical_risk),
-            "finite": bool(self.finite),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return dumps({"p": self.p, "eps": self.epsilon_grid, "lb": self.lb, "cc": self.cc,
+                      "lip": self.lipschitz, "grad_dual": self.grad_dual,
+                      "empirical_risk": self.empirical_risk, "finite": bool(self.finite)})
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateReport":
-        d = json.loads(text)
+        """Inverse of :meth:`to_json`; ``NaN`` and ``Infinity`` literals raise."""
+        d = orjson.loads(text)
 
         def column(key):
             return np.array([decode_float(v) for v in d[key]])
@@ -187,17 +166,19 @@ class CertificateReport:
 
 
 def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
-                       L: float, grads, r) -> CertificateReport:
-    """Evaluate all certificate columns over a budget grid: the Lipschitz
-    baseline from the constant L and the gradient-dual one from ``grads``
-    (one row per sample) against the feature norm r."""
+                       score, grads, r) -> CertificateReport:
+    """All certificate columns over a budget grid: ``cc`` is the :func:`upper_bound`
+    of an exact profile, the adversarial ``score`` of a searched one (a majorant
+    of lower estimates certifies nothing); ``lip`` is ``score.lipschitz * eps``;
+    ``grad_dual`` comes from ``grads`` (one per row) against the feature norm r."""
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0 or np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
         raise ValueError("eps grid must be positive and ascending")
     lbs = lower_bound(profile, p, eps_grid)
-    ccs = upper_bound(profile, p, eps_grid)
-    lips = np.array([lipschitz_certificate(L, e) for e in eps_grid])
-    gds = np.array([grad_dual_certificate(grads, p, e, r) for e in eps_grid])
+    ccs = (upper_bound(profile, p, eps_grid) if profile.quality == "exact"
+           else score.values(eps_grid))
+    lips = score.lipschitz * eps_grid
+    gds = grad_dual_certificate(grads, p, eps_grid, r)
     finite = not (np.all(np.isinf(lbs)) and np.all(np.isinf(ccs)))
     return CertificateReport(eps_grid, float(p) if not math.isinf(p) else math.inf,
                              lbs, ccs, lips, gds, float(empirical_risk), finite)

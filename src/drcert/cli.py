@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ import numpy as np
 from . import advscore, complexity, datasets, nn, oracle
 from .certificates import certificate_report, grad_dual_certificate, lower_bound, upper_bound
 from .errors import ConfigError, DataError
-from .jsonio import encode_float, write_text_atomic
+from .jsonio import dumps, write_text_atomic
 from .rates import (
     CostConfig,
     LinearPowerRegression,
@@ -161,11 +160,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
                            config=SearchConfig(seed=config.seed))
     emp = float(np.mean(loss.losses(X, Y)))
     report = certificate_report(profile, config.p, eps, empirical_risk=emp,
-                                L=score.lipschitz, grads=grads, r=cost.r)
+                                score=score, grads=grads, r=cost.r)
     score_vals = score.values(eps)
-    if model == "mlp":
-        # the score is the certified upper path for networks
-        report.cc = score_vals.copy()
     write_text_atomic(out / "report.json", report.to_json() + "\n")
     write_csv_atomic(out / "advscore.csv", ["t", "v"],
                      [(float(t), float(v)) for t, v in zip(eps, score_vals)])
@@ -189,22 +185,22 @@ def run_regression_dynamics(config: ExperimentConfig) -> list:
     r = config.cost.r
     cert_eps = float(config.eps_grid[0])
 
-    def cert_fn(current):
+    def cert_columns(current, eps):
+        """cert_lip, cert_grad_dual and cert_advscore of ``current`` at ``eps``."""
         grads = nn.loss_and_grad_x(current, (Xtr, ytr))[1]
-        gd = grad_dual_certificate(grads, config.p, cert_eps, r)
         score = advscore.mlp_feature_score(current, r)
-        return score.lipschitz * cert_eps, gd, score.value(cert_eps)
+        return (score.lipschitz * eps, grad_dual_certificate(grads, config.p, eps, r),
+                score.values(eps))
 
     tcfg = nn.TrainConfig(lr=config.lr, epochs=config.epochs,
                           eps=cert_eps if config.adversarial else 0.0, r=r,
                           seed=config.seed)
-    trained, trace = nn.train(net, (Xtr, ytr), (Xte, yte), tcfg, cert_fn=cert_fn)
+    trained, trace = nn.train(net, (Xtr, ytr), (Xte, yte), tcfg,
+                              cert_fn=lambda cur: tuple(map(float, cert_columns(cur, cert_eps))))
     rows = [tuple(row[c] for c in nn.TRACE_COLUMNS) for row in trace]
     write_csv_atomic(config.out / "trace.csv", nn.TRACE_COLUMNS, rows)
-    score = advscore.mlp_feature_score(trained, r)
-    grads = nn.loss_and_grad_x(trained, (Xtr, ytr))[1]
-    cert_rows = [(e, score.lipschitz * e, grad_dual_certificate(grads, config.p, e, r),
-                  float(v)) for e, v in zip(config.eps_grid, score.values(config.eps_grid))]
+    eps = np.asarray(config.eps_grid, dtype=float)
+    cert_rows = zip(eps.tolist(), *(c.tolist() for c in cert_columns(trained, eps)))
     write_csv_atomic(config.out / "certificates.csv",
                      ["eps", "cert_lip", "cert_grad_dual", "cert_advscore"], cert_rows)
     nn.save_weights(trained, config.out / "weights.csv")
@@ -307,8 +303,7 @@ def run_complexity_check(config: ExperimentConfig) -> dict:
         "gap": gap, "gap_se": gap_se, "gap_bound": bound,
         "gap_within_bound": bool(abs(gap) <= bound + 3 * gap_se),
     }
-    write_text_atomic(config.out / "complexity.json",
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(config.out / "complexity.json", dumps(payload) + "\n")
     return payload
 
 
@@ -338,10 +333,7 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
         payload["enumeration_gap"] = abs(payload["enumeration"] - risk)
     except DataError:
         pass  # instance too large to enumerate; exact result stands
-    encoded = {k: encode_float(v) if isinstance(v, float) else v
-               for k, v in payload.items()}
-    write_text_atomic(config.out / "oracle.json",
-                      json.dumps(encoded, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(config.out / "oracle.json", dumps(payload) + "\n")
     return payload
 
 

@@ -31,6 +31,12 @@ TAILS = ("const", "slope", "infinite")
 SLOPE_TOL = 1e-12
 
 
+def _rise(slope, run):
+    """slope * run with 0 * inf = 0: a flat tail stays flat at an infinite budget."""
+    with np.errstate(invalid="ignore"):
+        return np.where(slope == 0, 0.0, slope * run)
+
+
 @dataclass(frozen=True)
 class CurveFamily:
     """Ragged family of non-decreasing curves under one tail rule.
@@ -94,7 +100,7 @@ class CurveFamily:
         past = self.t[last] < t
         tail = tail or self.tail
         if tail == "slope":
-            grown = self.v[last] + self._tail_slopes() * (t - self.t[last])
+            grown = self.v[last] + _rise(self._tail_slopes(), t - self.t[last])
             return np.where(past, grown, vals)
         return np.where(past, math.inf, vals) if tail == "infinite" else vals
 
@@ -200,7 +206,7 @@ class ConcaveCurve:
         if self.infinite:
             return np.where(ts == 0.0, self.v[0], math.inf)
         tk, vk = self.t, self.v
-        return np.where(ts >= tk[-1], vk[-1] + self.tail_slope * (ts - tk[-1]),
+        return np.where(ts >= tk[-1], vk[-1] + _rise(self.tail_slope, ts - tk[-1]),
                         np.interp(ts, tk, vk))
 
 

@@ -48,30 +48,42 @@ def synthetic_regression(n: int, seed: int = 0):
     return X, np.maximum(y, 0.0)
 
 
-def ingest_regression_csv(path, seed: int = 0):
-    """Parse an ``x1,x2,y`` CSV (or generate ``synthetic:N`` data)."""
-    if str(path).startswith("synthetic:"):
-        return synthetic_regression(_synthetic_count(path), seed=seed)
-    rows = []
-    # undecodable bytes read as U+FFFD and then fail to parse on their line
+def _csv_rows(path, header: str, bad_header: str, parse):
+    """Yield ``parse(fields)`` of each non-blank line after the ``header`` line of
+    a CSV; a bad first line raises ``bad_header`` (``{got}`` filled in), a bad
+    line (undecodable bytes read as U+FFFD) a ``DataError`` naming it."""
+    width = header.count(",") + 1
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().strip()
-        if header != "x1,x2,y":
-            raise DataError(f"line 1: expected header 'x1,x2,y', got {header!r}")
+        got = fh.readline().strip()
+        if got != header:
+            raise DataError(bad_header.format(got=got))
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+            if len(parts) != width:
+                raise DataError(f"line {lineno}: expected {width} fields, got {len(parts)}")
             try:
-                row = [float(p) for p in parts]
+                row = parse(parts)
             except ValueError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, row)):
-                raise DataError(f"line {lineno}: values must be finite")
-            rows.append(row)
+            yield row
+
+
+def _regression_row(parts):
+    row = [float(p) for p in parts]
+    if not all(map(math.isfinite, row)):
+        raise ValueError("values must be finite")
+    return row
+
+
+def ingest_regression_csv(path, seed: int = 0):
+    """Parse an ``x1,x2,y`` CSV (or generate ``synthetic:N`` data)."""
+    if str(path).startswith("synthetic:"):
+        return synthetic_regression(_synthetic_count(path), seed=seed)
+    rows = list(_csv_rows(path, "x1,x2,y", "line 1: expected header 'x1,x2,y', got {got!r}",
+                          _regression_row))
     if not rows:
         raise DataError("empty regression dataset")
     arr = np.asarray(rows, dtype=float)
@@ -91,38 +103,26 @@ def synthetic_classification(n: int, side: int, seed: int = 0):
     return X, Y
 
 
+def _classification_row(parts):
+    label, pixels = int(parts[0]), [float(p) for p in parts[1:]]
+    if not 0 <= label < N_CLASSES:
+        raise ValueError(f"label {label} outside 0..9")
+    if not all(0.0 <= p <= 1.0 for p in pixels):  # NaN fails too
+        raise ValueError("pixel outside [0, 1]")
+    return label, pixels
+
+
 def ingest_classification_csv(path, side: int, seed: int = 0):
     """Parse a ``label,p1..p_{side^2}`` CSV (or generate ``synthetic:N``)."""
     if str(path).startswith("synthetic:"):
         return synthetic_classification(_synthetic_count(path), side, seed=seed)
     n_pix = side * side
-    X_rows, labels = [], []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().strip()
-        expected = "label," + ",".join(f"p{k}" for k in range(1, n_pix + 1))
-        if header != expected:
-            raise DataError(f"line 1: expected header 'label,p1..p{n_pix}'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_pix + 1:
-                raise DataError(f"line {lineno}: expected {n_pix + 1} fields, "
-                                f"got {len(parts)}")
-            try:
-                label = int(parts[0])
-                pixels = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-            if not 0 <= label < N_CLASSES:
-                raise DataError(f"line {lineno}: label {label} outside 0..9")
-            if not all(0.0 <= p <= 1.0 for p in pixels):  # NaN fails too
-                raise DataError(f"line {lineno}: pixel outside [0, 1]")
-            labels.append(label)
-            X_rows.append(pixels)
-    if not X_rows:
+    header = "label," + ",".join(f"p{k}" for k in range(1, n_pix + 1))
+    rows = list(_csv_rows(path, header, f"line 1: expected header 'label,p1..p{n_pix}'",
+                          _classification_row))
+    if not rows:
         raise DataError("empty classification dataset")
+    labels, X_rows = zip(*rows)
     X = np.asarray(X_rows, dtype=float)
     Y = np.zeros((len(labels), N_CLASSES))
     Y[np.arange(len(labels)), labels] = 1.0

@@ -2,18 +2,21 @@
 extended reals and the atomic text write.
 
 JSON has no infinity, so infinite values travel as the strings ``"inf"`` and
-``"-inf"``; finite values stay plain JSON numbers.  Every report and instance
-file goes through this one encoder/decoder pair.  Large arrays may decode in
-one ``np.asarray(values, dtype=float)`` call instead: numpy reads ``"inf"``
-and ``"-inf"`` as :func:`decode_float` does, but it also takes booleans and
-numeric strings, which :func:`decode_float` rejects.
+``"-inf"``, finite values as plain JSON numbers, and NaN not at all.  Every
+file is written by :func:`dumps` and read as standard JSON (``orjson``)
+through :func:`decode_float`, or for a large array one ``np.asarray(values,
+dtype=float)``, which reads ``"inf"`` alike but also takes booleans and
+numeric strings.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from pathlib import Path
+
+import numpy as np
 
 
 def encode_float(x) -> float | str:
@@ -28,6 +31,28 @@ def decode_float(x) -> float:
     if type(x) in (int, float) or x in ("inf", "-inf"):
         return float(x)
     raise ValueError(f"{x!r} is not a JSON number or \"inf\"/\"-inf\"")
+
+
+def dumps(payload) -> str:
+    """``payload`` as standard, indented, key-sorted JSON: every float encoded by
+    :func:`encode_float` (an array in one ``tolist``, its non-finite entries one
+    by one); a NaN anywhere raises ``ValueError``."""
+    def plain(x):
+        if isinstance(x, float):
+            return encode_float(x)
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        if isinstance(x, np.ndarray):
+            if x.dtype.kind == "f" and not np.isfinite(x).all():
+                odd = ~np.isfinite(x)
+                x = x.astype(object)  # Python floats, as tolist gives
+                x[odd] = [encode_float(v) for v in x[odd]]
+            return x.tolist()
+        return x
+
+    return json.dumps(plain(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_text_atomic(path, text: str) -> None:

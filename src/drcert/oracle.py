@@ -25,7 +25,6 @@ diagonal keeps staying put free (0 * inf = 0 convention for the budget).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import orjson
 
 from .curves import CurveFamily, _upper_hull, p_transform
 from .errors import DataError
-from .jsonio import decode_float, encode_float
+from .jsonio import decode_float, dumps
 from .rates import RateProfile
 
 MAX_SUPPORT = 4096
@@ -328,13 +327,12 @@ def instance_from_json(text: str) -> DiscreteInstance:
 
 
 def instance_to_json(inst: DiscreteInstance) -> str:
-    payload = {
-        "support": (None if inst.support is None
-                    else np.vectorize(encode_float, otypes=[object])(inst.support).tolist()),
-        "loss": [encode_float(x) for x in inst.loss],
-        "atoms": [[int(i), float(w)] for i, w in zip(inst.atom_index, inst.weights)],
-        "cost": [[encode_float(x) for x in row] for row in inst.cost],
-        "p": encode_float(inst.p),
-        "eps": encode_float(inst.eps),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    """The instance as the JSON text that :func:`instance_from_json` reads."""
+    return dumps({
+        "support": None if inst.support is None else np.asarray(inst.support, dtype=float),
+        "loss": inst.loss,
+        "atoms": list(zip(inst.atom_index.tolist(), inst.weights.tolist())),
+        "cost": inst.cost,
+        "p": float(inst.p),
+        "eps": float(inst.eps),
+    })

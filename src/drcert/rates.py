@@ -38,10 +38,6 @@ class CostConfig:
             raise ValueError("label weight kappa must be positive")
 
     @property
-    def dual_r(self) -> float:
-        return nn.dual_exponent(self.r)
-
-    @property
     def label_gain(self) -> float:
         """Loss-per-unit-budget rate of the label channel: 1/kappa (0 if disabled)."""
         return 0.0 if math.isinf(self.kappa) else 1.0 / self.kappa

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drcert.advscore import (
     BarronRobustScore,
@@ -188,6 +188,17 @@ class TestGammaScores:
         assert G.value(5.0) == pytest.approx(math.exp(-1))
         assert G.value(0.1) == pytest.approx(-0.1 * math.log(0.1))
 
+    def test_entropy_never_falls_across_adjacent_floats_near_its_peak(self):
+        bits = np.float64(math.exp(-1)).view(np.int64)
+        t = np.concatenate([(bits + np.arange(-400, 5)).view(np.float64),
+                            np.linspace(0.7, 1.0, 2001) * math.exp(-1)])
+        t.sort()
+        v = EntropyScore().values(t)
+        assert np.all(np.diff(v) >= 0.0)
+        exact = [-mpmath.mpf(float(x)) * mpmath.log(float(x)) for x in t[::50]]
+        assert all(abs(y - float(e)) <= 4e-16 * float(e) for y, e in zip(v[::50], exact)
+                   if e > 0)
+
     def test_barron_matches_bruteforce_sup(self):
         for c in (1.0, 3.0):
             G = BarronRobustScore(c)
@@ -334,6 +345,9 @@ NODES = st.one_of(CHAINS, st.builds(SupConvLinear, CHAINS, GAINS))
 
 
 @settings(max_examples=300, deadline=None)
+@example(A=compose(EntropyScore(), compose(compose(EntropyScore(), EntropyScore()),
+                                           compose(EntropyScore(), EntropyScore()))),
+         ts=[2.220446049250313e-16, 5e-324], h=0.21263468385224163)
 @given(A=NODES, ts=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=12),
        h=st.floats(1e-6, 2.0))
 def test_slopes_are_right_derivatives_of_a_concave_score(A, ts, h):

@@ -1,11 +1,12 @@
 """Guard against test-only public API in the library.
 
-Every public top-level function or class in ``src/drcert`` must be named
-somewhere else in the package or in the acceptance gate; otherwise it is dead
-weight that only unit tests keep alive.  Naming a class only as the class
-argument of ``isinstance`` does not count: a dispatch branch on a type that
-nothing constructs is dead too.  The exceptions below are library
-entry points kept for users, each with its reason.
+Every public top-level function or class in ``src/drcert``, and every public
+method or property of those classes, must be named somewhere else in the
+package or in the acceptance gate; otherwise it is dead weight that only unit
+tests keep alive.  Naming a class only as the class argument of
+``isinstance`` does not count: a dispatch branch on a type that nothing
+constructs is dead too.  The exceptions below are library entry points kept
+for users, each with its reason.
 """
 
 import argparse
@@ -23,6 +24,7 @@ KEPT = {
     "margin_loss_score": "score of the paper's classification margin map",
     "is_concave": "concavity test shared by the curve and score test modules",
     "instance_to_json": "writer half of the instance format read by `drcert oracle`",
+    "from_json": "reader half of `report.json`, the file `drcert certify` writes",
 }
 
 
@@ -48,20 +50,30 @@ def _names_used(tree, skip=None):
     return used
 
 
+def _public_defs(tree):
+    """(qualified name, node) of each top-level function and class in ``tree``
+    and of each method and property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_public_names():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     gate = _names_used(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
     missing = []
     for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualname, node in _public_defs(tree):
             if node.name.startswith("_") or node.name in KEPT or node.name in gate:
                 continue
             if not any(node.name in _names_used(t, skip=node if p == path else None)
                        for p, t in trees.items()):
-                missing.append(f"{path.stem}.{node.name}")
+                missing.append(f"{path.stem}.{qualname}")
     return missing
 
 
@@ -73,8 +85,7 @@ def test_every_public_name_has_a_library_or_gate_caller():
 def test_kept_names_still_exist():
     defined = {node.name
                for path in SRC.glob("*.py")
-               for node in ast.parse(path.read_text(encoding="utf-8")).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+               for _, node in _public_defs(ast.parse(path.read_text(encoding="utf-8")))}
     assert set(KEPT) <= defined
 
 

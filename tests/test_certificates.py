@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcert import advscore, nn
+from drcert.advscore import LinearGain
 from drcert.certificates import (
     CertificateReport,
     certificate_report,
     grad_dual_certificate,
-    lipschitz_certificate,
     lower_bound,
     p_ordering_check,
     upper_bound,
 )
 from drcert.curves import Curve, curve_from_samples, least_concave_majorant, p_transform
-from drcert.rates import CostConfig, LinearPowerRegression, RateProfile, maximal_rate
+from drcert.rates import (
+    CostConfig,
+    LinearPowerRegression,
+    MlpRegression,
+    RateProfile,
+    maximal_rate,
+)
 
 
 def linear_profile(theta, r=2.0, n_points=4, seed=0, alpha=1.0, grid=None):
@@ -36,6 +43,21 @@ class TestLinearEquality:
                 eps = float(eps)
                 assert abs(lower_bound(prof, 1.0, eps) - eps * norm) < 1e-9
                 assert abs(upper_bound(prof, 1.0, eps) - eps * norm) < 1e-9
+
+    def test_p_inf_bounds_equal_eps_norm_on_the_grid(self):
+        # the upper bound reads the knot at eps itself, not the next one
+        rng = np.random.default_rng(7)
+        grid = np.linspace(0.0, 5.0, 17)
+        for _ in range(25):
+            dim = int(rng.integers(1, 6))
+            theta = rng.normal(size=dim) * rng.uniform(0.1, 4.0)
+            r = float(rng.choice([1.0, 2.0, math.inf]))
+            prof, loss = linear_profile(theta, r=r, n_points=5,
+                                        seed=int(rng.integers(1e6)), grid=grid)
+            eps = grid[1:]
+            for bound in (lower_bound, upper_bound):
+                dev = np.abs(bound(prof, math.inf, eps) - eps * loss.gain)
+                assert np.all(dev < 1e-9), (bound.__name__, r, dev.max())
 
     def test_lb_vanishes_with_budget(self):
         prof, _ = linear_profile([1.0, 2.0])
@@ -59,7 +81,7 @@ class TestFinitenessDichotomy:
 
     def test_simultaneous_flags_in_report(self):
         prof, _ = linear_profile([1.0], alpha=2.0)
-        kw = dict(empirical_risk=0.0, L=math.inf, grads=[[1.0]], r=2.0)
+        kw = dict(empirical_risk=0.0, score=LinearGain(1.0), grads=[[1.0]], r=2.0)
         rep1 = certificate_report(prof, 1.0, [0.1, 0.5], **kw)
         rep2 = certificate_report(prof, 2.0, [0.1, 0.5], **kw)
         assert not rep1.finite
@@ -98,10 +120,6 @@ class TestPOrdering:
 
 
 class TestBaselineCertificates:
-    def test_lipschitz_values(self):
-        assert lipschitz_certificate(2.0, 0.5) == 1.0
-        assert lipschitz_certificate(0.0, 3.0) == 0.0
-
     def test_grad_dual_max_norm(self):
         grads = [np.array([1.0, 0.0]), np.array([0.0, -1.0])]
         assert grad_dual_certificate(grads, 1.0, 0.1, r=2) == pytest.approx(0.1)
@@ -136,7 +154,7 @@ class TestReport:
     def test_json_roundtrip_with_inf(self):
         prof, _ = linear_profile([1.0], alpha=2.0)
         rep = certificate_report(prof, 1.0, [0.1, 0.2], empirical_risk=1.5,
-                                 L=4.0, grads=[np.array([1.0])], r=2.0)
+                                 score=LinearGain(4.0), grads=[np.array([1.0])], r=2.0)
         text = rep.to_json()
         assert '"inf"' in text
         back = CertificateReport.from_json(text)
@@ -146,15 +164,42 @@ class TestReport:
 
     def test_columns_ordered(self):
         prof, loss = linear_profile([1.0, 1.0])
-        L = loss.gain  # exact Lipschitz constant of the loss
+        score = LinearGain(loss.gain)  # exact Lipschitz constant of the loss
         rep = certificate_report(prof, 1.0, np.linspace(0.1, 1.0, 5),
-                                 empirical_risk=0.0, L=L, grads=[[1.0, 1.0]], r=2.0)
+                                 empirical_risk=0.0, score=score, grads=[[1.0, 1.0]], r=2.0)
         assert np.all(rep.lb <= rep.cc + 1e-9)
         assert np.all(rep.cc <= rep.lipschitz + 1e-9)
 
+    def test_cc_of_a_searched_profile_is_the_score(self):
+        # a searched rate is a lower estimate, so its majorant is no bound
+        net = nn.init_mlp([2, 6, 1], act="tanh", head="absdev", seed=3)
+        cost = CostConfig(r=2.0)
+        rng = np.random.default_rng(3)
+        X, Y = rng.uniform(size=(8, 2)), rng.uniform(size=8)
+        eps = np.array([0.01, 0.1, 0.5])
+        prof = maximal_rate(MlpRegression(net, cost), zip(X, Y), np.concatenate([[0.0], eps]))
+        score = advscore.mlp_score(net, cost, head="regression")
+        rep = certificate_report(prof, 1.0, eps, empirical_risk=0.0, score=score,
+                                 grads=[[1.0, 0.0]], r=2.0)
+        assert prof.quality == "search"
+        assert rep.cc.tolist() == score.values(eps).tolist()
+        assert not np.any(upper_bound(prof, 1.0, eps) == rep.cc)
+        assert rep.lipschitz.tolist() == (score.lipschitz * eps).tolist()
+
+    def test_cc_of_an_exact_profile_is_its_majorant(self):
+        prof, loss = linear_profile([1.0, -2.0])
+        eps = np.array([0.3, 1.7, 6.0])
+        score = LinearGain(3.0)  # not the loss's own gain: lip follows the score
+        for p in (1.0, 2.0, math.inf):
+            rep = certificate_report(prof, p, eps, empirical_risk=0.0, score=score,
+                                     grads=[[1.0, 0.0]], r=2.0)
+            assert prof.quality == "exact"
+            assert rep.cc.tolist() == upper_bound(prof, p, eps).tolist()
+            assert rep.lipschitz.tolist() == (3.0 * eps).tolist()
+
     def test_rejects_bad_grid(self):
         prof, _ = linear_profile([1.0])
-        kw = dict(empirical_risk=0.0, L=1.0, grads=[[1.0]], r=2.0)
+        kw = dict(empirical_risk=0.0, score=LinearGain(1.0), grads=[[1.0]], r=2.0)
         with pytest.raises(ValueError):
             certificate_report(prof, 1.0, [], **kw)
         with pytest.raises(ValueError):
@@ -200,6 +245,16 @@ def test_report_json_roundtrip_exact(cols, p, emp, finite):
     for name in ("epsilon_grid", "lb", "cc", "lipschitz", "grad_dual"):
         assert np.array_equal(getattr(back, name), getattr(rep, name))
     assert (back.p, back.empirical_risk, back.finite) == (p, emp, finite)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_report_reader_takes_standard_json_only(literal):
+    rep = CertificateReport(np.array([0.1]), 1.0, np.array([0.5]), np.array([1.0]),
+                            np.array([2.0]), np.array([0.3]), 0.0, True)
+    text = rep.to_json().replace('"lb": [\n    0.5', f'"lb": [\n    {literal}')
+    assert literal in text
+    with pytest.raises(ValueError):
+        CertificateReport.from_json(text)
 
 
 # -- ragged readings against a dense reference -------------------------------------
@@ -248,7 +303,7 @@ def dense_reference(t, V, tail, expo, weights, p, eps):
     lb_new = float(np.dot(w, np.maximum(best, left)[live]))
     top = Curve(t, V.max(axis=0), tail=tail, tail_exponent=expo)
     if math.isinf(p):
-        above = t[t > eps]
+        above = t[t >= eps]
         cc = top.value(float(above[0])) if above.size else top.value(eps)
     else:
         cc = least_concave_majorant(p_transform(top, p)).value(eps ** p)

@@ -5,6 +5,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -29,6 +30,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+@pytest.fixture(autouse=True)
+def outputs_are_standard_json(tmp_path):
+    """Every JSON file a test's runs write parses as standard JSON (no NaN or
+    Infinity literals)."""
+    yield
+    for name in ("report.json", "oracle.json", "complexity.json"):
+        for path in tmp_path.rglob(name):
+            orjson.loads(path.read_bytes())
 
 
 class TestCertifyLinear:
@@ -356,6 +367,20 @@ class TestMainExitCodes:
         tol = 1e-12 * max(1.0, abs(risk))
         assert emp + data["lb"] <= risk + tol and risk <= emp + data["cc"] + tol
         assert data["lb"] > 0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, "inf"])
+    def test_oracle_at_an_infinite_budget(self, tmp_path, p):
+        # a flat tail stays flat at eps = inf (0 * inf = 0): cc is 3, not NaN
+        z = np.arange(4.0)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"loss": [0.0, 1.0, 3.0, 2.0], "atoms": [[0, 0.5], [1, 0.5]],
+                                    "cost": np.abs(z[:, None] - z).tolist(),
+                                    "p": p, "eps": "inf"}))
+        assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
+        data = orjson.loads((tmp_path / "o" / "oracle.json").read_bytes())
+        emp, risk = data["empirical_risk"], data["risk"]
+        assert emp + data["lb"] <= risk <= emp + data["cc"]
+        assert data["cc"] == 3.0
 
     def test_oracle_roundtrip(self, tmp_path):
         z = np.array([0.0, 1.0])

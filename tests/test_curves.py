@@ -307,6 +307,14 @@ def test_slope_tail_outgrows_the_hull():
     assert is_concave(env)
 
 
+def test_flat_tail_stays_flat_at_an_infinite_budget():
+    # 0 * inf = 0: a zero tail slope adds nothing, not NaN, at t = inf
+    fam = curve_from_samples([0.0, 1.0], [[0.0, 2.0], [1.0, 1.0]], tail="slope")
+    assert fam.left_values(math.inf).tolist() == [math.inf, 1.0]
+    env = least_concave_majorant(Curve([0.0, 1.0, 2.0], [0.0, 2.0, 2.0]))
+    assert env.values([1.5, math.inf]).tolist() == [2.0, 2.0]
+
+
 def family_rows(fam):
     """The rows of a :class:`CurveFamily`, each as a :class:`Curve`."""
     return [Curve(t, v, tail=fam.tail, tail_exponent=fam.tail_exponent)

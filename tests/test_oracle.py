@@ -424,11 +424,7 @@ def exact_p_inf_gap(inst, eps):
 
 
 def p_inf_reading_is_exact(prof, inst, eps):
-    """Whether cc at p = inf equals the exact maximal rate at eps.  It must
-    wherever the float just above eps is not a knot of the family (there the
-    right-limit reading may take the knot's value)."""
-    if np.nextafter(eps, math.inf) in prof.rates.t:
-        return True
+    """Whether cc at p = inf equals the exact maximal rate at eps."""
     return upper_bound(prof, math.inf, eps) == exact_p_inf_gap(inst, eps)
 
 

@@ -68,11 +68,6 @@ def power_loss_rate_bounds(alpha, theta_dual_norm, c_hat, t):
 
 
 class TestCostConfig:
-    def test_dual_table(self):
-        assert CostConfig(r=1).dual_r == math.inf
-        assert CostConfig(r=2).dual_r == 2.0
-        assert CostConfig(r=math.inf).dual_r == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CostConfig(r=3)

@@ -55,10 +55,6 @@ class LinearGain(ScoreExpr):
         return np.full(np.shape(t), self.gain)
 
 
-def identity_score() -> LinearGain:
-    return LinearGain(1.0)
-
-
 #: each saturating kind's scalar nonlinearity in ``nn.ACTIVATIONS``
 _SATURATING = {"sigmoid": "sigmoid", "tanh": "tanh", "softmax": "sigmoid"}
 
@@ -294,12 +290,8 @@ def activation_score(kind: str, width_n: int = 1, r=math.inf) -> ScoreExpr:
     if kind in _SATURATING:
         return SaturatingScore(kind, width_n, float(r))
     if kind in _UNIT_LIPSCHITZ:
-        return identity_score()
+        return LinearGain(1.0)
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def linear_layer_score(W, r) -> LinearGain:
-    return LinearGain(nn.opnorm(np.asarray(W, dtype=float), r))
 
 
 def margin_loss_score(r, n_classes: int = 10) -> LinearGain:
@@ -328,20 +320,6 @@ def compose(outer: ScoreExpr, inner: ScoreExpr) -> ScoreExpr:
     return Compose(outer, inner)
 
 
-def classification_head_score(F: ScoreExpr, cost: CostConfig, M=math.inf) -> ScoreExpr:
-    """Head score for the inner-product classification loss <y, f(x)>.
-
-    With labels pinned (kappa = inf) the network score passes through; with a
-    finite kappa the outputs must be bounded by M, and the label channel
-    enters through a sup-convolution with gain M/kappa.
-    """
-    if math.isinf(cost.kappa):
-        return F
-    if math.isinf(M):
-        raise ValueError("label perturbations need a finite output bound M")
-    return SupConvLinear(F, M / cost.kappa)
-
-
 def gamma_score(kind: str, **params) -> ScoreExpr:
     """Score library for scalar regression losses gamma(|y - f(x)|)."""
     kind = kind.lower()
@@ -359,44 +337,45 @@ def gamma_score(kind: str, **params) -> ScoreExpr:
     if kind in ("entropy", "entropylike"):
         return EntropyScore()
     if kind in ("identity", "abs", "absdev"):
-        return identity_score()
+        return LinearGain(1.0)
     raise ValueError(f"unknown regression loss kind {kind!r}")
-
-
-def regression_head_score(F: ScoreExpr, Gamma: ScoreExpr, cost: CostConfig) -> ScoreExpr:
-    """Head score for gamma(|y - f(x)|): Gamma o F, with the label channel
-    entering at unit gain through a sup-convolution when kappa is finite."""
-    if math.isinf(cost.kappa):
-        return compose(Gamma, F)
-    return compose(Gamma, SupConvLinear(F, 1.0 / cost.kappa))
 
 
 def mlp_feature_score(net: nn.Mlp, r) -> ScoreExpr:
     """Score of the network map x -> f(x) (loss head excluded)."""
-    F: ScoreExpr = identity_score()
+    F: ScoreExpr = LinearGain(1.0)
     for layer in net.layers:
-        F = compose(linear_layer_score(layer.W, r), F)
+        F = compose(LinearGain(nn.opnorm(layer.W, r)), F)
         F = compose(activation_score(layer.act, width_n=layer.W.shape[0], r=r), F)
     return F
 
 
 def mlp_score(net: nn.Mlp, cost: CostConfig, head: str = "classification",
               M=math.inf) -> ScoreExpr:
-    """Full loss score of a network: layer composition plus the task head.
+    """Full loss score of a network: the feature score, the head factor, then
+    the label channel.
 
-    A log-softmax output doubles the feature score: the loss difference at a
-    fixed simplex label splits into the log-sum-exp shift plus the label
-    pairing, and each term moves by at most the pre-head output change
-    (search-based rate estimates do exceed the bare feature score on such
-    nets, so the factor is not droppable).  The regression head scores the
-    absolute deviation; :func:`regression_head_score` composes another loss.
+    Under the classification head <y, f(x)> a log-softmax output doubles the
+    feature score: the loss difference at a fixed simplex label splits into the
+    log-sum-exp shift plus the label pairing, and each term moves by at most the
+    pre-head output change (search-based rate estimates do exceed the bare
+    feature score on such nets, so the factor is not droppable).  With labels
+    pinned (kappa = inf) that is the score.  At a finite kappa the label channel
+    enters through one sup-convolution with gain M/kappa: M bounds the outputs
+    under the classification head and must be finite, and the regression head
+    |y - f(x)| takes M = 1, as the residual moves at unit gain in y.  A robust
+    loss gamma(|y - f(x)|) on a network is
+    ``compose(gamma_score(...), mlp_score(net, cost, head="regression"))``.
     """
+    if head not in ("classification", "regression"):
+        raise ValueError(f"unknown head {head!r}")
     F = mlp_feature_score(net, cost.r)
-    if head == "classification":
-        if net.head == "logsoftmax":
-            F = compose(LinearGain(2.0), F)
-        return classification_head_score(F, cost, M=M)
     if head == "regression":
-        return regression_head_score(F, identity_score(), cost)
-    raise ValueError(f"unknown head {head!r}")
-
+        M = 1.0
+    elif net.head == "logsoftmax":
+        F = compose(LinearGain(2.0), F)
+    if math.isinf(cost.kappa):
+        return F
+    if math.isinf(M):
+        raise ValueError("label perturbations need a finite output bound M")
+    return SupConvLinear(F, M / cost.kappa)

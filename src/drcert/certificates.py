@@ -4,7 +4,8 @@ For a profile of growth-rate curves and an exponent p, the gap between the
 robust risk at budget eps and the empirical risk is sandwiched between
 
 * lower_bound: the weighted sum of least star-shaped majorants of the
-  p-transformed per-sample rates, evaluated at eps^p, and
+  p-transformed per-sample rates, evaluated at eps^p and clamped to its
+  largest term, and
 * upper_bound: the least concave majorant of the p-transformed maximal rate
   at eps^p.
 
@@ -52,10 +53,12 @@ def lower_bound(profile: RateProfile, p, eps):
 
     def at(e):
         if math.isinf(p):
-            terms = rates.left_values(e)
+            terms = rates.left_values(e)[live]
         else:
-            terms = star_majorant_after_power(rates, float(p), e)
-        return float(np.dot(w, terms[live]))
+            terms = star_majorant_after_power(rates, float(p), e)[live]
+        # a weighted mean never exceeds its largest term, though its rounded
+        # sum can: the clamp keeps lb at or below the maximal rate's reading
+        return float(min(np.dot(w, terms), np.max(terms)))
 
     return _per_budget(at, eps)
 
@@ -180,5 +183,5 @@ def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
     lips = score.lipschitz * eps_grid
     gds = grad_dual_certificate(grads, p, eps_grid, r)
     finite = not (np.all(np.isinf(lbs)) and np.all(np.isinf(ccs)))
-    return CertificateReport(eps_grid, float(p) if not math.isinf(p) else math.inf,
-                             lbs, ccs, lips, gds, float(empirical_risk), finite)
+    return CertificateReport(eps_grid, float(p), lbs, ccs, lips, gds,
+                             float(empirical_risk), finite)

@@ -43,11 +43,6 @@ class CostConfig:
         return 0.0 if math.isinf(self.kappa) else 1.0 / self.kappa
 
 
-def dual_norm(x, r) -> float:
-    """Norm of the linear functional x against the r-ball."""
-    return nn.vector_norm(x, nn.dual_exponent(r))
-
-
 # -- loss definitions ------------------------------------------------------------
 #
 # A searched loss provides ``loss(x, y)``, the batched ``losses(X, Y)`` and
@@ -80,7 +75,8 @@ class LinearPowerRegression:
     @property
     def gain(self) -> float:
         """Largest residual change per unit of cost budget."""
-        return max(dual_norm(self.theta, self.cost.r), self.cost.label_gain)
+        return max(nn.vector_norm(self.theta, nn.dual_exponent(self.cost.r)),
+                   self.cost.label_gain)
 
     def rate_curve(self, X, y, grid) -> CurveFamily:
         """Exact rates over the grid: one row per point of (X, y)."""

@@ -14,15 +14,11 @@ from drcert.advscore import (
     SupConvLinear,
     TruncatedScore,
     activation_score,
-    classification_head_score,
     compose,
     gamma_score,
-    identity_score,
-    linear_layer_score,
     margin_loss_score,
     mlp_feature_score,
     mlp_score,
-    regression_head_score,
 )
 from drcert.curves import is_concave
 from drcert.nn import Layer, Mlp, forward, init_mlp, opnorm, vector_norm
@@ -34,6 +30,12 @@ SIGMOID = lambda x: 1.0 / (1.0 + math.exp(-x))
 def dense_concavity(expr, hi=4.0, n=512):
     grid = np.linspace(0.0, hi, n)
     return is_concave(grid, expr.values(grid), tol=1e-10)
+
+
+def linear_net(W, head="absdev"):
+    """One linear layer with no activation: its feature score is LinearGain(opnorm(W))."""
+    W = np.asarray(W, dtype=float)
+    return Mlp((Layer(W, np.zeros(W.shape[0]), "identity"),), head=head)
 
 
 class TestActivationScores:
@@ -100,12 +102,13 @@ class TestActivationScores:
 
 class TestLinearAndMargin:
     def test_identity_matrix(self):
-        assert linear_layer_score(np.eye(3), 2).gain == pytest.approx(1.0)
+        assert mlp_feature_score(linear_net(np.eye(3), "logsoftmax"), 2).gain == \
+            pytest.approx(1.0)
 
     def test_example_matrix(self):
-        W = [[1.0, -2.0], [3.0, 4.0]]
-        assert linear_layer_score(W, math.inf).gain == 7.0
-        assert linear_layer_score(W, 1).gain == 6.0
+        net = linear_net([[1.0, -2.0], [3.0, 4.0]], "logsoftmax")
+        assert mlp_feature_score(net, math.inf) == LinearGain(7.0)
+        assert mlp_feature_score(net, 1) == LinearGain(6.0)
 
     def test_margin_inf_norm(self):
         F = margin_loss_score(math.inf, n_classes=10)
@@ -125,8 +128,8 @@ class TestLinearAndMargin:
 class TestCompose:
     def test_identity_neutral(self):
         F = activation_score("tanh", 2, 2)
-        assert compose(identity_score(), F) is F
-        assert compose(F, identity_score()) is F
+        assert compose(LinearGain(1.0), F) is F
+        assert compose(F, LinearGain(1.0)) is F
 
     def test_linear_gains_multiply(self):
         g = compose(LinearGain(2.0), LinearGain(3.0))
@@ -145,12 +148,13 @@ class TestCompose:
 
 class TestClassificationHead:
     def test_kappa_inf_passthrough(self):
-        F = LinearGain(3.0)
-        assert classification_head_score(F, CostConfig(r=2, kappa=math.inf)) is F
+        net = linear_net([[3.0]])
+        A = mlp_score(net, CostConfig(r=2, kappa=math.inf), M=1.0)
+        assert A == mlp_feature_score(net, 2) == LinearGain(3.0)
 
     def test_finite_kappa_supconv(self):
-        F = LinearGain(1.0)
-        A = classification_head_score(F, CostConfig(r=2, kappa=2.0), M=1.0)
+        A = mlp_score(linear_net([[1.0]]), CostConfig(r=2, kappa=2.0), M=1.0)
+        assert A == SupConvLinear(LinearGain(1.0), 0.5)
         # sup_tau (t - tau) + 0.5 tau = t, attained at tau = 0
         dense = np.linspace(0, 1, 100001)
         oracle = np.max((1.0 - dense) + 0.5 * dense)
@@ -159,8 +163,12 @@ class TestClassificationHead:
         assert A.value(0.0) == 0.0
 
     def test_unbounded_output_rejected(self):
-        with pytest.raises(ValueError):
-            classification_head_score(LinearGain(1.0), CostConfig(r=2, kappa=1.0))
+        with pytest.raises(ValueError, match="finite output bound"):
+            mlp_score(linear_net([[1.0]]), CostConfig(r=2, kappa=1.0))  # M = inf
+
+    def test_unknown_head_rejected(self):
+        with pytest.raises(ValueError, match="unknown head"):
+            mlp_score(linear_net([[1.0]]), CostConfig(r=2), head="hinge")
 
 
 class TestGammaScores:
@@ -216,21 +224,31 @@ class TestGammaScores:
 
 class TestRegressionHead:
     def test_identity_gamma_kappa_inf(self):
-        F = LinearGain(2.0)
-        A = regression_head_score(F, identity_score(), CostConfig(r=2))
-        assert A == F
+        A = mlp_score(linear_net([[2.0]]), CostConfig(r=2), head="regression")
+        assert A == LinearGain(2.0)
 
     def test_huber_of_gain(self):
-        A = regression_head_score(LinearGain(2.0), gamma_score("huber", c=1.0),
-                                  CostConfig(r=2))
+        A = compose(gamma_score("huber", c=1.0),
+                    mlp_score(linear_net([[2.0]]), CostConfig(r=2), head="regression"))
         assert A.value(0.5) == pytest.approx(1.0)
 
     def test_pure_label_path(self):
-        # zero feature gain, identity gamma, kappa=1: score follows the label
-        A = regression_head_score(LinearGain(0.0), identity_score(),
-                                  CostConfig(r=2, kappa=1.0))
+        # zero feature gain, kappa=1: the label channel at unit gain is the score
+        A = mlp_score(linear_net([[0.0]]), CostConfig(r=2, kappa=1.0), head="regression")
+        assert A == SupConvLinear(LinearGain(0.0), 1.0)
         for t in (0.0, 0.3, 2.0):
             assert A.value(t) == pytest.approx(t, abs=1e-10)
+
+    def test_label_gain_ignores_the_output_bound(self):
+        # |y - f(x)| moves at unit gain in y whatever bounds the outputs
+        net, cost = linear_net([[0.5]]), CostConfig(r=2, kappa=0.3)
+        for M in (math.inf, 7.0):
+            assert mlp_score(net, cost, head="regression", M=M) == \
+                SupConvLinear(LinearGain(0.5), 1 / 0.3)
+
+    def test_log_softmax_net_not_doubled(self):
+        net = linear_net([[1.0, 2.0], [0.0, 3.0]], "logsoftmax")
+        assert mlp_score(net, CostConfig(r=math.inf), head="regression") == LinearGain(3.0)
 
 
 class TestMlpScore:
@@ -240,8 +258,7 @@ class TestMlpScore:
         W = np.array([[1.0, 2.0], [0.0, 3.0]])
         assert opnorm(W, math.inf) == 3.0
         net = Mlp((Layer(W, np.zeros(2), "relu"),), head="logsoftmax")
-        F = mlp_feature_score(net, math.inf)
-        A = classification_head_score(F, CostConfig(r=math.inf, kappa=math.inf))
+        A = mlp_feature_score(net, math.inf)
         assert A.value(1.0) == pytest.approx(3.0)
         assert A.value(0.4) == pytest.approx(1.2)
 
@@ -287,6 +304,43 @@ class TestMlpScore:
         assert dense_concavity(A, hi=2.0)
 
 
+def layered_reference(net, cost, head, M):
+    """The network score as separate gain, activation, head and label-channel
+    steps: each layer's operator norm and activation score composed in turn,
+    the log-softmax factor 2 under the classification head, then a
+    sup-convolution at gain M/kappa (classification) or 1/kappa (regression)."""
+    F = LinearGain(1.0)
+    for layer in net.layers:
+        F = compose(LinearGain(opnorm(np.asarray(layer.W, dtype=float), cost.r)), F)
+        F = compose(activation_score(layer.act, layer.W.shape[0], cost.r), F)
+    if head == "classification":
+        if net.head == "logsoftmax":
+            F = compose(LinearGain(2.0), F)
+        return F if math.isinf(cost.kappa) else SupConvLinear(F, M / cost.kappa)
+    label = F if math.isinf(cost.kappa) else SupConvLinear(F, 1.0 / cost.kappa)
+    return compose(LinearGain(1.0), label)
+
+
+@pytest.mark.parametrize("act", ["tanh", "sigmoid", "relu"])
+@pytest.mark.parametrize("net_head,head", [("logsoftmax", "classification"),
+                                           ("absdev", "classification"),
+                                           ("absdev", "regression"),
+                                           ("logsoftmax", "regression")])
+def test_mlp_score_matches_the_layered_reference_bit_for_bit(act, net_head, head):
+    rng = np.random.default_rng(7)
+    out = 1 if net_head == "absdev" else 4
+    ts = np.concatenate([[0.0], np.geomspace(1e-4, 50.0, 40)])
+    for seed in rng.integers(0, 2**31, size=2):
+        net = init_mlp([3, 5, 4, out], act=act, seed=int(seed), head=net_head)
+        for r in (1, 2, math.inf):
+            for kappa in (math.inf, 0.3, 2.0):
+                cost, M = CostConfig(r=r, kappa=kappa), float(rng.uniform(0.5, 4.0))
+                A, B = mlp_score(net, cost, head, M=M), layered_reference(net, cost, head, M)
+                assert A == B
+                assert np.array_equal(A.values(ts), B.values(ts))
+                assert np.array_equal(A.slope(ts), B.slope(ts))
+
+
 class TestSupConvLinear:
     def test_zero_gain_is_identity(self):
         F = HolderScore(1.0, 0.5)
@@ -317,7 +371,7 @@ class TestMisc:
 
     def test_every_node_zero_at_zero(self):
         nodes = [
-            LinearGain(2.0), identity_score(),
+            LinearGain(2.0), LinearGain(1.0),
             activation_score("sigmoid", 3, 2),
             gamma_score("huber", c=1.0), TruncatedScore(1.0), BarronRobustScore(2.0),
             EntropyScore(), HolderScore(1.0, 0.5),

@@ -299,8 +299,11 @@ def dense_reference(t, V, tail, expo, weights, p, eps):
             if denom > 0:
                 best = np.maximum(best, (V[:, -1] - V[:, -2]) / denom)
     w = weights[live]
-    lb_old = float(np.dot(w, best[live]))
-    lb_new = float(np.dot(w, np.maximum(best, left)[live]))
+
+    def mean(terms):  # a weighted mean, clamped to its largest term
+        return float(min(np.dot(w, terms[live]), np.max(terms[live])))
+
+    lb_old, lb_new = mean(best), mean(np.maximum(best, left))
     top = Curve(t, V.max(axis=0), tail=tail, tail_exponent=expo)
     if math.isinf(p):
         above = t[t >= eps]
@@ -308,6 +311,34 @@ def dense_reference(t, V, tail, expo, weights, p, eps):
     else:
         cc = least_concave_majorant(p_transform(top, p)).value(eps ** p)
     return lb_old, lb_new, cc
+
+
+@st.composite
+def near_equal_rows(draw):
+    """A shared grid whose rows are one base curve, each row nudged up by a
+    few ulps at some knots, under random positive weights."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 6))
+    t = np.concatenate([[0.0], np.cumsum(draw(st.lists(
+        st.floats(0.05, 2.0), min_size=k - 1, max_size=k - 1)))])
+    base = np.cumsum(draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k)))
+    ulps = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                  min_size=n, max_size=n)))
+    V = np.maximum.accumulate(base + ulps * np.spacing(base), axis=1)
+    mass = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return t, V, mass / mass.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=near_equal_rows(), at=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4))
+def test_p_inf_lower_bound_never_rounds_above_the_upper_bound(grid, at):
+    # the weighted sum of equal rates can round above their max; lb is
+    # clamped to the largest term, and cc reads the maximal rate at a knot
+    t, V, weights = grid
+    prof = RateProfile(curve_from_samples(t, V), weights)
+    eps = np.unique(np.concatenate([t[1:], np.maximum(at, 1e-3) * max(t[-1], 1.0)]))
+    lbs, ccs = lower_bound(prof, math.inf, eps), upper_bound(prof, math.inf, eps)
+    assert np.all(lbs <= ccs)
 
 
 @st.composite

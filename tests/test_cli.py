@@ -59,6 +59,16 @@ class TestCertifyLinear:
         assert data["finite"] is True
         assert (tmp_path / "o" / "advscore.csv").exists()
 
+    def test_p_inf_lb_not_above_cc(self, tmp_path):
+        # the weighted sum of 40 equal rates 2.5 * 1.2 rounded to
+        # 3.0000000000000018, above cc = 3.0000000000000004
+        assert main(["certify", "--model", "linear", "--theta", "1.5,-2", "--p", "inf",
+                     "--eps", "0.5,1.2", "--data", "synthetic:40",
+                     "--out", str(tmp_path)]) == 0
+        rep = json.loads(read(tmp_path / "report.json"))
+        assert rep["lb"] == [1.25, 3.0000000000000004]
+        assert rep["cc"] == [1.2500000000000002, 3.0000000000000004]
+
     def test_empty_eps_rejected(self, tmp_path):
         cfg = ExperimentConfig(task="certify", data="synthetic:10",
                                eps_grid=[], out=tmp_path)
@@ -573,6 +583,25 @@ def test_dropped_flag_is_a_usage_error(tmp_path, command, flag):
         main([command, flag, *value, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_one_parser_serves_consecutive_commands(tmp_path):
+    assert build_parser() is build_parser()
+    # one subcommand's defaults and flags never leak into the next parse
+    argvs = [["classify", "--out", "o"], ["certify", "--out", "o"],
+             ["classify", "--epochs", "3", "--out", "o"], ["complexity", "--out", "o"],
+             ["oracle", "--data", "i.json", "--out", "o"], ["certify", "--p", "2"]]
+    for argv in argvs:
+        assert vars(build_parser().parse_args(argv)) == \
+            vars(build_parser.__wrapped__().parse_args(argv))
+    certify = ["certify", "--theta", "1.0,2.0", "--data", "synthetic:20", "--eps", "0.1"]
+    assert main([*certify, "--out", str(tmp_path / "a")]) == 0
+    with pytest.raises(SystemExit):
+        main(["complexity", "--kappa", "0.5", "--out", str(tmp_path / "c")])
+    assert main(["complexity", "--out", str(tmp_path / "c")]) == 0
+    assert main([*certify, "--out", str(tmp_path / "b")]) == 0
+    for name in ("report.json", "advscore.csv"):
+        assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
 
 
 def parsed(argv):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from drcert import jsonio, nn
-from drcert.advscore import linear_layer_score
 from drcert.nn import (
     Layer,
     Mlp,
@@ -168,7 +167,6 @@ class TestOpnorm:
         u = np.array([v[1], -v[0]])
         W = 2.0 * np.outer([1.0, 0.0], u) + np.outer([0.0, 1.0], v)
         assert opnorm(W, 2) == pytest.approx(2.0, abs=1e-12)
-        assert linear_layer_score(W, 2).gain == pytest.approx(2.0, abs=1e-12)
 
     def test_dual_exponents(self):
         assert dual_exponent(1) == math.inf

@@ -17,7 +17,6 @@ from drcert.rates import (
     MlpRegression,
     RateProfile,
     SearchConfig,
-    dual_norm,
     individual_rate,
     maximal_rate,
     profile_from_curves,
@@ -55,6 +54,11 @@ class CallbackLoss:
 
     def label_shift(self, x, y, budgets):
         return np.broadcast_to(y, np.shape(budgets) + np.shape(y))
+
+
+def dual_norm(x, r) -> float:
+    """Norm of the linear functional x against the r-ball."""
+    return vector_norm(x, dual_exponent(r))
 
 
 def power_loss_rate_bounds(alpha, theta_dual_norm, c_hat, t):

@@ -315,8 +315,7 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
     free)."""
     if str(config.data).startswith("synthetic:"):
         raise ConfigError("oracle validation needs an instance JSON file")
-    inst = oracle.instance_from_json(
-        Path(config.data).read_text(encoding="utf-8", errors="replace"))
+    inst = oracle.instance_from_json(Path(config.data).read_bytes())
     risk = oracle.dr_risk_exact(inst)
     spend = oracle.dr_risk_plan_spend(inst)
     profile = oracle.instance_rate_profile(inst)

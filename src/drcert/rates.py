@@ -274,38 +274,31 @@ def _search_rates(loss, X, Y, grid, cfg):
     A knot's budget t splits into a label move of cost frac * t and a feature
     radius (1 - frac) * t.  Each (knot, split) group keeps the best of its clean
     point, its ascent ends and its boundary points; a search row is (sample,
-    positive knot, split, start) with its own radius and label.  Knots go in
-    blocks whose draws hold at most _BLOCK points (or one knot's).
+    positive knot, split, start) with its own radius and label.  Every group is
+    drawn once, and each of the three passes climbs the rows of every sample;
+    ``_climb`` alone bounds the rows per loss call.
     """
     kappa = loss.cost.kappa
     fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, _LABEL_SPLITS)
     knots = np.flatnonzero(grid > 0)
-    width = max(1, _BLOCK // max(1, fracs.size * (cfg.n_starts + cfg.n_boundary)))
     # a rate is a difference against the clean loss: one point per call
     # keeps that reference's rounding independent of the batch
     base = np.array([loss.loss(x, y) for x, y in zip(X, Y)])[:, None]
     # every sample's label after the label move of each (positive knot, split)
     # group: one label_shift call per sample
     moves = np.outer(grid[knots], fracs).ravel() / kappa
-    shifted = np.array([loss.label_shift(x, y, moves) for x, y in zip(X, Y)], dtype=float)
+    labels = np.array([loss.label_shift(x, y, moves) for x, y in zip(X, Y)], dtype=float)
+    radii = np.outer(grid[knots], 1.0 - fracs).ravel()  # one group per (knot, split)
+    starts, points = _knot_draws(cfg, grid[knots], radii, X.shape[1], loss.cost.r)
+    best = np.full((X.shape[0], radii.size), -math.inf)
+    # every group's clean point, label-only groups included (no steps)
+    clean = np.zeros((radii.size, 1, X.shape[1]))
+    _climb(loss, X, labels, np.ones(radii.size), clean, best)
+    _climb(loss, X, labels, radii, starts, best, cfg.n_steps)
+    _climb(loss, X, labels, radii, points, best)
+    top = best.reshape(X.shape[0], knots.size, fracs.size).max(axis=2)
     out = np.zeros((X.shape[0], grid.size))
-    for a in range(0, knots.size, width):
-        ks = knots[a:a + width]
-        groups = slice(a * fracs.size, (a + ks.size) * fracs.size)
-        radii = np.outer(grid[ks], 1.0 - fracs).ravel()  # one group per (knot, split)
-        starts, points = _knot_draws(cfg, grid[ks], radii, X.shape[1], loss.cost.r)
-        block = max(1, _BLOCK // radii.size)
-        for lo in range(0, X.shape[0], block):
-            Xb, b = X[lo:lo + block], base[lo:lo + block]
-            labels = shifted[lo:lo + block, groups]
-            best = np.full((Xb.shape[0], radii.size), -math.inf)
-            # every group's clean point, label-only groups included (no steps)
-            clean = np.zeros((radii.size, 1, X.shape[1]))
-            _climb(loss, Xb, labels, np.ones(radii.size), clean, best)
-            _climb(loss, Xb, labels, radii, starts, best, cfg.n_steps)
-            _climb(loss, Xb, labels, radii, points, best)
-            top = best.reshape(Xb.shape[0], ks.size, fracs.size).max(axis=2)
-            out[lo:lo + block, ks] = np.maximum(top, b) - b
+    out[:, knots] = np.maximum(top, base) - base
     return out
 
 

@@ -11,13 +11,17 @@ for users, each with its reason.
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 from drcert.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "drcert"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 KEPT = {
     "gamma_score": "score library for the paper's robust and non-Lipschitz regression losses",
@@ -108,3 +112,24 @@ def test_subcommand_flags_snapshot():
     got = {name: {flag for action in sub._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, sub in subs.choices.items()}
     assert got == FLAGS
+
+
+def _tracer_targets():
+    """``TARGETS`` of the benchmark's tracer, read without importing perfbench."""
+    namespace = {}
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+TRACER_TARGETS = _tracer_targets()
+
+
+@pytest.mark.parametrize("name, module, path", [t[:3] for t in TRACER_TARGETS],
+                         ids=[t[0] for t in TRACER_TARGETS])
+def test_tracer_targets_resolve(name, module, path):
+    # the benchmark's per-layer tracer patches these names in place; a rename
+    # would otherwise surface only when the benchmark traces
+    owner = importlib.import_module(f"drcert.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

@@ -121,6 +121,31 @@ class TestCertifyMlp:
             assert lb <= lip * (1 + 1e-12)
             assert cc <= lip * (1 + 1e-12)
 
+    def test_finite_kappa_classification(self, tmp_path):
+        # the label channel of a -log-softmax head moves simplex mass class by
+        # class; M = 50 bounds -log softmax on this net, so cc is sound
+        net = nn.init_mlp([64, 16, 10], act="tanh", head="logsoftmax", seed=4)
+        wpath, dpath = tmp_path / "w.csv", tmp_path / "d.csv"
+        nn.save_weights(net, wpath)
+        rng = np.random.default_rng(4)
+        dpath.write_text("label," + ",".join(f"p{k}" for k in range(1, 65)) + "\n" + "".join(
+            f"{lab}," + ",".join(map(repr, row)) + "\n"
+            for lab, row in zip(rng.integers(0, 10, size=20).tolist(),
+                                rng.uniform(0.0, 1.0, size=(20, 64)).tolist())))
+
+        def run(out):
+            assert main(["certify", "--model", "mlp", "--weights", str(wpath),
+                         "--data", str(dpath), "--kappa", "0.3", "--out-bound", "50",
+                         "--cost-r", "inf", "--eps", "0.01,0.1", "--out", str(out)]) == 0
+            return read(out / "report.json"), read(out / "advscore.csv")
+
+        first = run(tmp_path / "a")
+        assert first == run(tmp_path / "b")
+        data = json.loads(first[0])
+        assert all(0.0 <= lb <= cc for lb, cc in zip(data["lb"], data["cc"]))
+        scores = [float(line.split(",")[1]) for line in first[1].splitlines()[1:]]
+        assert scores == data["cc"]
+
     def test_missing_weights(self, tmp_path):
         cfg = ExperimentConfig(task="certify", data="synthetic:10",
                                eps_grid=[0.01], out=tmp_path)
@@ -331,6 +356,21 @@ class TestMainExitCodes:
         code = main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "oracle.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        b'{"loss": [0.0, 1.0], "atoms": [[0, 1.0]], "cost": [[0, 1], [1, 0]], '
+        b'"eps": 0.5, "note": "caf\xe9"}',
+        b'{"loss": [0.0, 1.0], "atoms": [[0, 1.0]], "cost": [[0, 1], [1, 0]], '
+        b'"eps": 0.5, "supp\xffort": [[0.0], [1.0]]}',
+    ], ids=["latin1_value", "latin1_key"])
+    def test_instance_not_utf8_is_data_error(self, tmp_path, capsys, text):
+        # a stray byte neither loads as U+FFFD nor drops the field it spoils
+        path = tmp_path / "inst.json"
+        path.write_bytes(text)
+        code = main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error:")
         assert not (tmp_path / "o" / "oracle.json").exists()
 
     @pytest.mark.parametrize("args", [

@@ -245,6 +245,27 @@ def test_batched_search_matches_points(r, kappa, head, block, n, seed):
     assert prof.quality == "search"
 
 
+@pytest.mark.parametrize("head, kappa", [("absdev", math.inf), ("absdev", 0.3),
+                                         ("logsoftmax", 0.3)])
+def test_knot_rates_do_not_depend_on_the_other_knots(head, kappa):
+    # each knot draws from its own stream, so searching the whole grid gives
+    # the running max of the one-knot searches [0, t]
+    rng = np.random.default_rng(5)
+    net = init_mlp([3, 6, 3 if head == "logsoftmax" else 1], act="tanh", head=head,
+                   seed=5)
+    loss = (MlpClassification if head == "logsoftmax" else MlpRegression)(
+        net, CostConfig(r=2.0, kappa=kappa))
+    X = rng.uniform(0, 1, size=(30, 3))
+    Y = rng.dirichlet(np.ones(3), size=30) if head == "logsoftmax" else rng.normal(size=30)
+    grid = [0.0, 0.01, 0.03, 0.1, 0.3, 1.0]
+    whole = maximal_rate(loss, zip(X, Y), grid, config=SMALL).rates.v.reshape(30, -1)
+    single = np.column_stack([np.zeros(30)] + [
+        maximal_rate(loss, zip(X, Y), [0.0, t], config=SMALL).rates.v.reshape(30, 2)[:, 1]
+        for t in grid[1:]])
+    np.testing.assert_allclose(whole, np.maximum.accumulate(single, axis=1),
+                               rtol=1e-12, atol=0)
+
+
 def label_shift_reference(loss, x, y, budget):
     """One budget's label move, with its own forward pass and class walk."""
     if budget <= 0:

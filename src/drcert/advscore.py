@@ -294,21 +294,6 @@ def activation_score(kind: str, width_n: int = 1, r=math.inf) -> ScoreExpr:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def margin_loss_score(r, n_classes: int = 10) -> LinearGain:
-    """Score of the margin map f_i(x) = max_{j != i} x_j - x_i.
-
-    Uses the worst-case +/-1 sparsity pattern: each row holds one -1 (its own
-    class) and one +1 (the runner-up), with all runner-ups in one column.
-    """
-    if n_classes < 2:
-        raise ValueError("margin needs at least two classes")
-    J = np.zeros((n_classes, n_classes))
-    for i in range(n_classes):
-        J[i, i] = -1.0
-        J[i, 1 if i == 0 else 0] = 1.0
-    return LinearGain(nn.opnorm(J, r))
-
-
 def compose(outer: ScoreExpr, inner: ScoreExpr) -> ScoreExpr:
     """Composition (outer after inner); adjacent linear gains collapse."""
     if isinstance(outer, LinearGain) and isinstance(inner, LinearGain):

@@ -22,14 +22,13 @@ follows the 0*inf = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-import orjson
 
 from . import nn
 from .curves import least_concave_majorant, p_transform, star_majorant_after_power
-from .jsonio import decode_float, dumps
+from .jsonio import dumps
 from .rates import RateProfile
 
 
@@ -134,38 +133,19 @@ def p_ordering_check(profile: RateProfile, eps: float, p_list, tol: float = 1e-9
 
 @dataclass
 class CertificateReport:
-    epsilon_grid: np.ndarray
+    """The certificate columns over a budget grid, named as in ``report.json``."""
+
+    eps: np.ndarray
     p: float
     lb: np.ndarray
     cc: np.ndarray
-    lipschitz: np.ndarray
+    lip: np.ndarray
     grad_dual: np.ndarray
     empirical_risk: float
     finite: bool
 
     def to_json(self) -> str:
-        return dumps({"p": self.p, "eps": self.epsilon_grid, "lb": self.lb, "cc": self.cc,
-                      "lip": self.lipschitz, "grad_dual": self.grad_dual,
-                      "empirical_risk": self.empirical_risk, "finite": bool(self.finite)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CertificateReport":
-        """Inverse of :meth:`to_json`; ``NaN`` and ``Infinity`` literals raise."""
-        d = orjson.loads(text)
-
-        def column(key):
-            return np.array([decode_float(v) for v in d[key]])
-
-        return cls(
-            epsilon_grid=column("eps"),
-            p=decode_float(d["p"]),
-            lb=column("lb"),
-            cc=column("cc"),
-            lipschitz=column("lip"),
-            grad_dual=column("grad_dual"),
-            empirical_risk=decode_float(d["empirical_risk"]),
-            finite=bool(d["finite"]),
-        )
+        return dumps(asdict(self))
 
 
 def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,

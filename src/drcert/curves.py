@@ -27,14 +27,15 @@ import numpy as np
 
 TAILS = ("const", "slope", "infinite")
 
-#: slope tolerance for the chord-monotonicity (concavity) test
+#: relative slope tolerance: a hull segment this close to the tail's slope stays
 SLOPE_TOL = 1e-12
 
 
 def _rise(slope, run):
-    """slope * run with 0 * inf = 0: a flat tail stays flat at an infinite budget."""
+    """slope * run with 0 * inf = 0 on either side: a flat tail stays flat at an
+    infinite budget, and an infinite slope rises nothing over a zero run."""
     with np.errstate(invalid="ignore"):
-        return np.where(slope == 0, 0.0, slope * run)
+        return np.where((slope == 0) | (run == 0), 0.0, slope * run)
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,13 @@ def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = 
 class ConcaveCurve:
     """Piecewise-linear concave majorant: hull knots plus a tail slope.
 
-    ``infinite=True`` marks the everywhere-infinite majorant of a superlinearly
-    growing source (finite value only at t=0).
+    The majorant of a superlinearly growing source is one knot at t=0 with an
+    infinite tail slope: finite at t=0 only.
     """
 
     t: np.ndarray
     v: np.ndarray
     tail_slope: float = 0.0
-    infinite: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -203,8 +203,6 @@ class ConcaveCurve:
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < 0):
             raise ValueError("budgets are non-negative")
-        if self.infinite:
-            return np.where(ts == 0.0, self.v[0], math.inf)
         tk, vk = self.t, self.v
         return np.where(ts >= tk[-1], vk[-1] + _rise(self.tail_slope, ts - tk[-1]),
                         np.interp(ts, tk, vk))
@@ -263,7 +261,7 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
     """
     if f.tail == "infinite" or np.any(np.isinf(f.v)):
         return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
-                            tail_slope=math.inf, infinite=True)
+                            tail_slope=math.inf)
     ht, hv, _ = _upper_hull(f.t, f.v, np.zeros(1, dtype=int))
     tail = f.tail_slope if f.tail == "slope" else 0.0
     # hull slopes fall, so the segments under the tail's line come last
@@ -353,21 +351,3 @@ def p_transform(f: CurveFamily, p: float) -> CurveFamily:
     starts = np.cumsum(keep)[f.starts] - keep[f.starts]
     return CurveFamily(t_new[keep], f.v[keep], starts, tail=tail, tail_exponent=expo)
 
-
-def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:
-    """Chord-slope monotonicity test (slopes non-increasing left to right).
-
-    Accepts a :class:`ConcaveCurve` or explicit knot arrays ``(t, v)``.  A
-    slope may exceed its predecessor by ``tol`` times the largest of 1 and
-    the two slopes' magnitudes.
-    """
-    if isinstance(obj, ConcaveCurve):
-        if obj.infinite:
-            return True
-        t, vv = obj.t, obj.v
-    else:
-        t = np.asarray(obj, dtype=float)
-        vv = np.asarray(v, dtype=float)
-    slopes = np.diff(vv) / np.diff(t)
-    s1, s2 = slopes[:-1], slopes[1:]
-    return not np.any(s2 > s1 + tol * np.maximum(1.0, np.maximum(np.abs(s1), np.abs(s2))))

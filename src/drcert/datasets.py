@@ -130,14 +130,13 @@ def ingest_classification_csv(path, side: int, seed: int = 0):
 
 
 def _downscale_matrix(side_in: int, side_out: int) -> np.ndarray:
-    """Row-stochastic overlap weights for exact area averaging."""
-    M = np.zeros((side_out, side_in))
+    """Row-stochastic overlap weights for exact area averaging: output pixel i
+    covers [i * ratio, (i + 1) * ratio) of the input axis, input pixel j covers
+    [j, j + 1)."""
     ratio = side_in / side_out
-    for i in range(side_out):
-        lo, hi = i * ratio, (i + 1) * ratio
-        for j in range(side_in):
-            M[i, j] = max(0.0, min(hi, j + 1) - max(lo, j))
-    return M / ratio
+    edges = np.arange(side_out + 1)[:, None] * ratio
+    j = np.arange(side_in)
+    return np.maximum(np.minimum(edges[1:], j + 1) - np.maximum(edges[:-1], j), 0.0) / ratio
 
 
 def rescale_images(X: np.ndarray, side_in: int, side_out: int) -> np.ndarray:

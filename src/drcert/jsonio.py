@@ -3,10 +3,10 @@ extended reals and the atomic text write.
 
 JSON has no infinity, so infinite values travel as the strings ``"inf"`` and
 ``"-inf"``, finite values as plain JSON numbers, and NaN not at all.  Every
-file is written by :func:`dumps` and read as standard JSON (``orjson``)
-through :func:`decode_float`, or for a large array one ``np.asarray(values,
-dtype=float)``, which reads ``"inf"`` alike but also takes booleans and
-numeric strings.
+file is written by :func:`dumps`.  Only an oracle instance is read back: as
+standard JSON (``orjson``) through :func:`decode_float`, or for a large array
+one ``np.asarray(values, dtype=float)``, which reads ``"inf"`` alike but also
+takes booleans and numeric strings.
 """
 
 from __future__ import annotations

@@ -33,14 +33,13 @@ import orjson
 
 from .curves import CurveFamily, _upper_hull, p_transform
 from .errors import DataError
-from .jsonio import decode_float, dumps
+from .jsonio import decode_float
 from .rates import RateProfile
 
 MAX_SUPPORT = 4096
-#: pure assignments per vectorized pass of ``dr_risk_enumerate``: a cache
-#: block, not a memory cap.  One pass over every assignment gives the same
-#: bits but runs slower, e.g. 1.9 -> 2.3 s at 2^20 assignments and
-#: 1.4 -> 1.9 s at 6^8 on a 2-core Xeon.
+#: pure assignments per vectorized pass of ``dr_risk_enumerate``: every
+#: temporary of a pass has at most this many rows, which bounds its memory
+#: (2^20 assignments peak at 191 MB RSS on a 2-core Xeon).
 _ENUM_CHUNK = 200_000
 
 
@@ -81,8 +80,12 @@ class DiscreteInstance:
             raise DataError("losses must be finite")
         if np.any(np.isnan(w)) or np.any(np.isnan(cost)):
             raise DataError("weights and costs must not be NaN")
-        if self.support is not None and np.any(np.isnan(np.asarray(self.support, float))):
-            raise DataError("support must not be NaN")
+        if self.support is not None:
+            support = np.asarray(self.support, float)
+            if support.ndim < 1 or support.shape[0] != n:
+                raise DataError("support must hold one point per loss")
+            if np.any(np.isnan(support)):
+                raise DataError("support must not be NaN")
         if np.any(cost < 0):
             raise DataError("costs must be non-negative")
         if np.any(np.diag(cost) != 0):
@@ -228,7 +231,8 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
 
     Vertices are either pure assignments within budget or budget-tight points
     with exactly one atom split between two targets.  Enumeration is
-    vectorized over all pure assignments cross one (atom, alternative) pair.
+    vectorized over one chunk of at most ``_ENUM_CHUNK`` pure assignments at a
+    time, cross one (atom, alternative) pair.
     """
     if math.isinf(inst.p):
         # every move must stay within eps: each atom takes its best such target
@@ -240,21 +244,21 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
     c = _powered_costs(inst)
     l, w = inst.loss, inst.weights
     budget = inst.eps ** inst.p
-    # all pure assignments, atom 0 the most significant base-n digit (np.indices
-    # would order them alike, but takes at most 64 atoms)
-    grids = np.arange(n ** m)[:, None] // n ** np.arange(m - 1, -1, -1) % n
-    vals = np.sum(w[None, :] * l[grids], axis=1)
-    # 0 * inf: a zero-weight atom on a forbidden move spends NaN, which the
-    # feasibility test below rejects
-    with np.errstate(invalid="ignore"):
-        spends = np.sum(w[None, :] * c[np.arange(m)[None, :], grids], axis=1)
-    feas = spends <= budget + 1e-12
-    best = float(np.max(vals[feas])) if np.any(feas) else -math.inf
-    # one-fractional-atom vertices: assignment P, atom i mixing P_i with b
-    for start in range(0, grids.shape[0], _ENUM_CHUNK):
-        G = grids[start:start + _ENUM_CHUNK]
-        V = vals[start:start + _ENUM_CHUNK]
-        S = spends[start:start + _ENUM_CHUNK]
+    digits = n ** np.arange(m - 1, -1, -1)
+    best = -math.inf
+    for start in range(0, n ** m, _ENUM_CHUNK):
+        # a chunk of pure assignments, atom 0 the most significant base-n digit
+        # (np.indices would order them alike, but takes at most 64 atoms)
+        G = np.arange(start, min(start + _ENUM_CHUNK, n ** m))[:, None] // digits % n
+        V = np.sum(w[None, :] * l[G], axis=1)
+        # 0 * inf: a zero-weight atom on a forbidden move spends NaN, which the
+        # feasibility test below rejects
+        with np.errstate(invalid="ignore"):
+            S = np.sum(w[None, :] * c[np.arange(m)[None, :], G], axis=1)
+        feas = S <= budget + 1e-12
+        if np.any(feas):
+            best = max(best, float(np.max(V[feas])))
+        # one-fractional-atom vertices: assignment P, atom i mixing P_i with b
         for i in range(m):
             a = G[:, i]
             c_a, l_a = c[i, a], l[a]
@@ -266,9 +270,7 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
                 if not np.any(ok):
                     continue
                 dv = V[ok] + eta[ok] * w[i] * (l[b] - l_a[ok])
-                cand = float(np.max(dv))
-                if cand > best:
-                    best = cand
+                best = max(best, float(np.max(dv)))
     return best
 
 
@@ -330,14 +332,3 @@ def instance_from_json(text: bytes | str) -> DiscreteInstance:
         raise DataError(f"malformed instance: {exc!r}") from exc
     return DiscreteInstance(**fields)
 
-
-def instance_to_json(inst: DiscreteInstance) -> str:
-    """The instance as the JSON text that :func:`instance_from_json` reads."""
-    return dumps({
-        "support": None if inst.support is None else np.asarray(inst.support, dtype=float),
-        "loss": inst.loss,
-        "atoms": list(zip(inst.atom_index.tolist(), inst.weights.tolist())),
-        "cost": inst.cost,
-        "p": float(inst.p),
-        "eps": float(inst.eps),
-    })

@@ -16,13 +16,12 @@ from drcert.advscore import (
     activation_score,
     compose,
     gamma_score,
-    margin_loss_score,
     mlp_feature_score,
     mlp_score,
 )
-from drcert.curves import is_concave
 from drcert.nn import Layer, Mlp, forward, init_mlp, opnorm, vector_norm
 from drcert.rates import CostConfig
+from helpers import is_concave
 
 SIGMOID = lambda x: 1.0 / (1.0 + math.exp(-x))
 
@@ -98,6 +97,21 @@ class TestActivationScores:
                 fx = np.array([sigma(x) for x in xs])
                 fxt = np.array([sigma(x + t) for x in xs])
                 assert F.value(t) == pytest.approx(float(np.max(fxt - fx)), abs=1e-7)
+
+
+def margin_loss_score(r, n_classes: int = 10) -> LinearGain:
+    """Score of the margin map f_i(x) = max_{j != i} x_j - x_i.
+
+    Uses the worst-case +/-1 sparsity pattern: each row holds one -1 (its own
+    class) and one +1 (the runner-up), with all runner-ups in one column.
+    """
+    if n_classes < 2:
+        raise ValueError("margin needs at least two classes")
+    J = np.zeros((n_classes, n_classes))
+    for i in range(n_classes):
+        J[i, i] = -1.0
+        J[i, 1 if i == 0 else 0] = 1.0
+    return LinearGain(opnorm(J, r))
 
 
 class TestLinearAndMargin:

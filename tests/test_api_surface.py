@@ -25,10 +25,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 KEPT = {
     "gamma_score": "score library for the paper's robust and non-Lipschitz regression losses",
-    "margin_loss_score": "score of the paper's classification margin map",
-    "is_concave": "concavity test shared by the curve and score test modules",
-    "instance_to_json": "writer half of the instance format read by `drcert oracle`",
-    "from_json": "reader half of `report.json`, the file `drcert certify` writes",
 }
 
 

@@ -22,8 +22,9 @@ from drcert.cli import (
     run_regression_dynamics,
 )
 from drcert.errors import ConfigError
-from drcert.oracle import DiscreteInstance, instance_to_json
+from drcert.oracle import DiscreteInstance
 from drcert.rates import CostConfig
+from helpers import instance_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +105,7 @@ class TestCertifyMlp:
         res = run_certify(cfg, model="mlp", weights_path=wpath)
         rep = res["report"]
         assert np.all(rep.lb <= rep.cc + 1e-9)
-        assert np.all(rep.cc <= rep.lipschitz + 1e-9)
+        assert np.all(rep.cc <= rep.lip + 1e-9)
 
     def test_finite_kappa_lipschitz_dominates(self, tmp_path):
         # with a label channel the Lipschitz baseline must cover it too: the
@@ -289,6 +290,10 @@ GOOD_INSTANCE = {"loss": [0.0, 1.0], "atoms": [[0, 1.0]],
                  "cost": [[0.0, 1.0], [1.0, 0.0]], "p": 1.0, "eps": 0.3}
 
 
+THREE_POINTS = {"loss": [0.0, 1.0, 2.0],
+                "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
+
+
 def changed_instance(**fields):
     return json.dumps({**GOOD_INSTANCE, **fields})
 
@@ -319,9 +324,7 @@ BAD_INSTANCES = {
     "neg_infinity_literal_p": literal_instance("p", "-Infinity"),
     "overflowing_p": literal_instance("p", "1e400"),
     # an atom index is a JSON integer: no truncation, no parsing of text
-    "fractional_atom_index": changed_instance(loss=[0.0, 1.0, 2.0], atoms=[[0.9, 1.0]],
-                                              cost=[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
-                                                    [2.0, 1.0, 0.0]]),
+    "fractional_atom_index": changed_instance(atoms=[[0.9, 1.0]], **THREE_POINTS),
     "string_atom_index": changed_instance(atoms=[["1", 1.0]]),
     "boolean_atom_index": changed_instance(atoms=[[True, 1.0]]),
     # weights, p and eps are JSON numbers or "inf"/"-inf": no booleans, no numeric text
@@ -330,6 +333,10 @@ BAD_INSTANCES = {
     "string_eps": changed_instance(eps="0.3"),
     "boolean_p": changed_instance(p=True),
     "string_p": changed_instance(p="2"),
+    # a support holds one point per loss
+    "short_support": changed_instance(support=[[0.0], [1.0]], **THREE_POINTS),
+    "long_support": changed_instance(support=[[0.0], [1.0], [2.0], [3.0]], **THREE_POINTS),
+    "scalar_support": changed_instance(support=5.0, **THREE_POINTS),
 }
 
 

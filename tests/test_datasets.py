@@ -3,6 +3,7 @@ import pytest
 
 from drcert.datasets import (
     REGRESSION_NOISE,
+    _downscale_matrix,
     ingest_classification_csv,
     ingest_regression_csv,
     rescale_images,
@@ -114,6 +115,27 @@ class TestRescale:
     def test_identity(self):
         img = np.ones((2, 9))
         assert np.array_equal(rescale_images(img, 3, 3), img)
+
+
+def downscale_matrix_reference(side_in, side_out):
+    """The overlap weights one (output, input) pixel pair at a time."""
+    M = np.zeros((side_out, side_in))
+    ratio = side_in / side_out
+    for i in range(side_out):
+        lo, hi = i * ratio, (i + 1) * ratio
+        for j in range(side_in):
+            M[i, j] = max(0.0, min(hi, j + 1) - max(lo, j))
+    return M / ratio
+
+
+def test_downscale_matrix_matches_the_pairwise_reference():
+    # bit for bit: each right edge is (i + 1) * ratio, not i * ratio + ratio
+    for side_in in range(1, 65):
+        for side_out in range(1, side_in + 1):
+            got = _downscale_matrix(side_in, side_out)
+            want = downscale_matrix_reference(side_in, side_out)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                (side_in, side_out)
 
 
 class TestSplit:

@@ -19,9 +19,9 @@ from drcert.oracle import (
     dr_risk_plan_spend,
     instance_from_json,
     instance_rate_profile,
-    instance_to_json,
     wp_ordering_check,
 )
+from helpers import instance_to_json
 
 
 def line_instance(points, losses, atoms, weights, p=1.0, eps=0.0):
@@ -96,6 +96,20 @@ class TestBasics:
                              p=2.0, eps=1.0)
         with pytest.raises(DataError, match="enumeration limited"):
             dr_risk_enumerate(inst)
+
+    def test_enumeration_memory_bounded_by_its_chunk(self):
+        # 2^20 assignments, inside the limit: held all at once, they and their
+        # float temporaries trace near 490 MiB
+        inst = line_instance([0.0, 1.0], [0.0, 1.0], [0, 1] * 10, np.full(20, 0.05),
+                             p=2.0, eps=0.5)
+        tracemalloc.start()
+        try:
+            risk = dr_risk_enumerate(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        assert risk == pytest.approx(dr_risk_exact(inst), rel=1e-9)
 
     def test_subnormal_distance_reads_a_jump_without_warnings(self):
         # a rise of 1 over a run of 1e-310 overflows to an infinite slope: the

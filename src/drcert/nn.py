@@ -18,7 +18,7 @@ from .jsonio import write_text_atomic
 
 def _sgn(x):
     """sign with sgn(0) = +1."""
-    return np.where(np.asarray(x) < 0, -1.0, 1.0)
+    return np.where(x < 0, -1.0, 1.0)
 
 
 #: Each activation kind: the activation, and its derivative given the
@@ -144,8 +144,7 @@ def _backward(net: Mlp, x, y, need_params=False):
     else:
         u = np.asarray(y, dtype=float) - o[..., 0]
         loss = np.abs(u)
-        g = np.zeros_like(o)
-        g[..., 0] = -_sgn(u)
+        g = -_sgn(u)[..., None]
     gW = [None] * len(net.layers)
     gb = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
@@ -212,10 +211,9 @@ def ascent_direction(g, r) -> np.ndarray:
     only the largest gradient coordinate, r=2 follows the normalized gradient,
     r=inf follows the gradient signs.  A zero row stays zero.
     """
-    g = np.asarray(g, dtype=float)
     r = float(r)
     if r == 2.0:
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
+        norm = np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))  # np.linalg.norm's sum
         return np.where(norm > 0, g / np.maximum(norm, 1e-300), 0.0)
     if r == 1.0:
         top = np.arange(g.shape[-1]) == np.argmax(np.abs(g), axis=-1)[..., None]

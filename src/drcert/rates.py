@@ -181,18 +181,18 @@ class RateProfile:
 
 # -- ball geometry -------------------------------------------------------------
 
-def _project_ball(delta, radius, r):
-    """Project each row of ``delta`` onto the r-ball of its own positive radius.
+def _project_ball(d, radius, r):
+    """Project each row of the array ``d`` onto the r-ball of its own positive
+    radius.
 
     ``radius`` is a scalar or one radius per row.  The r = 1 projection sorts
     and sums every row at once (Duchi et al. 2008).
     """
-    d = np.asarray(delta, dtype=float)
-    rad = np.broadcast_to(np.asarray(radius, dtype=float), d.shape[:1])[:, None]
+    rad = np.reshape(radius, (-1, 1))
     if math.isinf(r):
-        return np.clip(d, -rad, rad)
+        return np.minimum(np.maximum(d, -rad), rad)
     if r == 2.0:
-        norms = np.linalg.norm(d, axis=1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))  # np.linalg.norm's sum
         return d * np.where(norms > rad, rad / np.maximum(norms, 1e-300), 1.0)
     a = np.abs(d)
     u = -np.sort(-a, axis=1)
@@ -253,7 +253,21 @@ def _knot_draws(cfg, t, radii, dim, r):
 def _climb(loss, X, labels, radii, offsets, best, n_steps=0):
     """Raise best[i, g] to the loss at X[i] + offsets[g, c] after n_steps of
     projected steepest ascent, over every sample i, group g of positive radius
-    and offset c, at most _BLOCK rows per loss call."""
+    and offset c, at most _BLOCK rows per loss call.
+
+    A row's step is a map of its own (x, y, radius, delta) alone.  So once a
+    step returns a row's delta bit for bit, every later step returns it too:
+    the row keeps that delta and leaves the climb, later gradient calls leave
+    it out, and the block's last loss call takes every row again.  At r = inf
+    the sign step and the clipping park most rows on a vertex of their box
+    this way.  The one caveat: BLAS may round a row's gradient differently in
+    the smaller batch of the rows still climbing.  At r in {1, inf} the step
+    reads only the gradient's signs and the arg-max of its magnitudes, which a
+    last-bit change moves only at a zero or a near-tie; so the result equals
+    that of the loop without retirement wherever no such change falls, which
+    the tests check but nothing guarantees.  At r = 2 the step reads the
+    gradient's values, and no row leaves.
+    """
     live = np.flatnonzero(radii > 0)
     shape = (X.shape[0], live.size, offsets.shape[1])
     n_rows = math.prod(shape)
@@ -261,10 +275,22 @@ def _climb(loss, X, labels, radii, offsets, best, n_steps=0):
     for lo in range(0, n_rows, _BLOCK):
         i, j, c = np.unravel_index(np.arange(lo, min(lo + _BLOCK, n_rows)), shape)
         g = live[j]
-        x, y, rad, delta = X[i], labels[i, g], radii[g], offsets[g, c]
+        x, y, delta = X[i], labels[i, g], offsets[g, c]
+        # the climbing rows: delta[rows] is d, at xs, ys and radius rad
+        rows, xs, ys, d, rad = np.arange(len(g)), x, y, delta, radii[g][:, None]
+        size = _STEP_FRAC * rad
         for _ in range(n_steps):
-            step = nn.ascent_direction(loss.grads(x + delta, y), r)
-            delta = _project_ball(delta + _STEP_FRAC * rad[:, None] * step, rad, r)
+            step = nn.ascent_direction(loss.grads(xs + d, ys), r)
+            nxt = _project_ball(d + size * step, rad, r)
+            if r != 2.0:
+                moved = (nxt.view(np.int64) != d.view(np.int64)).any(axis=1)
+                if not moved.all():
+                    delta[rows[~moved]] = d[~moved]
+                    rows, xs, ys, rad, size, nxt = (a[moved] for a in (rows, xs, ys, rad, size, nxt))
+            d = nxt
+            if rows.size == 0:
+                break
+        delta[rows] = d
         np.maximum.at(best, (i, g), loss.losses(x + delta, y))
 
 

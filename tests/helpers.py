@@ -1,7 +1,9 @@
 """Test helpers shared by several test modules: a concavity test for knot
-arrays and the writer of the oracle's instance JSON."""
+arrays, the writer of the oracle's instance JSON, and a bitwise float
+comparison with the floats that tell it apart from ``==``."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from drcert.curves import SLOPE_TOL, ConcaveCurve
 from drcert.jsonio import dumps
@@ -35,3 +37,15 @@ def instance_to_json(inst: DiscreteInstance) -> str:
         "p": float(inst.p),
         "eps": float(inst.eps),
     })
+
+
+#: signed zeros, subnormals and ordinary floats
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]),
+    st.floats(-1e3, 1e3))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bits, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

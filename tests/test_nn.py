@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from drcert import jsonio, nn
+from helpers import EDGE_FLOATS, same_bits
 from drcert.nn import (
     Layer,
     Mlp,
@@ -204,6 +205,29 @@ def test_ascent_direction_is_steepest(r, shape, data):
     assert np.allclose(np.sum(g * d, axis=1), dual, rtol=1e-12, atol=0)
     # one point is the one-row case
     assert np.array_equal(ascent_direction(g[0], r), d[0])
+
+
+def ascent_direction_reference(g, r):
+    """The steepest-ascent step through np.linalg.norm and a sign with sgn(0) = +1."""
+    g = np.asarray(g, dtype=float)
+    sgn = np.where(g < 0, -1.0, 1.0)
+    if r == 2.0:
+        norm = np.linalg.norm(g, axis=-1, keepdims=True)
+        return np.where(norm > 0, g / np.maximum(norm, 1e-300), 0.0)
+    if r == 1.0:
+        top = np.arange(g.shape[-1]) == np.argmax(np.abs(g), axis=-1)[..., None]
+        sgn = np.where(top, sgn, 0.0)
+    return np.where(np.any(g != 0, axis=-1, keepdims=True), sgn, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.sampled_from([1.0, 2.0, math.inf]),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_ascent_direction_matches_the_reference_bits(r, shape, data):
+    g = data.draw(arrays(float, shape, elements=EDGE_FLOATS))
+    g[data.draw(arrays(bool, shape[0]))] = data.draw(st.sampled_from([0.0, -0.0]))
+    assert same_bits(ascent_direction(g, r), ascent_direction_reference(g, r))
+    assert same_bits(ascent_direction(g[0], r), ascent_direction_reference(g[0], r))
 
 
 class TestFgsm:

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import EDGE_FLOATS, same_bits
 from drcert import nn, rates
 from drcert.curves import Curve
 from drcert.nn import dual_exponent, forward, init_mlp, loss_and_grad_x, vector_norm
@@ -194,12 +196,46 @@ def test_projection_lands_in_each_rows_ball(r, shape, data):
         assert np.array_equal(out, ref)
 
 
+def project_ball_reference(delta, radius, r):
+    """The projection through a radius broadcast to every row, np.clip and
+    np.linalg.norm."""
+    d = np.asarray(delta, dtype=float)
+    rad = np.broadcast_to(np.asarray(radius, dtype=float), d.shape[:1])[:, None]
+    if math.isinf(r):
+        return np.clip(d, -rad, rad)
+    if r == 2.0:
+        norms = np.linalg.norm(d, axis=1, keepdims=True)
+        return d * np.where(norms > rad, rad / np.maximum(norms, 1e-300), 1.0)
+    a = np.abs(d)
+    u = -np.sort(-a, axis=1)
+    css = np.cumsum(u, axis=1)
+    cond = u - (css - rad) / np.arange(1, d.shape[1] + 1) > 0
+    rho = d.shape[1] - np.argmax(cond[:, ::-1], axis=1)[:, None]
+    tau = (np.take_along_axis(css, rho - 1, axis=1) - rad) / rho
+    out = np.sign(d) * np.maximum(a - tau, 0.0)
+    return np.where(np.sum(a, axis=1, keepdims=True) <= rad, d, out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.sampled_from([1.0, 2.0, math.inf]),
+       shape=st.tuples(st.integers(1, 8), st.integers(1, 6)), per_row=st.booleans(),
+       data=st.data())
+def test_projection_matches_the_reference_bits(r, shape, per_row, data):
+    d = data.draw(arrays(float, shape, elements=EDGE_FLOATS))
+    d[data.draw(arrays(bool, shape[0]))] = data.draw(st.sampled_from([0.0, -0.0]))
+    positive = st.floats(5e-324, 1e3)
+    radius = data.draw(arrays(float, shape[0], elements=positive) if per_row else positive)
+    assert same_bits(rates._project_ball(d, radius, r), project_ball_reference(d, radius, r))
+
+
 @dataclass(frozen=True)
 class CountingLoss:
-    """A searched loss that records how many rows each batched call sees."""
+    """A searched loss that records how many rows each batched call sees
+    (``rows``) and, of those, each gradient call (``grad_rows``)."""
 
     inner: object
     rows: list = field(default_factory=list)
+    grad_rows: list = field(default_factory=list)
 
     @property
     def cost(self):
@@ -214,6 +250,7 @@ class CountingLoss:
 
     def grads(self, X, Y):
         self.rows.append(len(X))
+        self.grad_rows.append(len(X))
         return self.inner.grads(X, Y)
 
     def label_shift(self, x, y, budgets):
@@ -314,6 +351,87 @@ def test_label_moves_take_one_forward_pass_per_sample():
         maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
     one_row = sum(np.ndim(call.args[1]) == 1 for call in fwd.call_args_list)
     assert one_row == 2 * len(data)  # each sample's clean loss and its label moves
+
+
+def climb_reference(loss, X, labels, radii, offsets, best, n_steps=0):
+    """The step loop without retirement: every row takes all n_steps."""
+    live = np.flatnonzero(radii > 0)
+    shape = (X.shape[0], live.size, offsets.shape[1])
+    n_rows = math.prod(shape)
+    r = loss.cost.r
+    for lo in range(0, n_rows, rates._BLOCK):
+        i, j, c = np.unravel_index(np.arange(lo, min(lo + rates._BLOCK, n_rows)), shape)
+        g = live[j]
+        x, y, rad, delta = X[i], labels[i, g], radii[g], offsets[g, c]
+        for _ in range(n_steps):
+            step = nn.ascent_direction(loss.grads(x + delta, y), r)
+            delta = rates._project_ball(delta + rates._STEP_FRAC * rad[:, None] * step,
+                                        rad, r)
+        np.maximum.at(best, (i, g), loss.losses(x + delta, y))
+
+
+@contextmanager
+def beside_reference():
+    """Run every _climb call of a search beside climb_reference on the same
+    inputs (the reference through the uncounted loss) and require the same
+    best bit for bit; yields the n_steps of each call."""
+    climb, climbed = rates._climb, []
+
+    def both(loss, X, labels, radii, offsets, best, n_steps=0):
+        want = best.copy()
+        climb_reference(loss.inner, X, labels, radii, offsets, want, n_steps)
+        climb(loss, X, labels, radii, offsets, best, n_steps)
+        assert same_bits(best, want)
+        climbed.append(n_steps)
+
+    with mock.patch.object(rates, "_climb", both):
+        yield climbed
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from([1.0, 2.0, math.inf]), kappa=st.sampled_from([math.inf, 0.5]),
+       head=st.sampled_from(["logsoftmax", "absdev"]), act=st.sampled_from(sorted(nn.ACTIVATIONS)),
+       n_steps=st.integers(0, 20), block=st.integers(1, 80), seed=st.integers(0, 2**16))
+def test_retiring_climb_matches_the_full_step_loop(r, kappa, head, act, n_steps, block, seed):
+    # every _climb call of a search runs beside the loop without retirement,
+    # on the same inputs, and must leave the same best bit for bit
+    rng = np.random.default_rng(seed)
+    net = init_mlp([3, 4, 3 if head == "logsoftmax" else 1], act=act, head=head, seed=seed)
+    cls = MlpClassification if head == "logsoftmax" else MlpRegression
+    loss = CountingLoss(cls(net, CostConfig(r=r, kappa=kappa)))
+    X = rng.uniform(0, 1, size=(5, 3))
+    Y = rng.dirichlet(np.ones(3), size=5) if head == "logsoftmax" else rng.normal(size=5)
+    cfg = SearchConfig(n_starts=3, n_steps=n_steps, n_boundary=4, seed=seed)
+    with mock.patch.object(rates, "_BLOCK", block), beside_reference() as climbed:
+        maximal_rate(loss, zip(X, Y), [0.0, 0.1, 0.3], config=cfg)
+    assert climbed == [0, n_steps, 0]
+    assert max(loss.rows) <= block
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("head", ["logsoftmax", "absdev"])
+def test_rows_at_a_fixed_point_leave_the_climb(r, head):
+    # a search shaped like the CLI's: every start climbs all n_steps only at
+    # r = 2; at r in {1, inf} rows reach fixed points and take fewer
+    # gradients, and the result still equals the loop without retirement
+    rng = np.random.default_rng(7)
+    if head == "logsoftmax":
+        net = init_mlp([64, 16, 10], act="tanh", seed=7)
+        data = list(zip(rng.uniform(size=(20, 64)), np.eye(10)[rng.integers(0, 10, 20)]))
+        loss = CountingLoss(MlpClassification(net, CostConfig(r=r)))
+    else:
+        net = init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=7)
+        data = list(zip(rng.uniform(size=(50, 2)), rng.normal(size=50)))
+        loss = CountingLoss(MlpRegression(net, CostConfig(r=r)))
+    grid = [0.0, 0.001, 0.01, 0.1]
+    cfg = SearchConfig()
+    with beside_reference():
+        maximal_rate(loss, data, grid, config=cfg)
+    climbing = len(data) * (len(grid) - 1) * cfg.n_starts
+    if r == 2.0:
+        assert sum(loss.grad_rows) == cfg.n_steps * climbing
+    else:
+        assert sum(loss.grad_rows) < cfg.n_steps * climbing
 
 
 def test_search_calls_stay_within_block():

@@ -288,19 +288,13 @@ def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
 
 
 def _star_rows(f: CurveFamily, p: float, eps: float) -> np.ndarray:
-    if math.isinf(p):
-        raise ValueError("p must be finite")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    tail, _ = _powered_tail(f, p)
     if eps < 0:
         raise ValueError("budgets are non-negative")
     if eps == 0.0:
         return np.zeros(f.starts.size)
-    tail, expo = f.tail, f.tail_exponent
     if tail == "infinite":
-        if expo is None or expo / p > 1.0 + 1e-12:
-            return np.full(f.starts.size, math.inf)
-        tail = "slope"  # growth no longer superlinear after the transform
+        return np.full(f.starts.size, math.inf)
     t, v = f.t, f.v
     far = t >= eps
     terms = np.full(t.size, -math.inf)
@@ -322,6 +316,20 @@ def _star_rows(f: CurveFamily, p: float, eps: float) -> np.ndarray:
     return best
 
 
+def _powered_tail(f: CurveFamily, p: float):
+    """Tail rule and exponent of t -> f(t^(1/p)) for a finite p >= 1: growth of
+    order q becomes order q/p, so an infinite tail becomes a slope tail once
+    q/p <= 1 (no longer superlinear)."""
+    if math.isinf(p):
+        raise ValueError("p must be finite")
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    expo = None if f.tail_exponent is None else f.tail_exponent / p
+    if f.tail == "infinite" and expo is not None and expo <= 1.0 + 1e-12:
+        return "slope", min(expo, 1.0)
+    return f.tail, expo
+
+
 def p_transform(f: CurveFamily, p: float) -> CurveFamily:
     """Re-parameterize the budget axis: returns the curves t -> f(t^(1/p)).
 
@@ -329,18 +337,9 @@ def p_transform(f: CurveFamily, p: float) -> CurveFamily:
     introduced at knots.  Tail growth of order q becomes order q/p, which
     resolves the infinite flag when q/p <= 1.  A :class:`Curve` stays one.
     """
-    if math.isinf(p):
-        raise ValueError("p must be finite for the transform")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    tail, expo = _powered_tail(f, p)
     if p == 1.0:
         return f
-    tail, expo = f.tail, f.tail_exponent
-    if expo is not None:
-        expo = expo / p
-        if tail == "infinite" and expo <= 1.0 + 1e-12:
-            tail = "slope"
-            expo = min(expo, 1.0)
     t_new = np.power(f.t, p)
     # distinct knots can share a power (underflow, rounding); they then cost
     # the same budget, so keep the last, largest value of each such run

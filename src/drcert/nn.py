@@ -30,9 +30,6 @@ ACTIVATIONS = {
     "identity": (lambda a: a, None),
 }
 
-HEADS = ("logsoftmax", "absdev")
-
-
 @dataclass(frozen=True)
 class Layer:
     W: np.ndarray
@@ -111,16 +108,26 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(o):
-    m = np.max(o, axis=-1, keepdims=True)
-    z = o - m
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z = o - np.maximum.reduce(o, axis=-1, keepdims=True)  # np.max/np.sum, less call cost
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+
+
+#: Each loss head: its loss from the network output o and the label y, and
+#: that loss's slope in o.  y is a float array; an absdev head reads output 0.
+HEADS = {
+    # <y, -log softmax(o)>, slope softmax(o) sum(y) - y (softmax(o) - y on the simplex)
+    "logsoftmax": (
+        lambda o, y: -np.add.reduce(y * _log_softmax(o), axis=-1),
+        lambda o, y: np.exp(_log_softmax(o)) * np.add.reduce(y, axis=-1, keepdims=True) - y),
+    # |y - o|, slope -sgn(y - o)
+    "absdev": (lambda o, y: np.abs(y - o[..., 0]),
+               lambda o, y: -_sgn(y - o[..., 0])[..., None]),
+}
 
 
 def head_loss(net: Mlp, o: np.ndarray, y) -> np.ndarray:
-    """Loss from the network output: <y, -log softmax(o)> or |y - o|."""
-    if net.head == "logsoftmax":
-        return -np.sum(np.asarray(y) * _log_softmax(o), axis=-1)
-    return np.abs(np.asarray(y) - o[..., 0])
+    """Loss from the network output, by the net's entry in :data:`HEADS`."""
+    return HEADS[net.head][0](o, np.asarray(y, dtype=float))
 
 
 def loss_value(net: Mlp, x, y) -> np.ndarray:
@@ -128,23 +135,14 @@ def loss_value(net: Mlp, x, y) -> np.ndarray:
 
 
 def _backward(net: Mlp, x, y, need_params=False):
-    """Forward + backward pass; returns (loss, grad_x[, grads_W, grads_b]).
-
-    Batched: x may be (B, n); losses and gradients then carry the batch axis.
-    Parameter gradients need a batch and are summed over it.
+    """Forward + backward pass from the head's slope; returns (output,
+    grad_x[, grads_W, grads_b]) and no loss (:func:`head_loss` reads it off the
+    output).  Batched: x may be (B, n); outputs and gradients then carry the
+    batch axis.  Parameter gradients need a batch and are summed over it.
     """
     steps = list(_walk(net, x))
     o = steps[-1][2]
-    if net.head == "logsoftmax":
-        y = np.asarray(y, dtype=float)
-        logp = _log_softmax(o)
-        loss = -np.sum(y * logp, axis=-1)
-        # d/do <y, -log softmax(o)> = softmax(o) - y  (y on the simplex)
-        g = np.exp(logp) * np.sum(y, axis=-1, keepdims=True) - y
-    else:
-        u = np.asarray(y, dtype=float) - o[..., 0]
-        loss = np.abs(u)
-        g = -_sgn(u)[..., None]
+    g = HEADS[net.head][1](o, np.asarray(y, dtype=float))
     gW = [None] * len(net.layers)
     gb = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
@@ -156,15 +154,13 @@ def _backward(net: Mlp, x, y, need_params=False):
             gW[k] = g.T @ h_in
             gb[k] = g.sum(axis=0)
         g = g @ layer.W
-    if need_params:
-        return loss, g, gW, gb
-    return loss, g
+    return (o, g, gW, gb) if need_params else (o, g)
 
 
 def loss_and_grad_x(net: Mlp, z):
     """Loss and input gradient at a data point z = (x, y), or at each row of (X, Y)."""
-    x, y = z
-    loss, g = _backward(net, x, y)
+    o, g = _backward(net, *z)
+    loss = head_loss(net, o, z[1])
     return float(loss) if np.ndim(loss) == 0 else loss, g
 
 
@@ -285,11 +281,11 @@ def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
             xb, yb = X[idx], Y[idx]
             if config.eps > 0.0:
                 xb, _ = fgsm_perturb(net, (xb, yb), config.eps, config.r)
-            loss, _, gW, gb = _backward(net, xb, yb, need_params=True)
+            o, _, gW, gb = _backward(net, xb, yb, need_params=True)
             scale = config.lr / xb.shape[0]
             steps = [(l.W - scale * gw, l.b - scale * gbv)
                      for l, gw, gbv in zip(net.layers, gW, gb)]
-            if not (np.isfinite(loss).all()
+            if not (np.isfinite(head_loss(net, o, yb)).all()
                     and all(np.isfinite(W).all() and np.isfinite(b).all() for W, b in steps)):
                 raise DivergenceError(f"non-finite loss or weights at epoch {epoch}")
             net = Mlp(tuple(replace(l, W=W, b=b) for l, (W, b) in zip(net.layers, steps)),

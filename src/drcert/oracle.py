@@ -235,13 +235,15 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
     time, cross one (atom, alternative) pair.
     """
     if math.isinf(inst.p):
-        # every move must stay within eps: each atom takes its best such target
-        reach = np.where(inst.atom_costs() <= inst.eps, inst.loss, -math.inf)
+        # each atom takes its best allowed (finite-cost) target within eps
+        d = inst.atom_costs()
+        reach = np.where((d <= inst.eps) & (d < math.inf), inst.loss, -math.inf)
         return float(np.dot(inst.weights, np.max(reach, axis=1)))
     m, n = inst.atom_index.size, inst.loss.size
     if n ** m > 2_000_000:  # before the m x n powered costs are built
         raise DataError("enumeration limited to n^m <= 2e6")
     c = _powered_costs(inst)
+    forbidden = np.isinf(inst.atom_costs())
     l, w = inst.loss, inst.weights
     budget = inst.eps ** inst.p
     digits = n ** np.arange(m - 1, -1, -1)
@@ -251,11 +253,12 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
         # (np.indices would order them alike, but takes at most 64 atoms)
         G = np.arange(start, min(start + _ENUM_CHUNK, n ** m))[:, None] // digits % n
         V = np.sum(w[None, :] * l[G], axis=1)
-        # 0 * inf: a zero-weight atom on a forbidden move spends NaN, which the
-        # feasibility test below rejects
+        moves = np.arange(m)[None, :], G
+        # an assignment with a forbidden move is out, even at eps = inf (a
+        # finite cost whose power overflows is allowed); 0 * inf spends NaN
         with np.errstate(invalid="ignore"):
-            S = np.sum(w[None, :] * c[np.arange(m)[None, :], G], axis=1)
-        feas = S <= budget + 1e-12
+            S = np.sum(w[None, :] * c[moves], axis=1)
+        feas = (S <= budget + 1e-12) & ~np.any(forbidden[moves], axis=1)
         if np.any(feas):
             best = max(best, float(np.max(V[feas])))
         # one-fractional-atom vertices: assignment P, atom i mixing P_i with b

@@ -12,6 +12,7 @@ for users, each with its reason.
 import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "drcert"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 KEPT = {
     "gamma_score": "score library for the paper's robust and non-Lipschitz regression losses",
@@ -108,6 +110,24 @@ def test_subcommand_flags_snapshot():
     got = {name: {flag for action in sub._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, sub in subs.choices.items()}
     assert got == FLAGS
+
+
+def _readme_command_table():
+    """Each row of the README's subcommand table: the flags it names."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    text = text.split("\n## ", 1)[0]  # to the next section
+    rows = {}
+    for line in text.splitlines():
+        row = re.fullmatch(r"\| `([a-z]+)` \| (.*) \|", line)
+        if row:
+            assert row[1] not in rows, f"README names {row[1]!r} twice"
+            rows[row[1]] = set(re.findall(r"--[a-z][a-z-]*", row[2]))
+    return rows
+
+
+def test_readme_command_table_matches_the_flags():
+    # doc drift fails here as parser drift fails the snapshot above
+    assert _readme_command_table() == FLAGS
 
 
 def _tracer_targets():

@@ -22,6 +22,7 @@ from drcert.cli import (
     run_regression_dynamics,
 )
 from drcert.errors import ConfigError
+from drcert.jsonio import dumps
 from drcert.oracle import DiscreteInstance
 from drcert.rates import CostConfig
 from helpers import instance_to_json
@@ -427,17 +428,20 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, "inf"])
     def test_oracle_at_an_infinite_budget(self, tmp_path, p):
-        # a flat tail stays flat at eps = inf (0 * inf = 0): cc is 3, not NaN
-        z = np.arange(4.0)
+        # a flat tail stays flat at eps = inf (0 * inf = 0): cc is 3, not NaN;
+        # point 4 (loss 5) is forbidden to both atoms, even at eps = inf
+        z = np.arange(5.0)
+        cost = np.abs(z[:, None] - z)
+        cost[[0, 1], 4] = math.inf
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps({"loss": [0.0, 1.0, 3.0, 2.0], "atoms": [[0, 0.5], [1, 0.5]],
-                                    "cost": np.abs(z[:, None] - z).tolist(),
-                                    "p": p, "eps": "inf"}))
+        path.write_text(dumps({"loss": [0.0, 1.0, 3.0, 2.0, 5.0], "atoms": [[0, 0.5], [1, 0.5]],
+                               "cost": cost, "p": p, "eps": math.inf}))
         assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
         data = orjson.loads((tmp_path / "o" / "oracle.json").read_bytes())
         emp, risk = data["empirical_risk"], data["risk"]
         assert emp + data["lb"] <= risk <= emp + data["cc"]
         assert data["cc"] == 3.0
+        assert data["enumeration"] == risk
 
     def test_oracle_roundtrip(self, tmp_path):
         z = np.array([0.0, 1.0])

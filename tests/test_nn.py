@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from drcert import jsonio, nn
+from drcert.errors import DivergenceError
 from helpers import EDGE_FLOATS, same_bits
 from drcert.nn import (
     Layer,
@@ -131,6 +132,96 @@ class TestGradients:
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([1.0, 0.0, 0.0])
         assert loss_value(net, x, y) < 1e-8
+
+
+def head_slope_reference(head, o, y, h):
+    """Central differences of ``head``'s loss in each output coordinate."""
+    loss = nn.HEADS[head][0]
+    fd = np.zeros_like(o)
+    for j in range(o.shape[-1]):
+        e = np.zeros_like(o)
+        e[..., j] = h
+        fd[..., j] = (loss(o + e, y) - loss(o - e, y)) / (2 * h)
+    return fd
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.sampled_from(sorted(nn.HEADS)), rows=st.integers(1, 4),
+       spread=st.sampled_from([1.0, 1e2, 1e4, 1e6]), data=st.data())
+def test_every_head_slope_is_its_loss_derivative(head, rows, spread, data):
+    h = 1e-4
+    k = 10 if head == "logsoftmax" else 1
+    o = spread * data.draw(arrays(float, (rows, k), elements=st.floats(-1.0, 1.0)))
+    if head == "logsoftmax":
+        # any non-negative label weights, not only the simplex
+        y = data.draw(arrays(float, (rows, k), elements=st.floats(0.0, 1.0)))
+    else:
+        # away from the kink y = o by more than the difference step
+        gap = data.draw(arrays(float, rows, elements=st.floats(1e-2, 1e1)))
+        sign = data.draw(arrays(bool, rows))
+        y = o[:, 0] + np.where(sign, gap, -gap) * max(1.0, spread * 1e-3)
+    slope = nn.HEADS[head][1](o, y)
+    assert slope.shape == o.shape
+    # rounding of a loss of size ~spread, over the step 2h
+    tol = 1e-6 + 1e-14 * spread / h
+    assert np.allclose(slope, head_slope_reference(head, o, y, h), rtol=0, atol=tol)
+
+
+def backward_reference(net, x, y, need_params=False):
+    """The backward pass with each head's loss and slope, and the log-softmax,
+    written inline: the bits that the ``HEADS`` table must reproduce."""
+    steps = list(nn._walk(net, x))
+    o = steps[-1][2]
+    if net.head == "logsoftmax":
+        y = np.asarray(y, dtype=float)
+        z = o - np.max(o, axis=-1, keepdims=True)
+        logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+        loss = -np.sum(y * logp, axis=-1)
+        g = np.exp(logp) * np.sum(y, axis=-1, keepdims=True) - y
+    else:
+        u = np.asarray(y, dtype=float) - o[..., 0]
+        loss = np.abs(u)
+        g = -np.where(u < 0, -1.0, 1.0)[..., None]
+    gW = [None] * len(net.layers)
+    gb = [None] * len(net.layers)
+    for k in range(len(net.layers) - 1, -1, -1):
+        layer, (h_in, a, h) = net.layers[k], steps[k]
+        deriv = nn.ACTIVATIONS[layer.act][1]
+        if deriv is not None:
+            g = g * deriv(a, h)
+        if need_params:
+            gW[k] = g.T @ h_in
+            gb[k] = g.sum(axis=0)
+        g = g @ layer.W
+    return loss, g, gW, gb
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.sampled_from(sorted(nn.HEADS)), act=st.sampled_from(sorted(nn.ACTIVATIONS)),
+       hidden=st.lists(st.integers(1, 6), max_size=2), rows=st.integers(1, 5),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_backward_matches_the_inline_head_bits(head, act, hidden, rows, seed, data):
+    n = data.draw(st.integers(1, 5))
+    net = init_mlp([n, *hidden, 4 if head == "logsoftmax" else 1], act=act,
+                   head=head, seed=seed)
+    X = data.draw(arrays(float, (rows, n), elements=EDGE_FLOATS))
+    if head == "logsoftmax":
+        Y = data.draw(arrays(float, (rows, 4), elements=st.floats(0.0, 1.0)))
+    else:
+        Y = data.draw(arrays(float, rows, elements=EDGE_FLOATS))
+    with np.errstate(over="ignore"):  # sigmoid's exp(-a) at a < -709
+        # batched, with parameter gradients
+        o, g, gW, gb = nn._backward(net, X, Y, need_params=True)
+        loss, g_ref, gW_ref, gb_ref = backward_reference(net, X, Y, need_params=True)
+        assert same_bits(o, forward(net, X))
+        assert same_bits(nn.head_loss(net, o, Y), loss) and same_bits(g, g_ref)
+        assert all(same_bits(a, b) for a, b in zip(gW + gb, gW_ref + gb_ref))
+        # batched and one point, input gradients only
+        for x, y in ((X, Y), (X[0], Y[0])):
+            o, g = nn._backward(net, x, y)
+            loss, g_ref, _, _ = backward_reference(net, x, y)
+            assert same_bits(o, forward(net, x)) and same_bits(g, g_ref)
+            assert same_bits(loss_and_grad_x(net, (x, y))[0], loss)
 
 
 class TestOpnorm:
@@ -346,6 +437,14 @@ class TestTrain:
                               TrainConfig(lr=0.2, epochs=8, seed=9, eps=0.05))
             assert attack.call_count == 8 * 2  # 40 rows in batches of 32
         assert [r["train_loss"] for r in tr_clean] != [r["train_loss"] for r in tr_adv]
+
+    def test_non_finite_batch_loss_diverges_with_finite_weights(self):
+        # the output 1e308 + 1e308 overflows, so the loss is inf, while the
+        # step lr / 4 * gW = 1e-3 * [[1, 1]] leaves every weight finite
+        net = Mlp((Layer(np.array([[1e308, 1e308]]), np.zeros(1)),), head="absdev")
+        X, Y = np.ones((4, 2)), np.zeros(4)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+            train(net, (X, Y), (X, Y), TrainConfig(lr=1e-3, epochs=1))
 
 
 class TestWeightsIO:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from drcert import oracle
 from drcert.certificates import lower_bound, upper_bound
@@ -161,7 +161,8 @@ class TestExactVsEnumeration:
 @st.composite
 def tied_instances(draw):
     """Small integer instances: tied losses and costs, zero-cost duplicates,
-    forbidden moves and zero-weight atoms all occur."""
+    forbidden moves, zero-weight atoms, p = inf and an infinite budget all
+    occur."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 3))
     small = st.integers(0, 3)
@@ -173,10 +174,11 @@ def tied_instances(draw):
     atoms = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     mass = np.array(draw(st.lists(small, min_size=m, max_size=m)), dtype=float)
     mass[0] += mass.sum() == 0
-    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
-    budget = draw(st.integers(1, 12)) / 4
+    p = draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    budget = draw(st.one_of(st.integers(1, 12).map(lambda k: k / 4), st.just(math.inf)))
     return DiscreteInstance(np.array(loss, dtype=float), np.array(atoms),
-                            mass / mass.sum(), cost, p=p, eps=budget ** (1 / p))
+                            mass / mass.sum(), cost, p=p,
+                            eps=budget if math.isinf(p) else budget ** (1 / p))
 
 
 def at_budget(inst, budget):
@@ -195,6 +197,7 @@ def test_exact_matches_enumeration_on_ties(inst):
 @settings(max_examples=200, deadline=None)
 @given(inst=tied_instances())
 def test_risk_monotone_concave_in_budget(inst):
+    assume(not math.isinf(inst.p))  # the powered budget eps^p needs a finite p
     b = inst.eps ** inst.p
     lo, mid, hi = (dr_risk_exact(at_budget(inst, k * b)) for k in (1, 2, 3))
     tol = 1e-9 * max(1.0, abs(hi))

@@ -63,11 +63,11 @@ def lower_bound(profile: RateProfile, p, eps):
 
 
 def upper_bound(profile: RateProfile, p, eps):
-    """Certified upper bound on the robust-empirical risk gap at budget eps.
+    """Upper bound on the robust-empirical risk gap at budget eps, certified
+    only on a profile that holds the exact rates at its knots.
 
-    ``eps`` is a scalar or a 1-D grid (one bound per budget).  eps = 0 is
-    allowed and reports the majorant value at 0 (which can exceed 0 for rates
-    with a jump at the origin).
+    ``eps`` is a scalar or a 1-D grid (one bound per budget); eps = 0 reports
+    the majorant value at 0 (above 0 for rates with a jump at the origin).
     """
     if np.any(np.asarray(eps) < 0):
         raise ValueError("budget must be non-negative")
@@ -149,19 +149,19 @@ class CertificateReport:
 
 
 def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
-                       score, grads, r) -> CertificateReport:
-    """All certificate columns over a budget grid: ``cc`` is the :func:`upper_bound`
-    of an exact profile, the adversarial ``score`` of a searched one (a majorant
-    of lower estimates certifies nothing); ``lip`` is ``score.lipschitz * eps``;
+                       cc, score, grads, r) -> CertificateReport:
+    """All certificate columns over a budget grid: ``lb`` is the profile's
+    :func:`lower_bound`; ``cc`` is the caller's certified upper bound, one value
+    per budget, written as it stands; ``lip`` is ``score.lipschitz * eps``;
     ``grad_dual`` comes from ``grads`` (one per row) against the feature norm r."""
-    eps_grid = np.asarray(eps_grid, dtype=float)
+    eps_grid, cc = np.asarray(eps_grid, dtype=float), np.asarray(cc, dtype=float)
     if eps_grid.size == 0 or np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
         raise ValueError("eps grid must be positive and ascending")
+    if cc.shape != eps_grid.shape:
+        raise ValueError("cc needs one value per budget of the grid")
     lbs = lower_bound(profile, p, eps_grid)
-    ccs = (upper_bound(profile, p, eps_grid) if profile.quality == "exact"
-           else score.values(eps_grid))
     lips = score.lipschitz * eps_grid
     gds = grad_dual_certificate(grads, p, eps_grid, r)
-    finite = not (np.all(np.isinf(lbs)) and np.all(np.isinf(ccs)))
-    return CertificateReport(eps_grid, float(p), lbs, ccs, lips, gds,
+    finite = not (np.all(np.isinf(lbs)) and np.all(np.isinf(cc)))
+    return CertificateReport(eps_grid, float(p), lbs, cc, lips, gds,
                              float(empirical_risk), finite)

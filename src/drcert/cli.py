@@ -100,13 +100,13 @@ def _config_from_args(args: dict, task: str) -> ExperimentConfig:
 
 def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
                 weights_path=None, out_bound: float = math.inf) -> dict:
-    """Certificate report over the budget grid.
+    """Certificate report over the budget grid, and the score in ``advscore.csv``.
 
-    The linear model uses exact closed-form rates (lower and upper bounds
-    coincide).  Network models get a search-based lower bound (estimate) and
-    the adversarial score as the certified upper bound.  ``theta`` belongs to
-    the linear model and ``weights_path`` to the network; either one given to
-    the other model is a configuration error.
+    The one place that picks the certified ``cc``: the linear model's exact
+    rates give their concave majorant (:func:`upper_bound`, equal to ``lb``);
+    a network's searched rates bound nothing from above, so its ``cc`` is the
+    adversarial score.  ``theta`` belongs to the linear model and ``weights_path``
+    to the network; either one given to the other model is a configuration error.
     """
     config.validate()
     if not out_bound > 0:
@@ -159,10 +159,10 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
         raise ConfigError(f"unknown model {model!r}")
     profile = maximal_rate(loss, zip(X, Y), np.concatenate([[0.0], eps]),
                            config=SearchConfig(seed=config.seed))
-    emp = float(np.mean(loss.losses(X, Y)))
-    report = certificate_report(profile, config.p, eps, empirical_risk=emp,
-                                score=score, grads=grads, r=cost.r)
     score_vals = score.values(eps)
+    cc = upper_bound(profile, config.p, eps) if model == "linear" else score_vals
+    report = certificate_report(profile, config.p, eps, float(np.mean(loss.losses(X, Y))),
+                                cc=cc, score=score, grads=grads, r=cost.r)
     write_text_atomic(out / "report.json", report.to_json() + "\n")
     write_csv_atomic(out / "advscore.csv", ["t", "v"],
                      [(float(t), float(v)) for t, v in zip(eps, score_vals)])
@@ -325,7 +325,7 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
         "cc": upper_bound(profile, inst.p, inst.eps),
         "empirical_risk": inst.empirical_risk,
         "budget_spent": spend,
-        "budget": inst.eps ** inst.p if not math.isinf(inst.p) else None,
+        "budget": oracle._powered_budget(inst.eps, inst.p) if not math.isinf(inst.p) else None,
         "wp_ordering_ok": bool(oracle.wp_ordering_check(inst, [1.0, 2.0, math.inf])),
     }
     try:

@@ -116,6 +116,14 @@ class DiscreteInstance:
         return _exact_steps(*_atom_rate_curves(self))
 
 
+def _powered_budget(eps: float, p: float) -> float:
+    """eps ** p by Python's float power (not numpy's), inf where it overflows."""
+    try:
+        return float(eps ** p)
+    except OverflowError:
+        return math.inf
+
+
 def _powered_costs(inst: DiscreteInstance) -> np.ndarray:
     d = inst.atom_costs()
     with np.errstate(invalid="ignore"):
@@ -207,7 +215,7 @@ def _solve(inst: DiscreteInstance, p: float):
     order = np.argsort(-slope[keep], kind="stable")
     run, rise = run[keep][order], rise[keep][order]
     spent = np.concatenate([[0.0], np.cumsum(run)])
-    budget = float(eps ** p)
+    budget = _powered_budget(eps, p)
     k = int(np.searchsorted(spent, budget, side="right")) - 1  # whole segments
     risk = inst.empirical_risk + float(np.dot(w, hv[hs]))
     risk += float(np.sum(rise[:k]))
@@ -245,7 +253,7 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
     c = _powered_costs(inst)
     forbidden = np.isinf(inst.atom_costs())
     l, w = inst.loss, inst.weights
-    budget = inst.eps ** inst.p
+    budget = _powered_budget(inst.eps, inst.p)
     digits = n ** np.arange(m - 1, -1, -1)
     best = -math.inf
     for start in range(0, n ** m, _ENUM_CHUNK):

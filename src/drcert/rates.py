@@ -4,8 +4,8 @@ The individual rate at a point z is the largest loss increase achievable by
 moving z within a cost radius t; the maximal rate is the pointwise max over
 the sample.  Closed forms are used where available (linear power-regression
 losses); otherwise a projected-gradient multi-start search produces a lower
-estimate, clearly labeled as such - the certified upper path goes through the
-adversarial-score calculus instead.
+estimate, which bounds nothing from above.  A profile does not say which it
+holds: the caller that built the loss picks the certified upper path.
 
 Ground cost: d(z', z) = ||x' - x||_r + kappa * ||y' - y||_1 with r in {1,2,inf}
 and kappa in (0, inf].  kappa = inf pins the labels.
@@ -164,7 +164,6 @@ class RateProfile:
 
     rates: CurveFamily
     weights: np.ndarray
-    quality: str = "exact"  # "exact" for closed forms, "search" for estimates
     maximal: Curve = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -350,9 +349,10 @@ def maximal_rate(loss, dataset, grid, config: SearchConfig | None = None) -> Rat
     Y = np.array([y for _, y in points], dtype=float)
     w = np.full(len(points), 1.0 / len(points))
     if isinstance(loss, LinearPowerRegression):
-        return RateProfile(loss.rate_curve(X, Y, grid), w)
-    rates = curve_from_samples(grid, _search_rates(loss, X, Y, grid, config or SearchConfig()))
-    return RateProfile(rates, w, quality="search")
+        rates = loss.rate_curve(X, Y, grid)
+    else:
+        rates = curve_from_samples(grid, _search_rates(loss, X, Y, grid, config or SearchConfig()))
+    return RateProfile(rates, w)
 
 
 def profile_from_curves(curves) -> RateProfile:

@@ -6,7 +6,6 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drcert import advscore, nn
 from drcert.advscore import LinearGain
 from drcert.certificates import (
     CertificateReport,
@@ -21,7 +20,6 @@ from drcert.jsonio import decode_float
 from drcert.rates import (
     CostConfig,
     LinearPowerRegression,
-    MlpRegression,
     RateProfile,
     maximal_rate,
 )
@@ -85,8 +83,9 @@ class TestFinitenessDichotomy:
     def test_simultaneous_flags_in_report(self):
         prof, _ = linear_profile([1.0], alpha=2.0)
         kw = dict(empirical_risk=0.0, score=LinearGain(1.0), grads=[[1.0]], r=2.0)
-        rep1 = certificate_report(prof, 1.0, [0.1, 0.5], **kw)
-        rep2 = certificate_report(prof, 2.0, [0.1, 0.5], **kw)
+        eps = [0.1, 0.5]
+        rep1 = certificate_report(prof, 1.0, eps, cc=upper_bound(prof, 1.0, eps), **kw)
+        rep2 = certificate_report(prof, 2.0, eps, cc=upper_bound(prof, 2.0, eps), **kw)
         assert not rep1.finite
         assert rep2.finite
 
@@ -156,8 +155,10 @@ class TestDeterministicGap:
 class TestReport:
     def test_json_roundtrip_with_inf(self):
         prof, _ = linear_profile([1.0], alpha=2.0)
-        rep = certificate_report(prof, 1.0, [0.1, 0.2], empirical_risk=1.5,
-                                 score=LinearGain(4.0), grads=[np.array([1.0])], r=2.0)
+        eps = [0.1, 0.2]
+        rep = certificate_report(prof, 1.0, eps, empirical_risk=1.5,
+                                 cc=upper_bound(prof, 1.0, eps), score=LinearGain(4.0),
+                                 grads=[np.array([1.0])], r=2.0)
         text = rep.to_json()
         assert '"inf"' in text
         back = read_report(text)
@@ -168,45 +169,38 @@ class TestReport:
     def test_columns_ordered(self):
         prof, loss = linear_profile([1.0, 1.0])
         score = LinearGain(loss.gain)  # exact Lipschitz constant of the loss
-        rep = certificate_report(prof, 1.0, np.linspace(0.1, 1.0, 5),
-                                 empirical_risk=0.0, score=score, grads=[[1.0, 1.0]], r=2.0)
+        eps = np.linspace(0.1, 1.0, 5)
+        rep = certificate_report(prof, 1.0, eps, empirical_risk=0.0,
+                                 cc=upper_bound(prof, 1.0, eps), score=score,
+                                 grads=[[1.0, 1.0]], r=2.0)
         assert np.all(rep.lb <= rep.cc + 1e-9)
         assert np.all(rep.cc <= rep.lip + 1e-9)
 
-    def test_cc_of_a_searched_profile_is_the_score(self):
-        # a searched rate is a lower estimate, so its majorant is no bound
-        net = nn.init_mlp([2, 6, 1], act="tanh", head="absdev", seed=3)
-        cost = CostConfig(r=2.0)
-        rng = np.random.default_rng(3)
-        X, Y = rng.uniform(size=(8, 2)), rng.uniform(size=8)
-        eps = np.array([0.01, 0.1, 0.5])
-        prof = maximal_rate(MlpRegression(net, cost), zip(X, Y), np.concatenate([[0.0], eps]))
-        score = advscore.mlp_score(net, cost, head="regression")
-        rep = certificate_report(prof, 1.0, eps, empirical_risk=0.0, score=score,
-                                 grads=[[1.0, 0.0]], r=2.0)
-        assert prof.quality == "search"
-        assert rep.cc.tolist() == score.values(eps).tolist()
-        assert not np.any(upper_bound(prof, 1.0, eps) == rep.cc)
-        assert rep.lip.tolist() == (score.lipschitz * eps).tolist()
-
-    def test_cc_of_an_exact_profile_is_its_majorant(self):
-        prof, loss = linear_profile([1.0, -2.0])
+    def test_writes_the_given_cc_and_the_score_lip(self):
+        # cc is the caller's column as it stands; lip follows the score, here
+        # not the loss's own gain
+        prof, _ = linear_profile([1.0, -2.0])
         eps = np.array([0.3, 1.7, 6.0])
-        score = LinearGain(3.0)  # not the loss's own gain: lip follows the score
-        for p in (1.0, 2.0, math.inf):
-            rep = certificate_report(prof, p, eps, empirical_risk=0.0, score=score,
-                                     grads=[[1.0, 0.0]], r=2.0)
-            assert prof.quality == "exact"
-            assert rep.cc.tolist() == upper_bound(prof, p, eps).tolist()
-            assert rep.lip.tolist() == (3.0 * eps).tolist()
+        cc = np.array([7.0, 8.0, 9.0])
+        rep = certificate_report(prof, 1.0, eps, empirical_risk=0.0, cc=cc,
+                                 score=LinearGain(3.0), grads=[[1.0, 0.0]], r=2.0)
+        assert rep.cc.tolist() == cc.tolist()
+        assert rep.lip.tolist() == (3.0 * eps).tolist()
+
+    @pytest.mark.parametrize("cc", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], 1.0, [[1.0, 2.0, 3.0]]])
+    def test_rejects_a_cc_not_shaped_as_the_grid(self, cc):
+        prof, _ = linear_profile([1.0])
+        with pytest.raises(ValueError, match="one value per budget"):
+            certificate_report(prof, 1.0, [0.1, 0.2, 0.3], empirical_risk=0.0, cc=cc,
+                               score=LinearGain(1.0), grads=[[1.0]], r=2.0)
 
     def test_rejects_bad_grid(self):
         prof, _ = linear_profile([1.0])
         kw = dict(empirical_risk=0.0, score=LinearGain(1.0), grads=[[1.0]], r=2.0)
         with pytest.raises(ValueError):
-            certificate_report(prof, 1.0, [], **kw)
+            certificate_report(prof, 1.0, [], cc=[], **kw)
         with pytest.raises(ValueError):
-            certificate_report(prof, 1.0, [0.2, 0.1], **kw)
+            certificate_report(prof, 1.0, [0.2, 0.1], cc=[1.0, 1.0], **kw)
 
 
 def test_sandwich_holds_past_the_grid_on_a_slope_tail():

@@ -9,7 +9,8 @@ import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from drcert import nn, oracle
+from drcert import advscore, cli, nn, oracle
+from drcert.certificates import upper_bound
 from drcert.cli import (
     ExperimentConfig,
     _config_from_args,
@@ -32,6 +33,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def profiles(monkeypatch):
+    """The rate profiles that ``run_certify`` builds, in call order."""
+    seen, build = [], cli.maximal_rate
+
+    def spy(*args, **kwargs):
+        seen.append(build(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "maximal_rate", spy)
+    return seen
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +85,13 @@ class TestCertifyLinear:
         assert rep["lb"] == [1.25, 3.0000000000000004]
         assert rep["cc"] == [1.2500000000000002, 3.0000000000000004]
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_cc_is_the_majorant_of_the_exact_rates(self, tmp_path, profiles, p):
+        cfg = ExperimentConfig(task="certify", data="synthetic:30", p=p,
+                               eps_grid=[0.3, 1.7, 6.0], out=tmp_path, seed=5)
+        rep = run_certify(cfg, model="linear", theta=[1.0, -2.0])["report"]
+        assert rep.cc.tolist() == upper_bound(profiles[0], p, rep.eps).tolist()
+
     def test_empty_eps_rejected(self, tmp_path):
         cfg = ExperimentConfig(task="certify", data="synthetic:10",
                                eps_grid=[], out=tmp_path)
@@ -107,6 +128,37 @@ class TestCertifyMlp:
         rep = res["report"]
         assert np.all(rep.lb <= rep.cc + 1e-9)
         assert np.all(rep.cc <= rep.lip + 1e-9)
+
+    def test_cc_is_the_score_not_a_majorant_of_searched_rates(self, tmp_path, profiles):
+        # a searched rate is a lower estimate, so its majorant is no bound
+        wpath = tmp_path / "w.csv"
+        nn.save_weights(nn.init_mlp([2, 6, 1], act="tanh", head="absdev", seed=3), wpath)
+        cfg = ExperimentConfig(task="certify", data="synthetic:8",
+                               eps_grid=[0.01, 0.1, 0.5], out=tmp_path / "o", seed=3)
+        res = run_certify(cfg, model="mlp", weights_path=wpath)
+        rep, eps = res["report"], np.array(cfg.eps_grid)
+        score = advscore.mlp_score(nn.load_weights(wpath), cfg.cost, head="regression")
+        written = [float(line.split(",")[1])
+                   for line in read(tmp_path / "o" / "advscore.csv").splitlines()[1:]]
+        assert rep.cc.tolist() == score.values(eps).tolist() == written
+        assert res["advscore"].tolist() == written
+        assert not np.any(upper_bound(profiles[0], cfg.p, eps) == rep.cc)
+        assert rep.lip.tolist() == (score.lipschitz * eps).tolist()
+
+    def test_the_score_is_evaluated_once(self, tmp_path, monkeypatch):
+        calls, values = [], advscore.ScoreExpr.values
+
+        def counted(self, ts):
+            calls.append(ts)
+            return values(self, ts)
+
+        monkeypatch.setattr(advscore.ScoreExpr, "values", counted)
+        wpath = tmp_path / "w.csv"
+        nn.save_weights(nn.init_mlp([2, 6, 1], act="tanh", head="absdev", seed=3), wpath)
+        assert main(["certify", "--model", "mlp", "--weights", str(wpath),
+                     "--data", "synthetic:8", "--eps", "0.01,0.1",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_finite_kappa_lipschitz_dominates(self, tmp_path):
         # with a label channel the Lipschitz baseline must cover it too: the
@@ -442,6 +494,18 @@ class TestMainExitCodes:
         assert emp + data["lb"] <= risk <= emp + data["cc"]
         assert data["cc"] == 3.0
         assert data["enumeration"] == risk
+
+    def test_oracle_when_eps_to_the_p_overflows(self, tmp_path):
+        # 1e300 ** 2 overflows Python's float power: the powered budget is
+        # inf, so every solve reads as at eps = inf
+        path = tmp_path / "inst.json"
+        path.write_text(dumps({"loss": [0.0, 5.0], "atoms": [[0, 1.0]],
+                               "cost": [[0.0, 2.0], [2.0, 0.0]], "p": 2.0, "eps": 1e300}))
+        assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
+        data = orjson.loads((tmp_path / "o" / "oracle.json").read_bytes())
+        assert (data["risk"], data["enumeration"]) == (5.0, 5.0)
+        assert data["budget"] == "inf"
+        assert data["wp_ordering_ok"] is True
 
     def test_oracle_roundtrip(self, tmp_path):
         z = np.array([0.0, 1.0])

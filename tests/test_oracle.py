@@ -205,6 +205,19 @@ def test_risk_monotone_concave_in_budget(inst):
     assert mid >= 0.5 * (lo + hi) - tol
 
 
+@settings(max_examples=150, deadline=None)
+@given(inst=tied_instances(), p=st.sampled_from([1.5, 2.0, 3.0]),
+       eps=st.floats(1e206, 1.7e308))
+def test_an_overflowing_budget_reads_as_an_infinite_one(inst, p, eps):
+    # eps ** p leaves the float range at every drawn (p, eps)
+    with pytest.raises(OverflowError):
+        eps ** p
+    big, top = (DiscreteInstance(inst.loss, inst.atom_index, inst.weights, inst.cost,
+                                 p=p, eps=e) for e in (eps, math.inf))
+    for solve in (dr_risk_exact, dr_risk_plan_spend, dr_risk_enumerate):
+        assert repr(solve(big)) == repr(solve(top)), solve.__name__
+
+
 def transport_lp(inst):
     """The transport LP itself, solved by HiGHS (a third, independent oracle)."""
     from scipy.optimize import linprog

@@ -279,7 +279,6 @@ def test_batched_search_matches_points(r, kappa, head, block, n, seed):
         for x, y, row in zip(X, Y, prof.rates.v.reshape(n, len(grid))):
             one = individual_rate(loss, (x, y), grid, SMALL)
             assert np.allclose(row, one.v, rtol=1e-12, atol=0)
-    assert prof.quality == "search"
 
 
 @pytest.mark.parametrize("head, kappa", [("absdev", math.inf), ("absdev", 0.3),

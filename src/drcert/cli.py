@@ -105,8 +105,9 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
     The one place that picks the certified ``cc``: the linear model's exact
     rates give their concave majorant (:func:`upper_bound`, equal to ``lb``);
     a network's searched rates bound nothing from above, so its ``cc`` is the
-    adversarial score.  ``theta`` belongs to the linear model and ``weights_path``
-    to the network; either one given to the other model is a configuration error.
+    adversarial score.  ``theta`` belongs to the linear model, ``weights_path``
+    to the network and a finite ``out_bound`` to a logsoftmax net; any of them
+    given to a model that does not read it is a configuration error.
     """
     config.validate()
     if not out_bound > 0:
@@ -117,6 +118,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
     if model == "linear":
         if weights_path is not None:
             raise ConfigError("--weights needs --model mlp")
+        if math.isfinite(out_bound):
+            raise ConfigError("--out-bound needs a logsoftmax net")
         X, Y = datasets.ingest_regression_csv(config.data, seed=config.seed)
         if theta is None:
             theta = np.linalg.lstsq(X, Y, rcond=None)[0]
@@ -148,6 +151,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
             loss = MlpClassification(net, cost)
             score = advscore.mlp_score(net, cost, head="classification", M=out_bound)
         else:
+            if math.isfinite(out_bound):
+                raise ConfigError("--out-bound needs a logsoftmax net")
             X, Y = datasets.ingest_regression_csv(config.data, seed=config.seed)
             if X.shape[1] != net.in_dim:
                 raise DataError(f"the net reads {net.in_dim} features, "

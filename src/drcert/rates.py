@@ -148,8 +148,8 @@ class MlpRegression(_MlpLoss):
 @dataclass
 class SearchConfig:
     n_starts: int = 4
-    n_steps: int = 40
-    n_boundary: int = 64
+    n_steps: int = 20
+    n_boundary: int = 32
     seed: int = 0
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from drcert.cli import build_parser
+from drcert.rates import SearchConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "drcert"
@@ -128,6 +129,15 @@ def _readme_command_table():
 def test_readme_command_table_matches_the_flags():
     # doc drift fails here as parser drift fails the snapshot above
     assert _readme_command_table() == FLAGS
+
+
+def test_readme_search_budget_matches_the_default():
+    # the budget the README's ``drcert.rates`` row states is SearchConfig()'s
+    row = next(line for line in README.read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `drcert.rates` |"))
+    stated = re.findall(r"(\d+) starts, (\d+) steps and (\d+) boundary points", row)
+    cfg = SearchConfig()
+    assert stated == [(str(cfg.n_starts), str(cfg.n_steps), str(cfg.n_boundary))]
 
 
 def _tracer_targets():

@@ -582,6 +582,8 @@ BAD_INPUTS = {
     "out_bound_zero": (LINEAR + ["--out-bound", "0"], {"--data": REG}, 2),
     "out_bound_negative": (LINEAR + ["--out-bound=-1"], {"--data": REG}, 2),
     "out_bound_nan": (MLP + ["--out-bound", "nan"], {"--weights": CLS_NET, "--data": PIXELS}, 2),
+    "out_bound_on_linear": (LINEAR + ["--out-bound", "0.5"], {"--data": REG}, 2),
+    "out_bound_on_absdev_net": (MLP + ["--out-bound", "0.5"], {"--weights": NET, "--data": REG}, 2),
     "kappa_without_out_bound": (MLP + ["--kappa", "0.5"],
                                 {"--weights": CLS_NET, "--data": PIXELS}, 2),
     "kappa_overflow": (LINEAR + ["--kappa", "5e-324"], {"--data": REG}, 4),

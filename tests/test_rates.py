@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import EDGE_FLOATS, same_bits
 from drcert import nn, rates
+from drcert.certificates import lower_bound
 from drcert.curves import Curve
 from drcert.nn import dual_exponent, forward, init_mlp, loss_and_grad_x, vector_norm
 from drcert.rates import (
@@ -431,6 +432,35 @@ def test_rows_at_a_fixed_point_leave_the_climb(r, head):
         assert sum(loss.grad_rows) == cfg.n_steps * climbing
     else:
         assert sum(loss.grad_rows) < cfg.n_steps * climbing
+
+
+@pytest.mark.parametrize("act, head, r", [("tanh", "absdev", 2.0),
+                                          ("tanh", "logsoftmax", math.inf),
+                                          ("relu", "absdev", math.inf),
+                                          ("relu", "logsoftmax", math.inf)])
+def test_default_budget_keeps_the_lower_bound(act, head, r):
+    # the certify_net shapes, plus relu at r = inf, where the default budget
+    # lost the most lb on the CLI matrix: lb at p = 1 stays within 3 % of a
+    # search with twice the steps and twice the boundary points
+    rng = np.random.default_rng(1)
+    if head == "logsoftmax":
+        net = init_mlp([64, 16, 10], act=act, seed=1)
+        labels = rng.integers(0, 10, 20)
+        X = np.clip(rng.uniform(size=(10, 64))[labels]
+                    + rng.uniform(-0.25, 0.25, size=(20, 64)), 0.0, 1.0)
+        data = list(zip(X, np.eye(10)[labels]))
+        loss = MlpClassification(net, CostConfig(r=r))
+    else:
+        net = init_mlp([2, 16, 16, 1], act=act, head=head, seed=1)
+        X = rng.uniform(size=(50, 2))
+        data = list(zip(X, np.linalg.norm(X - 0.5, axis=1)))
+        loss = MlpRegression(net, CostConfig(r=r))
+    eps = np.array([1e-3, 1e-2, 1e-1])
+
+    def lb(cfg):
+        return lower_bound(maximal_rate(loss, data, np.r_[0.0, eps], config=cfg), 1.0, eps)
+
+    assert np.all(lb(SearchConfig()) >= 0.97 * lb(SearchConfig(n_steps=40, n_boundary=64)))
 
 
 def test_search_calls_stay_within_block():

@@ -45,9 +45,11 @@ class CostConfig:
 
 # -- loss definitions ------------------------------------------------------------
 #
-# A searched loss provides ``loss(x, y)``, the batched ``losses(X, Y)`` and
-# ``grads(X, Y)`` over rows with one label per row, and ``label_shift(x, y, b)``,
-# the label after its best move of each cost in the array b, in ||y' - y||_1.
+# A searched loss provides the batched ``losses(X, Y)`` and ``grads(X, Y)`` over
+# rows with one label per row; ``point_losses(X, Y)``, each row's loss with the
+# rounding of a one-point call; ``width``, the most floats one row holds in a
+# pass, which sizes the search's calls; and ``label_shift(x, y, b)``, the label
+# after its best move of each cost in the array b, in ||y' - y||_1.
 
 @dataclass(frozen=True)
 class LinearPowerRegression:
@@ -95,8 +97,15 @@ class _MlpLoss:
     net: nn.Mlp
     cost: CostConfig = CostConfig()
 
-    def loss(self, x, y) -> float:
-        return float(nn.loss_value(self.net, x, y))
+    @property
+    def width(self) -> int:
+        """The widest row of a pass: the input and every layer's output."""
+        return max(self.net.in_dim, *(layer.W.shape[0] for layer in self.net.layers))
+
+    def point_losses(self, X, Y) -> np.ndarray:
+        """Each row's loss as a one-point call computes it: X[:, None] makes
+        every row a stacked one-row product, which runs the one-point kernel."""
+        return nn.loss_value(self.net, X[:, None], Y[:, None])[:, 0]
 
     def losses(self, X, Y) -> np.ndarray:
         return nn.loss_value(self.net, X, Y)
@@ -219,7 +228,7 @@ def _random_ball_boundary(rng, n_points, dim, radius, r):
 
 # -- search --------------------------------------------------------------------
 
-_BLOCK = 256  # most rows in one loss call of the search; bounds its temporaries
+_BLOCK_FLOATS = 16384  # floats in one row-wide temporary of a search loss call: 128 KB
 _STEP_FRAC = 0.1  # ascent step as a fraction of the group's radius
 _LABEL_SPLITS = 5  # label shares of a budget tried at finite kappa, 0 to 1
 
@@ -252,7 +261,9 @@ def _knot_draws(cfg, t, radii, dim, r):
 def _climb(loss, X, labels, radii, offsets, best, n_steps=0):
     """Raise best[i, g] to the loss at X[i] + offsets[g, c] after n_steps of
     projected steepest ascent, over every sample i, group g of positive radius
-    and offset c, at most _BLOCK rows per loss call.
+    and offset c.  A loss call takes at most _BLOCK_FLOATS // loss.width rows,
+    so none of its temporaries holds more than _BLOCK_FLOATS floats: 1024 rows
+    of a width-16 net, 256 of a net with 64 inputs.
 
     A row's step is a map of its own (x, y, radius, delta) alone.  So once a
     step returns a row's delta bit for bit, every later step returns it too:
@@ -270,9 +281,10 @@ def _climb(loss, X, labels, radii, offsets, best, n_steps=0):
     live = np.flatnonzero(radii > 0)
     shape = (X.shape[0], live.size, offsets.shape[1])
     n_rows = math.prod(shape)
+    block = max(1, _BLOCK_FLOATS // loss.width)
     r = loss.cost.r
-    for lo in range(0, n_rows, _BLOCK):
-        i, j, c = np.unravel_index(np.arange(lo, min(lo + _BLOCK, n_rows)), shape)
+    for lo in range(0, n_rows, block):
+        i, j, c = np.unravel_index(np.arange(lo, min(lo + block, n_rows)), shape)
         g = live[j]
         x, y, delta = X[i], labels[i, g], offsets[g, c]
         # the climbing rows: delta[rows] is d, at xs, ys and radius rad
@@ -301,18 +313,23 @@ def _search_rates(loss, X, Y, grid, cfg):
     point, its ascent ends and its boundary points; a search row is (sample,
     positive knot, split, start) with its own radius and label.  Every group is
     drawn once, and each of the three passes climbs the rows of every sample;
-    ``_climb`` alone bounds the rows per loss call.
+    ``_climb`` bounds the rows per loss call of the passes, and the clean
+    losses take one call over the samples.
     """
     kappa = loss.cost.kappa
     fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, _LABEL_SPLITS)
     knots = np.flatnonzero(grid > 0)
-    # a rate is a difference against the clean loss: one point per call
-    # keeps that reference's rounding independent of the batch
-    base = np.array([loss.loss(x, y) for x, y in zip(X, Y)])[:, None]
+    # a rate is a difference against the clean loss: point_losses gives each
+    # sample the rounding of its own one-point call, independent of the batch
+    base = loss.point_losses(X, Y)[:, None]
     # every sample's label after the label move of each (positive knot, split)
-    # group: one label_shift call per sample
+    # group: one label_shift call per sample, or the samples' own labels when
+    # no group moves its label (kappa = inf)
     moves = np.outer(grid[knots], fracs).ravel() / kappa
-    labels = np.array([loss.label_shift(x, y, moves) for x, y in zip(X, Y)], dtype=float)
+    if np.any(moves > 0):
+        labels = np.array([loss.label_shift(x, y, moves) for x, y in zip(X, Y)], dtype=float)
+    else:
+        labels = np.repeat(Y[:, None], moves.size, axis=1)
     radii = np.outer(grid[knots], 1.0 - fracs).ravel()  # one group per (knot, split)
     starts, points = _knot_draws(cfg, grid[knots], radii, X.shape[1], loss.cost.r)
     best = np.full((X.shape[0], radii.size), -math.inf)

@@ -32,19 +32,20 @@ FAST = SearchConfig(n_starts=6, n_steps=60, n_boundary=64, seed=0)
 class CallbackLoss:
     """Any loss fn(x, y) -> float, searched with central finite differences.
 
-    It provides what the rate search asks of a loss: ``loss``, the batched
-    ``losses`` and ``grads`` over rows with one label per row, and
-    ``label_shift`` (labels stay put).
+    It provides what the rate search asks of a loss: the batched ``losses``
+    and ``grads`` over rows with one label per row, ``point_losses`` (the
+    same loop as ``losses``), ``width`` (fn sees one row at a time, so a call
+    holds no temporary across rows) and ``label_shift`` (labels stay put).
     """
 
     fn: object
     cost: CostConfig = CostConfig()
-
-    def loss(self, x, y):
-        return float(self.fn(x, y))
+    width = 1
 
     def losses(self, X, Y):
-        return np.array([self.loss(row, y) for row, y in zip(X, Y)])
+        return np.array([float(self.fn(row, y)) for row, y in zip(X, Y)])
+
+    point_losses = losses
 
     def grads(self, X, Y, h=1e-6):
         g = np.zeros_like(X)
@@ -52,7 +53,7 @@ class CallbackLoss:
             for j in range(row.size):
                 e = np.zeros_like(row)
                 e[j] = h
-                g[i, j] = (self.loss(row + e, y) - self.loss(row - e, y)) / (2 * h)
+                g[i, j] = (self.fn(row + e, y) - self.fn(row - e, y)) / (2 * h)
         return g
 
     def label_shift(self, x, y, budgets):
@@ -231,8 +232,9 @@ def test_projection_matches_the_reference_bits(r, shape, per_row, data):
 
 @dataclass(frozen=True)
 class CountingLoss:
-    """A searched loss that records how many rows each batched call sees
-    (``rows``) and, of those, each gradient call (``grad_rows``)."""
+    """A searched loss that records how many rows each batched call of the
+    search passes sees (``rows``) and, of those, each gradient call
+    (``grad_rows``); the clean losses' call is not counted."""
 
     inner: object
     rows: list = field(default_factory=list)
@@ -242,8 +244,12 @@ class CountingLoss:
     def cost(self):
         return self.inner.cost
 
-    def loss(self, x, y):
-        return self.inner.loss(x, y)
+    @property
+    def width(self):
+        return self.inner.width
+
+    def point_losses(self, X, Y):
+        return self.inner.point_losses(X, Y)
 
     def losses(self, X, Y):
         self.rows.append(len(X))
@@ -263,9 +269,9 @@ SMALL = SearchConfig(n_starts=3, n_steps=12, n_boundary=8, seed=4)
 
 @settings(max_examples=40, deadline=None)
 @given(r=st.sampled_from([1.0, 2.0, math.inf]), kappa=st.sampled_from([math.inf, 0.5]),
-       head=st.sampled_from(["logsoftmax", "absdev"]), block=st.integers(1, 80),
+       head=st.sampled_from(["logsoftmax", "absdev"]), floats=st.integers(1, 320),
        n=st.integers(2, 7), seed=st.integers(0, 2**16))
-def test_batched_search_matches_points(r, kappa, head, block, n, seed):
+def test_batched_search_matches_points(r, kappa, head, floats, n, seed):
     rng = np.random.default_rng(seed)
     net = init_mlp([3, 4, 3 if head == "logsoftmax" else 1], act="tanh", head=head,
                    seed=seed)
@@ -274,9 +280,9 @@ def test_batched_search_matches_points(r, kappa, head, block, n, seed):
     X = rng.uniform(0, 1, size=(n, 3))
     Y = rng.dirichlet(np.ones(3), size=n) if head == "logsoftmax" else rng.normal(size=n)
     grid = [0.0, 0.1, 0.3]
-    with mock.patch.object(rates, "_BLOCK", block):
+    with mock.patch.object(rates, "_BLOCK_FLOATS", floats):
         prof = maximal_rate(loss, zip(X, Y), grid, config=SMALL)
-        assert max(loss.rows) <= block
+        assert max(loss.rows) <= max(1, floats // loss.width)
         for x, y, row in zip(X, Y, prof.rates.v.reshape(n, len(grid))):
             one = individual_rate(loss, (x, y), grid, SMALL)
             assert np.allclose(row, one.v, rtol=1e-12, atol=0)
@@ -309,7 +315,7 @@ def label_shift_reference(loss, x, y, budget):
         return np.asarray(y, dtype=float)
     if isinstance(loss, MlpRegression):
         cands = [y + budget, y - budget]
-        return cands[int(np.argmax([loss.loss(x, c) for c in cands]))]
+        return cands[int(np.argmax([nn.loss_value(loss.net, x, c) for c in cands]))]
     o = forward(loss.net, x)
     scores = -np.log(np.exp(o - np.max(o)) / np.sum(np.exp(o - np.max(o))))
     target = int(np.argmax(scores))
@@ -340,6 +346,23 @@ def test_batched_label_shift_matches_each_budget(head, seed, budgets):
     assert np.array_equal(loss.label_shift(x, y, np.array(budgets)), want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(act=st.sampled_from(sorted(nn.ACTIVATIONS)), head=st.sampled_from(sorted(nn.HEADS)),
+       dims=st.sampled_from([(2, 16, 16), (64, 16), (3, 4), (5,), (16, 32, 8)]),
+       n=st.integers(1, 60), seed=st.integers(0, 2**16))
+def test_stacked_clean_losses_equal_the_point_losses(act, head, dims, n, seed):
+    # the search's clean reference is one stacked call: each row must carry
+    # the bits of its own one-point loss, whatever the batch around it
+    rng = np.random.default_rng(seed)
+    out = 1 if head == "absdev" else (10 if dims == (64, 16) else 3)
+    net = init_mlp([*dims, out], act=act, head=head, seed=seed)
+    loss = (MlpRegression if head == "absdev" else MlpClassification)(net)
+    X = rng.uniform(-2.0, 2.0, size=(n, dims[0]))
+    Y = rng.normal(size=n) if head == "absdev" else rng.dirichlet(np.ones(out), size=n)
+    want = np.array([float(nn.loss_value(net, x, y)) for x, y in zip(X, Y)])
+    assert same_bits(loss.point_losses(X, Y), want)
+
+
 def test_label_moves_take_one_forward_pass_per_sample():
     # CLI-sized search at finite kappa: 12 samples x 3 positive knots x 5 splits
     net = init_mlp([16, 8, 10], act="tanh", seed=3)
@@ -349,8 +372,39 @@ def test_label_moves_take_one_forward_pass_per_sample():
     cfg = SearchConfig(n_starts=4, n_steps=5, n_boundary=64, seed=0)
     with mock.patch.object(nn, "forward", wraps=nn.forward) as fwd:
         maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
-    one_row = sum(np.ndim(call.args[1]) == 1 for call in fwd.call_args_list)
-    assert one_row == 2 * len(data)  # each sample's clean loss and its label moves
+    shapes = [np.shape(call.args[1]) for call in fwd.call_args_list]
+    assert sum(len(s) == 1 for s in shapes) == len(data)  # each sample's label moves
+    assert shapes.count((len(data), 1, 16)) == 1  # every sample's clean loss, stacked
+
+
+@pytest.mark.parametrize("head", ["logsoftmax", "absdev"])
+def test_pinned_labels_skip_the_label_moves(head):
+    # at kappa = inf no group moves its label: label_shift is never called,
+    # and the profile is bit for bit that of the per-sample label_shift loop
+    rng = np.random.default_rng(6)
+    if head == "logsoftmax":
+        net = init_mlp([16, 8, 10], act="tanh", seed=6)
+        data = list(zip(rng.uniform(size=(12, 16)), np.eye(10)[rng.integers(0, 10, 12)]))
+        loss = MlpClassification(net, CostConfig(r=math.inf))
+    else:
+        net = init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=6)
+        data = list(zip(rng.uniform(size=(12, 2)), rng.normal(size=12)))
+        loss = MlpRegression(net, CostConfig(r=2.0))
+    grid, cfg = [0.0, 0.001, 0.01, 0.1], SearchConfig(n_steps=5, seed=1)
+    with mock.patch.object(type(loss), "label_shift", autospec=True) as shift:
+        got = maximal_rate(loss, data, grid, config=cfg)
+    shift.assert_not_called()
+    climb = rates._climb
+
+    def per_sample_labels(loss, X, labels, *rest):
+        looped = np.array([loss.label_shift(x, y, np.zeros(labels.shape[1]))
+                           for x, (_, y) in zip(X, data)], dtype=float)
+        assert same_bits(labels, looped)
+        climb(loss, X, looped, *rest)
+
+    with mock.patch.object(rates, "_climb", per_sample_labels):
+        want = maximal_rate(loss, data, grid, config=cfg)
+    assert same_bits(got.rates.v, want.rates.v)
 
 
 def climb_reference(loss, X, labels, radii, offsets, best, n_steps=0):
@@ -358,9 +412,10 @@ def climb_reference(loss, X, labels, radii, offsets, best, n_steps=0):
     live = np.flatnonzero(radii > 0)
     shape = (X.shape[0], live.size, offsets.shape[1])
     n_rows = math.prod(shape)
+    block = max(1, rates._BLOCK_FLOATS // loss.width)
     r = loss.cost.r
-    for lo in range(0, n_rows, rates._BLOCK):
-        i, j, c = np.unravel_index(np.arange(lo, min(lo + rates._BLOCK, n_rows)), shape)
+    for lo in range(0, n_rows, block):
+        i, j, c = np.unravel_index(np.arange(lo, min(lo + block, n_rows)), shape)
         g = live[j]
         x, y, rad, delta = X[i], labels[i, g], radii[g], offsets[g, c]
         for _ in range(n_steps):
@@ -391,8 +446,8 @@ def beside_reference():
 @settings(max_examples=60, deadline=None)
 @given(r=st.sampled_from([1.0, 2.0, math.inf]), kappa=st.sampled_from([math.inf, 0.5]),
        head=st.sampled_from(["logsoftmax", "absdev"]), act=st.sampled_from(sorted(nn.ACTIVATIONS)),
-       n_steps=st.integers(0, 20), block=st.integers(1, 80), seed=st.integers(0, 2**16))
-def test_retiring_climb_matches_the_full_step_loop(r, kappa, head, act, n_steps, block, seed):
+       n_steps=st.integers(0, 20), floats=st.integers(1, 320), seed=st.integers(0, 2**16))
+def test_retiring_climb_matches_the_full_step_loop(r, kappa, head, act, n_steps, floats, seed):
     # every _climb call of a search runs beside the loop without retirement,
     # on the same inputs, and must leave the same best bit for bit
     rng = np.random.default_rng(seed)
@@ -402,10 +457,10 @@ def test_retiring_climb_matches_the_full_step_loop(r, kappa, head, act, n_steps,
     X = rng.uniform(0, 1, size=(5, 3))
     Y = rng.dirichlet(np.ones(3), size=5) if head == "logsoftmax" else rng.normal(size=5)
     cfg = SearchConfig(n_starts=3, n_steps=n_steps, n_boundary=4, seed=seed)
-    with mock.patch.object(rates, "_BLOCK", block), beside_reference() as climbed:
+    with mock.patch.object(rates, "_BLOCK_FLOATS", floats), beside_reference() as climbed:
         maximal_rate(loss, zip(X, Y), [0.0, 0.1, 0.3], config=cfg)
     assert climbed == [0, n_steps, 0]
-    assert max(loss.rows) <= block
+    assert max(loss.rows) <= max(1, floats // loss.width)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
@@ -463,15 +518,26 @@ def test_default_budget_keeps_the_lower_bound(act, head, r):
     assert np.all(lb(SearchConfig()) >= 0.97 * lb(SearchConfig(n_steps=40, n_boundary=64)))
 
 
-def test_search_calls_stay_within_block():
-    # 30 points x 2 knots x 64 boundary points: several full blocks
-    loss = CountingLoss(MlpRegression(init_mlp([2, 4, 1], head="absdev", seed=1)))
+@pytest.mark.parametrize("head, block", [("absdev", 1024), ("logsoftmax", 256)])
+def test_search_calls_stay_within_the_float_budget(head, block):
+    # the certify_net shapes at r = 2: a call takes budget // width rows, the
+    # width-16 regression net 1024 and the 64-input classification net 256,
+    # so all the climbing rows fit one block and the climb takes n_steps
+    # gradient calls; the boundary pass fills whole blocks
     rng = np.random.default_rng(2)
-    data = list(zip(rng.normal(size=(30, 2)), rng.normal(size=30)))
-    cfg = SearchConfig(n_starts=4, n_steps=3, n_boundary=64)
-    maximal_rate(loss, data, [0.0, 0.1, 0.2], config=cfg)
-    assert max(loss.rows) == rates._BLOCK
-    assert sum(n > rates._BLOCK for n in loss.rows) == 0
+    if head == "logsoftmax":
+        net = init_mlp([64, 16, 10], act="tanh", seed=2)
+        data = list(zip(rng.uniform(size=(20, 64)), np.eye(10)[rng.integers(0, 10, 20)]))
+        loss = CountingLoss(MlpClassification(net, CostConfig(r=2.0)))
+    else:
+        net = init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=2)
+        data = list(zip(rng.uniform(size=(50, 2)), rng.normal(size=50)))
+        loss = CountingLoss(MlpRegression(net, CostConfig(r=2.0)))
+    cfg = SearchConfig()
+    maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
+    assert rates._BLOCK_FLOATS // loss.width == block
+    assert len(loss.grad_rows) == cfg.n_steps
+    assert max(loss.rows) == block
 
 
 class TestMaximalRate:
@@ -538,9 +604,9 @@ class TestBatchedLosses:
             cls = MlpClassification if head == "logsoftmax" else MlpRegression
             loss = cls(net)
             losses, grads = loss.losses(X, Y), loss.grads(X, Y)
-            for x, y, value, g in zip(X, Y, losses, grads):
+            for x, y, value, point, g in zip(X, Y, losses, loss.point_losses(X, Y), grads):
                 one, g_one = loss_and_grad_x(net, (x, y))
-                assert value == pytest.approx(loss.loss(x, y), rel=1e-15)
+                assert value == pytest.approx(point, rel=1e-15)
                 assert value == pytest.approx(one, rel=1e-15)
                 assert np.allclose(g, g_one, rtol=1e-14, atol=0)
 
@@ -551,7 +617,7 @@ class TestBatchedLosses:
         y = 0.1
         shifted = loss.label_shift(x, y, 0.5)
         assert abs(shifted - y) == pytest.approx(0.5)
-        assert loss.loss(x, shifted) >= loss.loss(x, y)
+        assert nn.loss_value(net, x, shifted) >= nn.loss_value(net, x, y)
         assert loss.label_shift(x, y, 0.0) == y
 
     def test_classification_label_shift_stays_on_simplex(self):
@@ -563,7 +629,7 @@ class TestBatchedLosses:
         assert shifted.sum() == pytest.approx(1.0)
         assert np.all(shifted >= 0)
         assert np.abs(shifted - y).sum() == pytest.approx(0.4)
-        assert loss.loss(x, shifted) >= loss.loss(x, y)
+        assert nn.loss_value(net, x, shifted) >= nn.loss_value(net, x, y)
 
 
 class TestPowerBounds:

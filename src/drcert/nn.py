@@ -89,7 +89,10 @@ def init_mlp(dims, act="tanh", head="logsoftmax", seed=0):
 
 def _walk(net: Mlp, x):
     """The layers in order from input x: each layer's (input, pre-activation,
-    output).  Accepts (n,) or batched (B, n)."""
+    output).  Accepts (n,), batched (B, n) or stacked (B, 1, n); the stacked
+    form runs each row as its own one-row product, which rounds like the
+    one-point call: ``rates._MlpLoss.point_losses`` relies on that, and
+    ``test_stacked_clean_losses_equal_the_point_losses`` checks it."""
     h = np.asarray(x, dtype=float)
     if h.shape[-1] != net.in_dim:
         raise ValueError(f"input dim {h.shape[-1]} != {net.in_dim}")
@@ -101,7 +104,7 @@ def _walk(net: Mlp, x):
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Network output before the loss head.  Accepts (n,) or batched (B, n)."""
+    """Network output before the loss head, for the input forms of :func:`_walk`."""
     for _, _, h in _walk(net, x):
         pass
     return h

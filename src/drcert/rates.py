@@ -124,8 +124,6 @@ class MlpClassification(_MlpLoss):
         budgets, then class by class, each budget with its own arithmetic."""
         move = np.asarray(budgets, dtype=float) / 2.0
         y2 = np.array(np.broadcast_to(y, move.shape + np.shape(y)), dtype=float)
-        if not np.any(move > 0):
-            return y2
         o = nn.forward(self.net, x)
         scores = -nn._log_softmax(o)
         target = int(np.argmax(scores))
@@ -146,8 +144,6 @@ class MlpRegression(_MlpLoss):
     def label_shift(self, x, y, budgets):
         """Shift the real label by each whole budget, in the direction that hurts."""
         b = np.asarray(budgets, dtype=float)
-        if not np.any(b > 0):
-            return np.full(b.shape, y, dtype=float)
         o = nn.forward(self.net, x)
         up, down = y + b, y - b
         hurts_up = nn.head_loss(self.net, o, up) >= nn.head_loss(self.net, o, down)
@@ -263,7 +259,9 @@ def _climb(loss, X, labels, radii, offsets, best, n_steps=0):
     projected steepest ascent, over every sample i, group g of positive radius
     and offset c.  A loss call takes at most _BLOCK_FLOATS // loss.width rows,
     so none of its temporaries holds more than _BLOCK_FLOATS floats: 1024 rows
-    of a width-16 net, 256 of a net with 64 inputs.
+    of a width-16 net, 256 of a net with 64 inputs.  A row count alone does
+    not do: 1024 rows of the 64-input net, 512 KB per temporary, ran the
+    benchmark's certify_net slower with a larger peak RSS.
 
     A row's step is a map of its own (x, y, radius, delta) alone.  So once a
     step returns a row's delta bit for bit, every later step returns it too:

@@ -48,8 +48,9 @@ class CostConfig:
 # A searched loss provides the batched ``losses(X, Y)`` and ``grads(X, Y)`` over
 # rows with one label per row; ``point_losses(X, Y)``, each row's loss with the
 # rounding of a one-point call; ``width``, the most floats one row holds in a
-# pass, which sizes the search's calls; and ``label_shift(x, y, b)``, the label
-# after its best move of each cost in the array b, in ||y' - y||_1.
+# pass, which sizes the search's calls; and ``label_shift(X, Y, b)``, one call
+# over all samples: (n, b.size) labels, each sample's label after its best move
+# of each cost in the 1-D array b, in ||y' - y||_1 (a cost of 0 keeps it).
 
 @dataclass(frozen=True)
 class LinearPowerRegression:
@@ -67,9 +68,9 @@ class LinearPowerRegression:
     def residuals(self, X, y) -> np.ndarray:
         """y - <x, theta> for one point or for each row of X."""
         X = np.asarray(X, dtype=float)
-        # one dot per point keeps each residual's rounding independent of the batch
-        fit = np.array([np.dot(x, self.theta) for x in X.reshape(-1, self.theta.size)])
-        return np.asarray(y, dtype=float) - fit.reshape(X.shape[:-1])
+        # a stacked (1, d) row per point runs the one-point dot: each residual
+        # rounds as np.dot(x, theta) does, whatever the batch
+        return np.asarray(y, dtype=float) - (X[..., None, :] @ self.theta)[..., 0]
 
     def losses(self, X, y) -> np.ndarray:
         return np.abs(self.residuals(X, y)) ** self.alpha
@@ -118,21 +119,24 @@ class _MlpLoss:
 class MlpClassification(_MlpLoss):
     """l(x, y) = <y, f(x)> for a network with a -log-softmax output."""
 
-    def label_shift(self, x, y, budgets):
+    def label_shift(self, X, Y, budgets):
         """Move simplex mass (total variation budget/2) from low-score classes
-        onto the arg-max class of the network output: one forward pass for all
-        budgets, then class by class, each budget with its own arithmetic."""
-        move = np.asarray(budgets, dtype=float) / 2.0
-        y2 = np.array(np.broadcast_to(y, move.shape + np.shape(y)), dtype=float)
-        o = nn.forward(self.net, x)
-        scores = -nn._log_softmax(o)
-        target = int(np.argmax(scores))
-        for j in np.argsort(scores):
-            if j == target:
-                continue
-            take = np.where(move > 0, np.minimum(move, y2[..., j]), 0.0)
-            y2[..., j] -= take
-            y2[..., target] += take
+        onto the arg-max class of each sample's network output: one stacked
+        forward pass, then rank by rank over all samples and budgets at once,
+        each (sample, budget) entry with its own arithmetic."""
+        n, b = X.shape[0], np.asarray(budgets, dtype=float)
+        move = np.broadcast_to(b / 2.0, (n,) + b.shape)
+        y2 = np.array(np.broadcast_to(Y[:, None], move.shape + Y.shape[1:]), dtype=float)
+        scores = -nn._log_softmax(nn.forward(self.net, X[:, None]))[:, 0]
+        target = np.argmax(scores, axis=1)
+        order = np.argsort(scores, axis=1)
+        # each sample's classes by rising score, its target left out
+        walk = order[order != target[:, None]].reshape(n, -1)
+        s = np.arange(n)
+        for j in walk.T:
+            take = np.where(move > 0, np.minimum(move, y2[s, :, j]), 0.0)
+            y2[s, :, j] -= take
+            y2[s, :, target] += take
             move = move - take
         return y2
 
@@ -141,11 +145,11 @@ class MlpClassification(_MlpLoss):
 class MlpRegression(_MlpLoss):
     """l(x, y) = |y - f(x)| for a network with an absolute-deviation output."""
 
-    def label_shift(self, x, y, budgets):
-        """Shift the real label by each whole budget, in the direction that hurts."""
-        b = np.asarray(budgets, dtype=float)
-        o = nn.forward(self.net, x)
-        up, down = y + b, y - b
+    def label_shift(self, X, Y, budgets):
+        """Shift each real label by each whole budget, in the direction that
+        hurts: one stacked forward pass for all samples."""
+        o = nn.forward(self.net, X[:, None])
+        up, down = Y[:, None] + budgets, Y[:, None] - budgets
         hurts_up = nn.head_loss(self.net, o, up) >= nn.head_loss(self.net, o, down)
         return np.where(hurts_up, up, down)
 
@@ -312,7 +316,7 @@ def _search_rates(loss, X, Y, grid, cfg):
     positive knot, split, start) with its own radius and label.  Every group is
     drawn once, and each of the three passes climbs the rows of every sample;
     ``_climb`` bounds the rows per loss call of the passes, and the clean
-    losses take one call over the samples.
+    losses and the label moves take one call each over the samples.
     """
     kappa = loss.cost.kappa
     fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, _LABEL_SPLITS)
@@ -321,13 +325,9 @@ def _search_rates(loss, X, Y, grid, cfg):
     # sample the rounding of its own one-point call, independent of the batch
     base = loss.point_losses(X, Y)[:, None]
     # every sample's label after the label move of each (positive knot, split)
-    # group: one label_shift call per sample, or the samples' own labels when
-    # no group moves its label (kappa = inf)
-    moves = np.outer(grid[knots], fracs).ravel() / kappa
-    if np.any(moves > 0):
-        labels = np.array([loss.label_shift(x, y, moves) for x, y in zip(X, Y)], dtype=float)
-    else:
-        labels = np.repeat(Y[:, None], moves.size, axis=1)
+    # group, in one call; at kappa = inf every move is 0 and the labels are
+    # the samples' own
+    labels = loss.label_shift(X, Y, np.outer(grid[knots], fracs).ravel() / kappa)
     radii = np.outer(grid[knots], 1.0 - fracs).ravel()  # one group per (knot, split)
     starts, points = _knot_draws(cfg, grid[knots], radii, X.shape[1], loss.cost.r)
     best = np.full((X.shape[0], radii.size), -math.inf)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from drcert import rates
 from drcert.cli import build_parser
 from drcert.rates import SearchConfig
 
@@ -138,6 +139,16 @@ def test_readme_search_budget_matches_the_default():
     stated = re.findall(r"(\d+) starts, (\d+) steps and (\d+) boundary points", row)
     cfg = SearchConfig()
     assert stated == [(str(cfg.n_starts), str(cfg.n_steps), str(cfg.n_boundary))]
+
+
+def test_readme_float_budget_matches_the_block():
+    # the floats per search loss call that the README's ``drcert.rates`` row
+    # states are rates._BLOCK_FLOATS
+    row = next(line for line in README.read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `drcert.rates` |"))
+    stated = set(re.findall(r"taking at most (\d+) // `width` rows, so that no "
+                            r"temporary holds more than (\d+) floats", row))
+    assert stated == {(str(rates._BLOCK_FLOATS),) * 2}
 
 
 def _tracer_targets():

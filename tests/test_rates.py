@@ -56,8 +56,8 @@ class CallbackLoss:
                 g[i, j] = (self.fn(row + e, y) - self.fn(row - e, y)) / (2 * h)
         return g
 
-    def label_shift(self, x, y, budgets):
-        return np.broadcast_to(y, np.shape(budgets) + np.shape(y))
+    def label_shift(self, X, Y, budgets):
+        return np.repeat(Y[:, None], np.size(budgets), axis=1)
 
 
 def dual_norm(x, r) -> float:
@@ -113,6 +113,21 @@ class TestLinearClosedForm:
         loss = LinearPowerRegression(1.0, theta, CostConfig(r=2, kappa=0.25))
         c = individual_rate(loss, (np.zeros(2), 0.0), [0.0, 1.0])
         assert c.v[-1] == pytest.approx(4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 70), n=st.integers(1, 300), seed=st.integers(0, 2**16))
+def test_residuals_equal_the_point_dots(d, n, seed):
+    # the residuals of a batch are one stacked product: each row must carry
+    # the bits of its own one-point dot, whatever the batch around it
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+
+    X, y, theta = draw(n, d), draw(n), draw(d)
+    want = np.array([yi - np.dot(x, theta) for x, yi in zip(X, y)])
+    assert same_bits(LinearPowerRegression(1.0, theta).residuals(X, y), want)
 
 
 class TestSearchRates:
@@ -260,8 +275,8 @@ class CountingLoss:
         self.grad_rows.append(len(X))
         return self.inner.grads(X, Y)
 
-    def label_shift(self, x, y, budgets):
-        return self.inner.label_shift(x, y, budgets)
+    def label_shift(self, X, Y, budgets):
+        return self.inner.label_shift(X, Y, budgets)
 
 
 SMALL = SearchConfig(n_starts=3, n_steps=12, n_boundary=8, seed=4)
@@ -333,17 +348,23 @@ def label_shift_reference(loss, x, y, budget):
 
 @settings(max_examples=60, deadline=None)
 @given(head=st.sampled_from(["logsoftmax", "absdev"]), seed=st.integers(0, 2**16),
+       n=st.integers(1, 30),
        budgets=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1,
-                        max_size=12))
-def test_batched_label_shift_matches_each_budget(head, seed, budgets):
+                        max_size=12).map(lambda b: [0.0] + b))
+def test_batched_label_shift_matches_each_budget(head, seed, n, budgets):
+    # one stacked call: every sample's rows carry the bits of its own
+    # one-budget moves, each with its own forward pass
     rng = np.random.default_rng(seed)
     net = init_mlp([3, 4, 5 if head == "logsoftmax" else 1], act="tanh", head=head,
                    seed=seed)
     loss = (MlpClassification if head == "logsoftmax" else MlpRegression)(net)
-    x = rng.uniform(0, 1, size=3)
-    y = rng.dirichlet(np.ones(5)) if head == "logsoftmax" else float(rng.normal())
-    want = np.array([label_shift_reference(loss, x, y, b) for b in budgets])
-    assert np.array_equal(loss.label_shift(x, y, np.array(budgets)), want)
+    X = rng.uniform(0, 1, size=(n, 3))
+    Y = rng.dirichlet(np.ones(5), size=n) if head == "logsoftmax" else rng.normal(size=n)
+    got = loss.label_shift(X, Y, np.array(budgets))
+    assert got.shape == (n, len(budgets)) + Y.shape[1:]
+    for x, y, rows in zip(X, Y, got):
+        want = np.array([label_shift_reference(loss, x, y, b) for b in budgets])
+        assert same_bits(rows, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -363,7 +384,7 @@ def test_stacked_clean_losses_equal_the_point_losses(act, head, dims, n, seed):
     assert same_bits(loss.point_losses(X, Y), want)
 
 
-def test_label_moves_take_one_forward_pass_per_sample():
+def test_label_moves_take_one_stacked_forward_pass():
     # CLI-sized search at finite kappa: 12 samples x 3 positive knots x 5 splits
     net = init_mlp([16, 8, 10], act="tanh", seed=3)
     loss = MlpClassification(net, CostConfig(r=math.inf, kappa=0.1))
@@ -373,14 +394,15 @@ def test_label_moves_take_one_forward_pass_per_sample():
     with mock.patch.object(nn, "forward", wraps=nn.forward) as fwd:
         maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
     shapes = [np.shape(call.args[1]) for call in fwd.call_args_list]
-    assert sum(len(s) == 1 for s in shapes) == len(data)  # each sample's label moves
-    assert shapes.count((len(data), 1, 16)) == 1  # every sample's clean loss, stacked
+    # one stacked call for every sample's label moves, one for the clean losses
+    assert shapes.count((len(data), 1, 16)) == 2
+    assert not any(len(s) == 1 for s in shapes)  # no one-point forward
 
 
 @pytest.mark.parametrize("head", ["logsoftmax", "absdev"])
-def test_pinned_labels_skip_the_label_moves(head):
-    # at kappa = inf no group moves its label: label_shift is never called,
-    # and the profile is bit for bit that of the per-sample label_shift loop
+def test_pinned_labels_are_the_samples_own(head):
+    # at kappa = inf every label move is 0: the labels the climb receives are
+    # the samples' own, bit for bit, and so is the profile they give
     rng = np.random.default_rng(6)
     if head == "logsoftmax":
         net = init_mlp([16, 8, 10], act="tanh", seed=6)
@@ -391,18 +413,16 @@ def test_pinned_labels_skip_the_label_moves(head):
         data = list(zip(rng.uniform(size=(12, 2)), rng.normal(size=12)))
         loss = MlpRegression(net, CostConfig(r=2.0))
     grid, cfg = [0.0, 0.001, 0.01, 0.1], SearchConfig(n_steps=5, seed=1)
-    with mock.patch.object(type(loss), "label_shift", autospec=True) as shift:
-        got = maximal_rate(loss, data, grid, config=cfg)
-    shift.assert_not_called()
+    got = maximal_rate(loss, data, grid, config=cfg)
+    Y = np.array([y for _, y in data], dtype=float)
     climb = rates._climb
 
-    def per_sample_labels(loss, X, labels, *rest):
-        looped = np.array([loss.label_shift(x, y, np.zeros(labels.shape[1]))
-                           for x, (_, y) in zip(X, data)], dtype=float)
-        assert same_bits(labels, looped)
-        climb(loss, X, looped, *rest)
+    def own_labels(loss, X, labels, *rest):
+        own = np.repeat(Y[:, None], labels.shape[1], axis=1)
+        assert same_bits(labels, own)
+        climb(loss, X, own, *rest)
 
-    with mock.patch.object(rates, "_climb", per_sample_labels):
+    with mock.patch.object(rates, "_climb", own_labels):
         want = maximal_rate(loss, data, grid, config=cfg)
     assert same_bits(got.rates.v, want.rates.v)
 
@@ -613,23 +633,23 @@ class TestBatchedLosses:
     def test_regression_label_shift_hurts(self):
         net = init_mlp([2, 3, 1], head="absdev", seed=5)
         loss = MlpRegression(net)
-        x = np.array([0.2, -0.4])
-        y = 0.1
-        shifted = loss.label_shift(x, y, 0.5)
-        assert abs(shifted - y) == pytest.approx(0.5)
-        assert nn.loss_value(net, x, shifted) >= nn.loss_value(net, x, y)
-        assert loss.label_shift(x, y, 0.0) == y
+        X = np.array([[0.2, -0.4], [-1.5, 0.7]])
+        Y = np.array([0.1, -0.3])
+        shifted, kept = loss.label_shift(X, Y, np.array([0.5, 0.0])).T
+        assert np.abs(shifted - Y) == pytest.approx(0.5)
+        assert np.all(nn.loss_value(net, X, shifted) >= nn.loss_value(net, X, Y))
+        assert np.array_equal(kept, Y)
 
     def test_classification_label_shift_stays_on_simplex(self):
         net = init_mlp([2, 4, 3], head="logsoftmax", seed=6)
         loss = MlpClassification(net)
-        x = np.array([0.3, 0.9])
-        y = np.array([0.2, 0.5, 0.3])
-        shifted = loss.label_shift(x, y, 0.4)
-        assert shifted.sum() == pytest.approx(1.0)
+        X = np.array([[0.3, 0.9], [-0.8, 0.1]])
+        Y = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        shifted = loss.label_shift(X, Y, np.array([0.4]))[:, 0]
+        assert shifted.sum(axis=1) == pytest.approx(1.0)
         assert np.all(shifted >= 0)
-        assert np.abs(shifted - y).sum() == pytest.approx(0.4)
-        assert nn.loss_value(net, x, shifted) >= nn.loss_value(net, x, y)
+        assert np.abs(shifted - Y).sum(axis=1) == pytest.approx(0.4)
+        assert np.all(nn.loss_value(net, X, shifted) >= nn.loss_value(net, X, Y))
 
 
 class TestPowerBounds:

@@ -10,7 +10,8 @@ robust risk at budget eps and the empirical risk is sandwiched between
   at eps^p.
 
 Both read the profile's ragged family: the lower bound in one flat pass over
-the rows' knots, the upper bound on the maximal rate over the pooled knots.
+the rows' knots per budget, the upper bound on the maximal rate over the
+pooled knots, every budget in one pass.
 At p = inf the lower bound is the weighted sum of the rates read from the
 left at eps, and the upper bound reads the maximal rate at the first pooled
 knot at or beyond eps: sound, since a certified profile holds the exact
@@ -27,16 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .curves import least_concave_majorant, p_transform, star_majorant_after_power
+from .curves import RateProfile, least_concave_majorant, p_transform, star_majorant_after_power
 from .jsonio import dumps
-from .rates import RateProfile
-
-
-def _per_budget(bound, eps):
-    """``bound`` at a scalar eps (a float) or at each entry of a 1-D eps."""
-    grid = np.asarray(eps, dtype=float)
-    out = np.array([bound(e) for e in grid.ravel()])
-    return float(out[0]) if grid.ndim == 0 else out
 
 
 def lower_bound(profile: RateProfile, p, eps):
@@ -44,22 +37,25 @@ def lower_bound(profile: RateProfile, p, eps):
 
     ``eps`` is a scalar or a 1-D grid (one bound per budget).
     """
-    if np.any(np.asarray(eps) <= 0):
+    grid = np.asarray(eps, dtype=float)
+    if np.any(grid <= 0):
         raise ValueError("budget must be positive")
     rates = profile.rates
     live = profile.weights > 0  # 0 * inf = 0: zero-weight samples drop out
     w = profile.weights[live]
-
-    def at(e):
+    out = np.empty(grid.size)
+    # one budget at a time: the star reads every knot of every row at each
+    # budget, so all budgets at once would hold rows x knots x budgets floats
+    # (1e9, 8 GB, at 1e5 rows, 101 knots and 100 budgets), one budget rows x knots
+    for k, e in enumerate(grid.ravel()):
         if math.isinf(p):
             terms = rates.left_values(e)[live]
         else:
             terms = star_majorant_after_power(rates, float(p), e)[live]
         # a weighted mean never exceeds its largest term, though its rounded
         # sum can: the clamp keeps lb at or below the maximal rate's reading
-        return float(min(np.dot(w, terms), np.max(terms)))
-
-    return _per_budget(at, eps)
+        out[k] = min(np.dot(w, terms), np.max(terms))
+    return float(out[0]) if grid.ndim == 0 else out
 
 
 def upper_bound(profile: RateProfile, p, eps):
@@ -69,12 +65,20 @@ def upper_bound(profile: RateProfile, p, eps):
     ``eps`` is a scalar or a 1-D grid (one bound per budget); eps = 0 reports
     the majorant value at 0 (above 0 for rates with a jump at the origin).
     """
-    if np.any(np.asarray(eps) < 0):
+    grid = np.asarray(eps, dtype=float)
+    if np.any(grid < 0):
         raise ValueError("budget must be non-negative")
+    top, e = profile.maximal, grid.ravel()
     if math.isinf(p):
-        return _per_budget(lambda e: profile.maximal.value(e, side="right"), eps)
-    env = least_concave_majorant(p_transform(profile.maximal, float(p)))
-    return _per_budget(lambda e: env.value(e ** p), eps)
+        # the first knot at or beyond each eps; past the last knot, the tail
+        ahead = np.minimum(np.searchsorted(top.t, e), top.t.size - 1)
+        out = np.where(e > top.t[-1], top.tail_values(e), top.v[ahead])
+    else:
+        env = least_concave_majorant(p_transform(top, float(p)))
+        # each eps^p by a scalar power: an array power rounds some inputs
+        # differently (about 5 % at p = 1.5 and 3)
+        out = env.values([x ** p for x in e])
+    return float(out[0]) if grid.ndim == 0 else out
 
 
 def grad_dual_certificate(grads, p, eps, r=2.0):
@@ -114,7 +118,7 @@ def p_ordering_check(profile: RateProfile, eps: float, p_list, tol: float = 1e-9
     for p in ps:
         lbs.append(lower_bound(profile, p, eps))
         if math.isinf(p):
-            ccs.append(profile.maximal.value(eps, side="left"))
+            ccs.append(float(profile.maximal.left_values(eps)[0]))
         else:
             ccs.append(upper_bound(profile, p, eps))
     for name, seq in (("lb", lbs), ("cc", ccs)):

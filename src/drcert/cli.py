@@ -129,7 +129,8 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
         if not np.all(np.isfinite(theta)):
             raise ConfigError("theta must be finite")
         loss = LinearPowerRegression(1.0, theta, cost)
-        grads = -np.sign(loss.residuals(X, Y))[:, None] * theta
+        # a zero residual takes the library's subgradient, sgn(0) = +1
+        grads = -nn._sgn(loss.residuals(X, Y))[:, None] * theta
         score = advscore.LinearGain(loss.gain)
     elif model == "mlp":
         if theta is not None:

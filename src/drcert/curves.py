@@ -3,10 +3,11 @@
 A :class:`CurveFamily` holds non-decreasing, non-negative functions sampled on
 budget grids starting at t=0 as one ragged family (flat ``t``, flat ``v``, row
 ``starts``), read in one flat pass with a ``reduceat`` per row; a
-:class:`Curve` is a family of one row.  Between knots a raw curve evaluates
-conservatively to the right-knot value (an upper reading for non-decreasing
-functions); majorants are exact on the knot set and interpolate linearly in
-between, which is exact for a concave piecewise-linear function.
+:class:`Curve` is a family of one row, and a :class:`RateProfile` a family of
+per-sample rates with the samples' weights.  A raw curve is read from the left
+between knots (its last knot at or below the budget, a lower reading for
+non-decreasing functions); majorants are exact on the knot set and interpolate
+linearly in between, which is exact for a concave piecewise-linear function.
 
 Beyond the last knot a curve behaves according to its ``tail``:
 
@@ -21,7 +22,7 @@ Beyond the last knot a curve behaves according to its ``tail``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,13 +98,17 @@ class CurveFamily:
         if t < 0:
             raise ValueError("budgets are non-negative")
         vals = np.maximum.reduceat(np.where(self.t <= t, self.v, -math.inf), self.starts)
+        return np.where(self.t[self.ends - 1] < t, self.tail_values(t, tail), vals)
+
+    def tail_values(self, t, tail: str | None = None) -> np.ndarray:
+        """Each row's tail rule ``tail`` (by default the family's own) at the
+        budget or budgets ``t`` past its last knot: the last value, the last
+        chord's line, or inf."""
         last = self.ends - 1
-        past = self.t[last] < t
         tail = tail or self.tail
         if tail == "slope":
-            grown = self.v[last] + _rise(self._tail_slopes(), t - self.t[last])
-            return np.where(past, grown, vals)
-        return np.where(past, math.inf, vals) if tail == "infinite" else vals
+            return self.v[last] + _rise(self._tail_slopes(), t - self.t[last])
+        return np.full(last.size, math.inf) if tail == "infinite" else self.v[last]
 
     def pointwise_max(self) -> Curve:
         """The rows' pointwise maximum as one curve on the pooled knots.
@@ -125,24 +130,6 @@ class Curve(CurveFamily):
 
     def __init__(self, t, v, tail: str = "const", tail_exponent: float | None = None):
         super().__init__(t, v, np.zeros(1, dtype=np.intp), tail, tail_exponent)
-
-    @property
-    def tail_slope(self) -> float:
-        """Slope of the last knot chord (0 for a single-knot curve)."""
-        return float(self._tail_slopes()[0])
-
-    def value(self, t: float, side: str = "right") -> float:
-        """Conservative evaluation at budget ``t``.
-
-        ``side="right"`` returns the next knot's value between knots (an upper
-        reading), ``side="left"`` the previous knot's value (a lower reading).
-        Both coincide with the sample at knots and follow the tail past them.
-        """
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        if side == "left" or t < 0 or t > self.t[-1]:
-            return float(self.left_values(t)[0])
-        return float(self.v[int(np.searchsorted(self.t, t, side="left"))])
 
 
 def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = None):
@@ -176,6 +163,30 @@ def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = 
 
 
 @dataclass(frozen=True)
+class RateProfile:
+    """Weighted rate curves of n samples: ``rates`` is a family of n rows.
+
+    ``maximal`` is their pointwise max on the pooled knots
+    (:meth:`CurveFamily.pointwise_max`), sharing the family's tail.
+    """
+
+    rates: CurveFamily
+    weights: np.ndarray
+    maximal: Curve = field(init=False, repr=False)
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", w)
+        if w.shape != self.rates.starts.shape:
+            raise ValueError("rates need one row per sample weight")
+        if abs(float(np.sum(w)) - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1")
+        if np.any(w < 0):
+            raise ValueError("weights must be non-negative")
+        object.__setattr__(self, "maximal", self.rates.pointwise_max())
+
+
+@dataclass(frozen=True)
 class ConcaveCurve:
     """Piecewise-linear concave majorant: hull knots plus a tail slope.
 
@@ -194,9 +205,6 @@ class ConcaveCurve:
         object.__setattr__(self, "v", v)
         t.setflags(write=False)
         v.setflags(write=False)
-
-    def value(self, t: float) -> float:
-        return float(self.values(t))
 
     def values(self, ts) -> np.ndarray:
         """Majorant at each budget in ``ts``: interpolated on the knots, linear beyond."""
@@ -247,8 +255,8 @@ def _upper_hull(t: np.ndarray, v: np.ndarray, starts: np.ndarray):
     return np.array(ht), np.array(hv), np.array(hull_starts)
 
 
-def least_concave_majorant(f: Curve) -> ConcaveCurve:
-    """Least concave majorant of the sampled curve, its tail included.
+def least_concave_majorant(f: CurveFamily) -> ConcaveCurve:
+    """Least concave majorant of a one-row family (a curve), its tail included.
 
     The result is the upper concave envelope of the knot points, extended at
     the slope of the curve's own tail: 0 for ``const``, the last chord's for
@@ -263,14 +271,12 @@ def least_concave_majorant(f: Curve) -> ConcaveCurve:
         return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
                             tail_slope=math.inf)
     ht, hv, _ = _upper_hull(f.t, f.v, np.zeros(1, dtype=int))
-    tail = f.tail_slope if f.tail == "slope" else 0.0
+    tail = float(f._tail_slopes()[0]) if f.tail == "slope" else 0.0
     # hull slopes fall, so the segments under the tail's line come last
     floor = tail - SLOPE_TOL * max(1.0, tail)
     with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
         keep = 1 + int(np.sum(np.diff(hv) / np.diff(ht) >= floor))
     return ConcaveCurve(ht[:keep], hv[:keep], tail_slope=tail)
-
-
 
 
 def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
@@ -283,37 +289,31 @@ def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
     axis (powering the knots and the query separately can disagree by one
     ulp).  A family gives one value per row, a :class:`Curve` a float.
     """
-    best = _star_rows(f, p, eps)
-    return float(best[0]) if isinstance(f, Curve) else best
-
-
-def _star_rows(f: CurveFamily, p: float, eps: float) -> np.ndarray:
     tail, _ = _powered_tail(f, p)
     if eps < 0:
         raise ValueError("budgets are non-negative")
-    if eps == 0.0:
-        return np.zeros(f.starts.size)
-    if tail == "infinite":
-        return np.full(f.starts.size, math.inf)
-    t, v = f.t, f.v
-    far = t >= eps
-    terms = np.full(t.size, -math.inf)
-    with np.errstate(invalid="ignore"):
-        terms[far] = (eps / t[far]) ** p * v[far]
-    best = np.maximum(np.maximum.reduceat(terms, f.starts), f.left_values(eps, tail))
-    rows = np.flatnonzero(f.ends - 1 > f.starts)  # the rows with a last chord
-    if tail == "slope" and rows.size:
-        # limit of (eps/t)^p * f(t) as t -> inf along the linear extension,
-        # written with ratios so the knot/query powers cannot disagree; the
-        # powers are Python floats, whose rounding does not depend on an
-        # array's layout the way a vectorised power's can
-        hi = f.ends[rows] - 1
-        a, b = (t[hi] / eps).tolist(), (t[hi - 1] / eps).tolist()
-        denom = np.array([x ** p - (y ** p if y > 0 else 0.0) for x, y in zip(a, b)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            limit = np.where(denom > 0, (v[hi] - v[hi - 1]) / denom, -math.inf)
-        best[rows] = np.maximum(best[rows], limit)
-    return best
+    if eps == 0.0 or tail == "infinite":
+        best = np.full(f.starts.size, 0.0 if eps == 0.0 else math.inf)
+    else:
+        t, v = f.t, f.v
+        far = t >= eps
+        terms = np.full(t.size, -math.inf)
+        with np.errstate(invalid="ignore"):
+            terms[far] = (eps / t[far]) ** p * v[far]
+        best = np.maximum(np.maximum.reduceat(terms, f.starts), f.left_values(eps, tail))
+        rows = np.flatnonzero(f.ends - 1 > f.starts)  # the rows with a last chord
+        if tail == "slope" and rows.size:
+            # limit of (eps/t)^p * f(t) as t -> inf along the linear extension,
+            # written with ratios so the knot/query powers cannot disagree; the
+            # powers are Python floats, whose rounding does not depend on an
+            # array's layout the way a vectorised power's can
+            hi = f.ends[rows] - 1
+            a, b = (t[hi] / eps).tolist(), (t[hi - 1] / eps).tolist()
+            denom = np.array([x ** p - (y ** p if y > 0 else 0.0) for x, y in zip(a, b)])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                limit = np.where(denom > 0, (v[hi] - v[hi - 1]) / denom, -math.inf)
+            best[rows] = np.maximum(best[rows], limit)
+    return float(best[0]) if isinstance(f, Curve) else best
 
 
 def _powered_tail(f: CurveFamily, p: float):
@@ -335,7 +335,7 @@ def p_transform(f: CurveFamily, p: float) -> CurveFamily:
 
     Knots move to t_k^p with values unchanged, so no interpolation error is
     introduced at knots.  Tail growth of order q becomes order q/p, which
-    resolves the infinite flag when q/p <= 1.  A :class:`Curve` stays one.
+    resolves the infinite flag when q/p <= 1.
     """
     tail, expo = _powered_tail(f, p)
     if p == 1.0:
@@ -345,8 +345,6 @@ def p_transform(f: CurveFamily, p: float) -> CurveFamily:
     # the same budget, so keep the last, largest value of each such run
     keep = np.append(t_new[1:] > t_new[:-1], True)
     keep[f.ends - 1] = True  # a row's last knot ends its run
-    if isinstance(f, Curve):
-        return Curve(t_new[keep], f.v[keep], tail=tail, tail_exponent=expo)
     starts = np.cumsum(keep)[f.starts] - keep[f.starts]
     return CurveFamily(t_new[keep], f.v[keep], starts, tail=tail, tail_exponent=expo)
 

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .curves import CurveFamily, _upper_hull, p_transform
+from .curves import CurveFamily, RateProfile, _upper_hull, p_transform
 from .errors import DataError
 from .jsonio import decode_float
-from .rates import RateProfile
 
 MAX_SUPPORT = 4096
 #: pure assignments per vectorized pass of ``dr_risk_enumerate``: every

@@ -14,12 +14,12 @@ and kappa in (0, inf].  kappa = inf pins the labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .curves import Curve, CurveFamily, curve_from_samples
+from .curves import Curve, CurveFamily, RateProfile, curve_from_samples
 
 _R_VALUES = (1.0, 2.0, math.inf)
 
@@ -160,31 +160,6 @@ class SearchConfig:
     n_steps: int = 20
     n_boundary: int = 32
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class RateProfile:
-    """Weighted rate curves of n samples: ``rates`` is a family of n rows.
-
-    ``maximal`` is their pointwise max on the pooled knots
-    (:meth:`~drcert.curves.CurveFamily.pointwise_max`), sharing the family's
-    tail.
-    """
-
-    rates: CurveFamily
-    weights: np.ndarray
-    maximal: Curve = field(init=False, repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != self.rates.starts.shape:
-            raise ValueError("rates need one row per sample weight")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        object.__setattr__(self, "maximal", self.rates.pointwise_max())
 
 
 # -- ball geometry -------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Test helpers shared by several test modules: a concavity test for knot
-arrays, the writer of the oracle's instance JSON, and a bitwise float
-comparison with the floats that tell it apart from ``==``."""
+arrays, a pointwise reading of a concave majorant, the writer of the oracle's
+instance JSON, and a bitwise float comparison with the floats that tell it
+apart from ``==``."""
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,6 +28,15 @@ def is_concave(obj, v=None, tol: float = SLOPE_TOL) -> bool:
     slopes = np.diff(vv) / np.diff(t)
     s1, s2 = slopes[:-1], slopes[1:]
     return not np.any(s2 > s1 + tol * np.maximum(1.0, np.maximum(np.abs(s1), np.abs(s2))))
+
+
+def concave_value_reference(env, t):
+    """One reading of a concave majorant, point by point."""
+    if math.isinf(env.tail_slope):
+        return float(env.v[0]) if t == 0.0 else math.inf
+    if t >= env.t[-1]:
+        return float(env.v[-1] + env.tail_slope * (t - env.t[-1]))
+    return float(np.interp(t, env.t, env.v))
 
 
 def instance_to_json(inst: DiscreteInstance) -> str:

@@ -1,0 +1,145 @@
+"""Digest every output of a fixed matrix of ``drcert`` command-line runs.
+
+Usage::
+
+    python tests/output_digests.py SRC
+
+imports ``drcert`` from the source tree ``SRC`` (the directory that holds the
+``drcert`` package), runs each command of the matrix in process through
+``drcert.cli.main``, each in a fresh temporary directory, and prints one line
+per run: its label, its exit code and a SHA-256 over the exit code, stdout,
+stderr and every file the run wrote (by relative path).  Two trees that behave
+alike print the same lines, so a change meant to keep the outputs is checked
+with::
+
+    diff <(python tests/output_digests.py OLD/src) <(python tests/output_digests.py src)
+
+The matrix: ``certify --model linear`` at p in {1, 1.5, 2, 3, inf} x r in
+{1, 2, inf}, each plain, at ``--kappa 0.3`` and with ``--theta``;
+``certify --model mlp`` for tanh, relu and sigmoid nets with either head
+(2-16-16-1 absdev, 64-16-10 logsoftmax with ``--out-bound``) at the same p and
+r and kappa in {inf, 0.3}; ``regress`` (plain and ``--adversarial``),
+``classify``, ``complexity``; and ``oracle`` on two instances at each p and
+eps in {0, 0.3, 1.7, inf}.  The script is not a test module: pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+P_VALUES = ("1", "1.5", "2", "3", "inf")
+R_VALUES = ("1", "2", "inf")
+
+
+def _instances():
+    """Two oracle instances as JSON-ready dicts, without p and eps: three
+    atoms on a 1-D support of six points, and the same with a forbidden move
+    and uneven weights."""
+    z = [0.0, 0.4, 1.0, 1.3, 2.5, 3.1]
+    loss = [0.2, 1.0, 0.7, 2.6, 1.9, 4.0]
+    cost = [[abs(a - b) for b in z] for a in z]
+    plain = {"support": z, "loss": loss, "cost": cost,
+             "atoms": [[0, 1 / 3], [2, 1 / 3], [3, 1 / 3]]}
+    walled = [row[:] for row in cost]
+    walled[0][3] = walled[2][5] = "inf"
+    forbidden = {"support": None, "loss": loss, "cost": walled,
+                 "atoms": [[0, 0.5], [2, 0.3], [4, 0.2]]}
+    return {"plain": plain, "forbidden": forbidden}
+
+
+def _classification_csv(path, rows=20, seed=4):
+    rng = np.random.default_rng(seed)
+    head = "label," + ",".join(f"p{k}" for k in range(1, 65))
+    body = [f"{lab}," + ",".join(map(repr, row)) for lab, row in
+            zip(rng.integers(0, 10, size=rows).tolist(),
+                rng.uniform(0.0, 1.0, size=(rows, 64)).tolist())]
+    path.write_text("\n".join([head] + body) + "\n", encoding="utf-8")
+
+
+def matrix(inputs: Path):
+    """(label, argv without --out) of every run; writes the weights, data and
+    instance files the runs read into ``inputs``."""
+    from drcert import nn
+
+    runs = []
+    for p, r, extra in itertools.product(P_VALUES, R_VALUES,
+                                         ([], ["--kappa", "0.3"], ["--theta", "0.5,-1.2"])):
+        runs.append((f"certify-linear p={p} r={r} {' '.join(extra) or 'plain'}",
+                     ["certify", "--model", "linear", "--data", "synthetic:30", "--p", p,
+                      "--cost-r", r, "--eps", "0.01,0.1,0.5,2", "--seed", "3", *extra]))
+    cls_data = inputs / "classes.csv"
+    _classification_csv(cls_data)
+    heads = {"absdev": ([2, 16, 16, 1], ["--data", "synthetic:50", "--eps", "0.01,0.03,0.1"]),
+             "logsoftmax": ([64, 16, 10], ["--data", str(cls_data), "--eps", "0.1,0.5,1",
+                                           "--out-bound", "3.5"])}
+    for act, (head, (dims, args)) in itertools.product(("tanh", "relu", "sigmoid"),
+                                                       heads.items()):
+        weights = inputs / f"{act}-{head}.csv"
+        nn.save_weights(nn.init_mlp(dims, act=act, head=head, seed=1), weights)
+        for p, r, kappa in itertools.product(P_VALUES, R_VALUES, ("inf", "0.3")):
+            runs.append((f"certify-mlp {act} {head} p={p} r={r} kappa={kappa}",
+                         ["certify", "--model", "mlp", "--weights", str(weights), *args,
+                          "--p", p, "--cost-r", r, "--kappa", kappa, "--seed", "1"]))
+    regress = ["regress", "--data", "synthetic:40", "--eps", "0.001,0.01", "--epochs", "5",
+               "--lr", "0.05", "--seed", "9"]
+    runs += [("regress plain", regress), ("regress adversarial", regress + ["--adversarial"]),
+             ("classify", ["classify", "--data", "synthetic:60", "--sides", "4,8",
+                           "--runs", "2", "--epochs", "3", "--eps", "0,0.05", "--seed", "2"]),
+             ("complexity", ["complexity", "--eps", "0.1", "--seed", "0"])]
+    for (name, inst), p, eps in itertools.product(_instances().items(), P_VALUES,
+                                                  ("0", "0.3", "1.7", "inf")):
+        path = inputs / f"{name}-p{p}-eps{eps}.json"
+        number = {"p": p if p == "inf" else float(p), "eps": eps if eps == "inf" else float(eps)}
+        path.write_text(json.dumps({**inst, **number}), encoding="utf-8")
+        runs.append((f"oracle {name} p={p} eps={eps}", ["oracle", "--data", str(path)]))
+    return runs
+
+
+def digest(argv, out: Path) -> tuple[int, str]:
+    """Exit code of ``drcert.cli.main(argv + --out out)`` and the SHA-256 of
+    that code, stdout, stderr and every file under ``out``."""
+    from drcert.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)])
+    h = hashlib.sha256()
+    for part in (str(code), stdout.getvalue(), stderr.getvalue()):
+        h.update(part.encode("utf-8") + b"\0")
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        h.update(path.relative_to(out).as_posix().encode("utf-8") + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return code, h.hexdigest()
+
+
+def main(src: str) -> int:
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import drcert
+
+    if Path(drcert.__file__).resolve().parent != src / "drcert":
+        raise RuntimeError(f"imported drcert from {drcert.__file__}, not {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        runs = matrix(tmp)
+        for k, (label, argv) in enumerate(runs):
+            code, h = digest(argv, tmp / f"run{k}")
+            print(f"{label}\texit {code}\t{h}", flush=True)
+    print(f"{len(runs)} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))

@@ -15,14 +15,16 @@ from drcert.certificates import (
     p_ordering_check,
     upper_bound,
 )
-from drcert.curves import Curve, curve_from_samples, least_concave_majorant, p_transform
-from drcert.jsonio import decode_float
-from drcert.rates import (
-    CostConfig,
-    LinearPowerRegression,
+from drcert.curves import (
+    Curve,
     RateProfile,
-    maximal_rate,
+    curve_from_samples,
+    least_concave_majorant,
+    p_transform,
 )
+from drcert.jsonio import decode_float
+from drcert.rates import CostConfig, LinearPowerRegression, maximal_rate
+from helpers import concave_value_reference
 
 
 def linear_profile(theta, r=2.0, n_points=4, seed=0, alpha=1.0, grid=None):
@@ -314,12 +316,21 @@ def dense_reference(t, V, tail, expo, weights, p, eps):
         return float(min(np.dot(w, terms[live]), np.max(terms[live])))
 
     lb_old, lb_new = mean(best), mean(np.maximum(best, left))
-    top = Curve(t, V.max(axis=0), tail=tail, tail_exponent=expo)
-    if math.isinf(p):
-        above = t[t >= eps]
-        cc = top.value(float(above[0])) if above.size else top.value(eps)
+    top = V.max(axis=0)
+    if math.isinf(p):  # the first knot at or beyond eps, past the grid the tail
+        above = np.flatnonzero(t >= eps)
+        top_slope = (top[-1] - top[-2]) / (t[-1] - t[-2]) if t.size >= 2 else 0.0
+        if above.size:
+            cc = float(top[above[0]])
+        elif tail == "const":
+            cc = float(top[-1])
+        elif tail == "slope":
+            cc = float(top[-1] + (top_slope * (eps - t[-1]) if top_slope else 0.0))
+        else:
+            cc = math.inf
     else:
-        cc = least_concave_majorant(p_transform(top, p)).value(eps ** p)
+        env = least_concave_majorant(p_transform(Curve(t, top, tail=tail, tail_exponent=expo), p))
+        cc = concave_value_reference(env, eps ** p)
     return lb_old, lb_new, cc
 
 

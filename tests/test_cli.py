@@ -98,14 +98,15 @@ class TestCertifyLinear:
         with pytest.raises((ConfigError, ValueError)):
             run_certify(cfg, model="linear", theta=[1.0, 1.0])
 
-    def test_byte_identical_reruns(self, tmp_path):
-        def run(out):
-            cfg = ExperimentConfig(task="certify", data="synthetic:30",
-                                   eps_grid=[0.01, 0.1], out=out, seed=11)
-            run_certify(cfg, model="linear", theta=[0.5, 2.0])
-            return read(out / "report.json"), read(out / "advscore.csv")
-
-        assert run(tmp_path / "a") == run(tmp_path / "b")
+    def test_zero_residual_takes_sgn_zero_as_plus_one(self, tmp_path):
+        # row 1 has residual 0 and row 2 residual 5, both rates are 2.5 t: the
+        # gradient of |r| at r = 0 is the library's sgn(0) = +1, not 0
+        data = tmp_path / "d.csv"
+        data.write_text("x1,x2,y\n1.0,0.0,1.5\n0.0,1.0,3.0\n", encoding="utf-8")
+        assert main(["certify", "--model", "linear", "--theta", "1.5,-2.0", "--p", "2",
+                     "--eps", "0.1", "--data", str(data), "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads(read(tmp_path / "o" / "report.json"))
+        assert rep["lb"] == rep["cc"] == rep["lip"] == rep["grad_dual"] == [0.25]
 
 
 class TestCertifyMlp:
@@ -236,18 +237,6 @@ class TestRegress:
                                epochs=4, lr=0.0, seed=5)
         trace = run_regression_dynamics(cfg)
         assert len({row["train_loss"] for row in trace}) == 1
-
-    def test_byte_identical_reruns(self, tmp_path):
-        def run(out):
-            cfg = ExperimentConfig(task="regress", data="synthetic:40",
-                                   eps_grid=[1e-3], out=out, epochs=5,
-                                   lr=0.05, seed=9)
-            run_regression_dynamics(cfg)
-            return read(out / "trace.csv"), read(out / "certificates.csv")
-
-        a = run(tmp_path / "a")
-        b = run(tmp_path / "b")
-        assert a == b
 
 
 class TestClassify:
@@ -620,6 +609,44 @@ def test_bad_input_exit_code(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith(PREFIX[code]) and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# name: (argv, {flag: file text}); one run of each subcommand, each network head
+RERUNS = {
+    "certify-linear": (LINEAR + ["--theta", "0.5,2", "--data", "synthetic:30",
+                                 "--eps", "0.01,0.1", "--seed", "11"], {}),
+    "certify-mlp-absdev": (MLP + ["--data", "synthetic:30", "--cost-r", "2",
+                                  "--eps", "0.01,0.1", "--seed", "4"], {"--weights": NET}),
+    "certify-mlp-logsoftmax": (MLP + ["--data", "synthetic:30", "--kappa", "0.3",
+                                      "--out-bound", "5", "--eps", "0.1,0.5", "--seed", "4"],
+                               {"--weights": CLS_NET}),
+    "regress": (["regress", "--data", "synthetic:40", "--eps", "0.001", "--epochs", "5",
+                 "--lr", "0.05", "--seed", "9"], {}),
+    "classify": (CLASSIFY + ["--sides", "4,8", "--runs", "2", "--eps", "0,0.05"], {}),
+    "complexity": (["complexity", "--eps", "0.1", "--seed", "0"], {}),
+    "oracle": (["oracle"], {"--data": instance_to_json(DiscreteInstance(
+        np.array([0.0, 1.0, 4.0, 2.0]), np.array([0, 2]), np.array([0.5, 0.5]),
+        np.abs(np.array([0.0, 0.4, 1.0, 2.5])[:, None] - [0.0, 0.4, 1.0, 2.5]),
+        p=2.0, eps=0.5))}),
+}
+
+
+@pytest.mark.parametrize("name", RERUNS)
+def test_byte_identical_reruns(tmp_path, name):
+    # the main outputs of every subcommand are the same bytes from run to run
+    argv, files = RERUNS[name]
+    args = list(argv)
+    for flag, text in files.items():
+        path = tmp_path / flag.lstrip("-")
+        path.write_text(text, encoding="utf-8")
+        args += [flag, str(path)]
+
+    def run(out):
+        assert main(args + ["--out", str(out)]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    first = run(tmp_path / "a")
+    assert first and first == run(tmp_path / "b")
 
 
 @pytest.mark.parametrize("argv,files", [

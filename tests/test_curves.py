@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcert.certificates import upper_bound
 from drcert.curves import (
     ConcaveCurve,
     Curve,
     CurveFamily,
+    RateProfile,
     SLOPE_TOL,
     _upper_hull,
     curve_from_samples,
@@ -15,7 +17,7 @@ from drcert.curves import (
     p_transform,
     star_majorant_after_power,
 )
-from helpers import is_concave
+from helpers import concave_value_reference, is_concave
 
 
 def chord_max_oracle(t, v):
@@ -34,6 +36,14 @@ def chord_max_oracle(t, v):
 def star(f, t):
     """Least star-shaped majorant sup_{u >= t} t f(u) / u: the p = 1 case."""
     return star_majorant_after_power(f, 1.0, t)
+
+
+def right_values(f, xs):
+    """A curve read from the right at each budget of ``xs``: its first knot at
+    or beyond, and past its last knot its tail rule."""
+    xs = np.asarray(xs, dtype=float)
+    ahead = np.minimum(np.searchsorted(f.t, xs), f.t.size - 1)
+    return np.where(xs > f.t[-1], f.tail_values(xs), f.v[ahead])
 
 
 def grid_star_oracle(t, v, at):
@@ -73,13 +83,15 @@ class TestConstruction:
         assert c.t[0] == 0.0 and c.v[0] == 0.0
 
     def test_value_sides(self):
+        # from the left: left_values; from the right: the upper bound at p = inf
         c = curve_from_samples([0, 1, 2], [0, 1, 4])
-        assert c.value(0.5, side="right") == 1.0
-        assert c.value(0.5, side="left") == 0.0
-        assert c.value(1.0, side="right") == c.value(1.0, side="left") == 1.0
-        assert c.value(3.0) == 4.0  # const tail
+        right = upper_bound(RateProfile(c, [1.0]), math.inf, [0.5, 1.0, 3.0])
+        assert right.tolist() == [1.0, 1.0, 4.0]  # const tail past the grid
+        assert [c.left_values(x).tolist() for x in (0.5, 1.0, 3.0)] == [[0.0], [1.0], [4.0]]
+        assert c.tail_values(3.0).tolist() == [4.0]
         s = Curve(c.t, c.v, tail="slope")
-        assert s.value(3.0) == pytest.approx(7.0)  # last chord slope 3
+        assert upper_bound(RateProfile(s, [1.0]), math.inf, 3.0) == pytest.approx(7.0)
+        assert s.left_values(3.0) == s.tail_values(3.0) == pytest.approx(7.0)  # chord slope 3
 
 
 class TestConcaveMajorant:
@@ -93,7 +105,7 @@ class TestConcaveMajorant:
         t = np.linspace(0, 2, 201)
         env = least_concave_majorant(Curve(t, t**2))
         # the envelope of a convex arc is the chord 2t
-        assert env.value(1.0) == pytest.approx(2.0, abs=1e-12)
+        assert env.values(1.0) == pytest.approx(2.0, abs=1e-12)
         oracle = chord_max_oracle(t, t**2)
         assert np.allclose(env.values(t), oracle, atol=1e-9)
 
@@ -102,8 +114,7 @@ class TestConcaveMajorant:
         f = Curve(t, t**2, tail="infinite", tail_exponent=2.0)
         env = least_concave_majorant(f)
         assert math.isinf(env.tail_slope)
-        assert env.value(1.0) == math.inf
-        assert env.value(0.0) == 0.0
+        assert env.values([1.0, 0.0]).tolist() == [math.inf, 0.0]
 
     def test_chord_max_oracle_random(self):
         rng = np.random.default_rng(1234)
@@ -206,7 +217,7 @@ class TestPTransform:
         f = Curve(t, t.copy())
         g = p_transform(f, 2.0)
         # g(u) = f(u^(1/2)); at the transformed knot u=4 (t=2) the value is 2
-        assert g.value(4.0) == pytest.approx(2.0)
+        assert g.v[np.searchsorted(g.t, 4.0)] == pytest.approx(2.0)
 
     def test_square_to_linear(self):
         t = np.linspace(0, 2, 9)
@@ -256,8 +267,8 @@ def _build(vals, seed):
 def test_star_below_concave_on_grid(vals, seed):
     f = _build(vals, seed)
     env = least_concave_majorant(f)
-    for tk in f.t:
-        assert star(f, float(tk)) <= env.value(float(tk)) + 1e-9
+    for tk, top in zip(f.t, env.values(f.t)):
+        assert star(f, float(tk)) <= top + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,7 +283,7 @@ def test_monotone_comparison(vals, bump, seed):
     for tk in f1.t:
         tk = float(tk)
         assert star(f1, tk) <= star(f2, tk) + 1e-9
-        assert e1.value(tk) <= e2.value(tk) + 1e-9
+    assert np.all(e1.values(f1.t) <= e2.values(f1.t) + 1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,7 +292,7 @@ def test_majorants_nondecreasing(vals, seed):
     f = _build(vals, seed)
     env = least_concave_majorant(f)
     stars = [star(f, float(tk)) for tk in f.t]
-    envs = [env.value(float(tk)) for tk in f.t]
+    envs = env.values(f.t)
     assert np.all(np.diff(stars) >= -1e-9)
     assert np.all(np.diff(envs) >= -1e-9)
 
@@ -294,16 +305,16 @@ def test_majorant_covers_the_curve_and_its_tail(vals, seed, tail, beyond):
     base = _build(vals, seed)
     f = Curve(base.t, base.v, tail=tail)
     env = least_concave_majorant(f)
-    for x in np.concatenate([f.t, f.t[-1] + np.asarray(beyond, dtype=float)]):
-        assert env.value(float(x)) >= f.value(float(x)) * (1 - 1e-12) - 1e-9
+    xs = np.concatenate([f.t, f.t[-1] + np.asarray(beyond, dtype=float)])
+    assert np.all(env.values(xs) >= right_values(f, xs) * (1 - 1e-12) - 1e-9)
 
 
 def test_slope_tail_outgrows_the_hull():
     # the last chord (slope 0.9) is steeper than the hull's last segment (0.5)
     f = Curve([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.1, 3.0], tail="slope")
     env = least_concave_majorant(f)
-    assert env.tail_slope == f.tail_slope
-    assert env.value(4.0) >= f.value(4.0) == pytest.approx(3.9)
+    assert env.tail_slope == (3.0 - 2.1) / (3.0 - 2.0)  # the last chord's
+    assert env.values(4.0) >= right_values(f, 4.0) == pytest.approx(3.9)
     assert is_concave(env)
 
 
@@ -342,7 +353,7 @@ class TestFamilies:
                 rows = family_rows(fam)
                 for x in (0.0, 0.3, float(t[4]), float(t[-1]), 3.7, float(fam.t[3])):
                     assert np.array_equal(fam.left_values(x),
-                                          [r.value(x, "left") for r in rows])
+                                          [r.left_values(x)[0] for r in rows])
                     for p in (1.0, 2.5):
                         assert np.array_equal(star_majorant_after_power(fam, p, x),
                                               [star_majorant_after_power(r, p, x)
@@ -360,8 +371,8 @@ class TestFamilies:
         top = fam.pointwise_max()
         assert np.array_equal(top.t, np.unique(fam.t))
         rows = family_rows(fam)
-        for x in top.t:
-            assert top.value(x) == max(r.value(x, "left") for r in rows)
+        for x, v in zip(top.t, right_values(top, top.t)):
+            assert v == max(r.left_values(x)[0] for r in rows)
         # on a shared grid: the row-wise max
         V = np.maximum.accumulate(rng.uniform(0, 3, size=(3, 6)), axis=1)
         grid = curve_from_samples(np.arange(6.0), V).pointwise_max()
@@ -389,15 +400,6 @@ class TestFamilies:
             CurveFamily([0.0], [0.0], [0], tail="infinite", tail_exponent=1.0)
 
 
-def concave_value_reference(env, t):
-    """One reading of a concave majorant, point by point."""
-    if math.isinf(env.tail_slope):
-        return float(env.v[0]) if t == 0.0 else math.inf
-    if t >= env.t[-1]:
-        return float(env.v[-1] + env.tail_slope * (t - env.t[-1]))
-    return float(np.interp(t, env.t, env.v))
-
-
 @settings(max_examples=80, deadline=None)
 @given(vals=monotone_values, seed=st.integers(0, 2**31 - 1),
        tail=st.sampled_from(["const", "slope", "infinite"]),
@@ -408,7 +410,7 @@ def test_concave_values_match_pointwise(vals, seed, tail, extra):
     t = base.t
     ts = np.concatenate([[0.0], t, (t[1:] + t[:-1]) / 2, [t[-1] * 1.5 + 1.0], extra])
     assert np.array_equal(env.values(ts), [concave_value_reference(env, float(x)) for x in ts])
-    assert env.value(float(ts[-1])) == concave_value_reference(env, float(ts[-1]))
+    assert env.values(float(ts[-1])) == concave_value_reference(env, float(ts[-1]))
 
 
 def upper_hull_reference(t, v):

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from drcert import oracle
 from drcert.certificates import lower_bound, upper_bound
-from drcert.curves import CurveFamily
-from drcert.rates import RateProfile
+from drcert.curves import CurveFamily, RateProfile
 from drcert.errors import DataError
 from drcert.oracle import (
     DiscreteInstance,
@@ -512,3 +515,15 @@ def test_p_inf_reading_needs_the_step_knots():
             assert p_inf_reading_is_exact(instance_rate_profile(inst), inst, float(eps))
             misses += not p_inf_reading_is_exact(records, inst, float(eps))
     assert misses > 0
+
+
+def test_import_loads_neither_rates_nor_nn():
+    # the exact oracle reads curves alone: a fresh interpreter that imports it
+    # loads neither the loss-and-search layer nor the networks
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, drcert.oracle; "
+            "print([m for m in ('drcert.rates', 'drcert.nn') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"

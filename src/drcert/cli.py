@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import advscore, complexity, datasets, nn, oracle
+from . import advscore, complexity, curves, datasets, nn, oracle
 from .certificates import certificate_report, grad_dual_certificate, lower_bound, upper_bound
 from .errors import ConfigError, DataError
 from .jsonio import dumps, write_text_atomic
@@ -331,7 +331,7 @@ def run_oracle_validate(config: ExperimentConfig) -> dict:
         "cc": upper_bound(profile, inst.p, inst.eps),
         "empirical_risk": inst.empirical_risk,
         "budget_spent": spend,
-        "budget": oracle._powered_budget(inst.eps, inst.p) if not math.isinf(inst.p) else None,
+        "budget": curves.powered_budget(inst.eps, inst.p) if not math.isinf(inst.p) else None,
         "wp_ordering_ok": bool(oracle.wp_ordering_check(inst, [1.0, 2.0, math.inf])),
     }
     try:

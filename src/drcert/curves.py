@@ -4,7 +4,8 @@ A :class:`CurveFamily` holds non-decreasing, non-negative functions sampled on
 budget grids starting at t=0 as one ragged family (flat ``t``, flat ``v``, row
 ``starts``), read in one flat pass with a ``reduceat`` per row; a
 :class:`Curve` is a family of one row, and a :class:`RateProfile` a family of
-per-sample rates with the samples' weights.  A raw curve is read from the left
+per-sample rates with the samples' weights, whose rows' majorants share a
+budget in :func:`knapsack`.  A raw curve is read from the left
 between knots (its last knot at or below the budget, a lower reading for
 non-decreasing functions); majorants are exact on the knot set and interpolate
 linearly in between, which is exact for a concave piecewise-linear function.
@@ -21,8 +22,9 @@ Beyond the last knot a curve behaves according to its ``tail``:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,26 +166,24 @@ def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = 
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Weighted rate curves of n samples: ``rates`` is a family of n rows.
-
-    ``maximal`` is their pointwise max on the pooled knots
-    (:meth:`CurveFamily.pointwise_max`), sharing the family's tail.
-    """
+    """Weighted rate curves of n samples: ``rates`` is a family of n rows."""
 
     rates: CurveFamily
     weights: np.ndarray
-    maximal: Curve = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         if w.shape != self.rates.starts.shape:
             raise ValueError("rates need one row per sample weight")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        object.__setattr__(self, "maximal", self.rates.pointwise_max())
+        if abs(float(np.sum(w)) - 1.0) > 1e-12 or np.any(w < 0):
+            raise ValueError("weights must be a probability vector")
+
+    @functools.cached_property
+    def maximal(self) -> Curve:
+        """The rows' pointwise max (:meth:`CurveFamily.pointwise_max`), pooled
+        on first read: a profile read only row by row never pools."""
+        return self.rates.pointwise_max()
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,65 @@ def _upper_hull(t: np.ndarray, v: np.ndarray, starts: np.ndarray):
             hv.append(y)
         lo = hi
     return np.array(ht), np.array(hv), np.array(hull_starts)
+
+
+def powered_budget(eps: float, p: float) -> float:
+    """eps ** p by Python's float power (numpy's rounds differently), inf on overflow."""
+    try:
+        return float(eps ** p)
+    except OverflowError:
+        return math.inf
+
+
+def knapsack(profile: RateProfile, p, eps, level: float = 0.0):
+    """Fractional knapsack over a profile's least concave majorants.
+
+    Row i spends s_i of powered budget and gains H_i(s_i), the hull of its
+    curve on the axis t^p.  Returns level + max sum_i w_i H_i(s_i) subject to
+    sum_i w_i s_i <= eps^p (on a finite support, with the empirical risk as
+    ``level``, the worst case over a p-Wasserstein ball: Gao & Kleywegt 2016)
+    and the plan's powered spend.  The budget fills the hull segments steepest
+    first, the last one fractionally (Dantzig 1957); at p = inf each row reads
+    its curve from the left at eps.  ``eps`` is a scalar (floats back) or a
+    1-D grid (arrays back), read after one p-transform, hull and slope sort.
+    A value adds ``level``, the values at 0, a prefix sum of its whole
+    segments' rises and its fractional rise, in that order, so a grid reads
+    its scalar calls bit for bit.  Only a ``const`` tail's majorant lies on
+    the knots; other tails raise ``ValueError``.
+    """
+    rates, w = profile.rates, profile.weights
+    if rates.tail != "const":
+        raise ValueError("the knapsack needs rates with a constant tail")
+    grid = np.asarray(eps, dtype=float)
+    e = grid.ravel().tolist()
+    if not all(x >= 0 for x in e):
+        raise ValueError("budget must be non-negative")
+    if math.isinf(p):
+        gain = np.array([level + float(np.dot(w, rates.left_values(x))) for x in e])
+        spend = np.zeros(gain.size)
+    else:
+        powered = p_transform(rates, p)
+        ht, hv, hs = _upper_hull(powered.t, powered.v, powered.starts)
+        inner = np.ones(ht.size - 1, dtype=bool)
+        inner[hs[1:] - 1] = False  # no segment joins one row's hull to the next
+        wk = np.repeat(w, np.diff(hs, append=ht.size) - 1)  # a row's weight per segment
+        dt, dv = np.diff(ht)[inner], np.diff(hv)[inner]
+        with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
+            slope = dv / dt
+        run, rise = wk * dt, wk * dv
+        # steepest segments first; the stable sort keeps each hull's own order
+        order = np.flatnonzero(rise > 0)[np.argsort(-slope[rise > 0], kind="stable")]
+        run, rise = run[order], rise[order]
+        spent = np.concatenate([[0.0], np.cumsum(run)])
+        budget = np.array([powered_budget(x, p) for x in e])
+        k = np.searchsorted(spent, budget, side="right") - 1  # whole segments
+        base = level + float(np.dot(w, hv[hs]))
+        gain = base + np.array([np.sum(rise[:j]) for j in k.tolist()])
+        split = k < run.size  # the budget ends inside segment k
+        ks = k[split]
+        gain[split] += rise[ks] * (budget[split] - spent[ks]) / run[ks]
+        spend = np.where(split, budget, spent[k])
+    return (float(gain[0]), float(spend[0])) if grid.ndim == 0 else (gain, spend)
 
 
 def least_concave_majorant(f: CurveFamily) -> ConcaveCurve:

@@ -3,20 +3,14 @@
 The adversary redistributes each atom's mass over the support subject to a
 single coupled budget sum_ij pi_ij d^p_ij <= eps^p.  Each atom i has a
 growth-rate curve: the best loss increase it can reach within distance t.
-Spending s of powered budget, atom i gains at most H_i(s), the least concave
-majorant of that curve on the powered axis t^p (a mix of two targets traces
-the chord between them).  With one coupling row the linear program's value is
-therefore empirical + max sum_i w_i H_i(s_i) subject to sum_i w_i s_i <= eps^p,
-a fractional knapsack over the hull segments: filling the budget in order of
-decreasing slope, the last segment fractionally, is exact (Dantzig 1957).
-``dr_risk_exact`` solves it that way, so its cost grows with the number of
-hull segments; at p = inf every atom simply reads its curve at eps.  The
-curves depend on neither p nor eps, so an instance derives them once, as one
-ragged :class:`~drcert.curves.CurveFamily`; every solve and the rate
-profile, at any support size up to ``MAX_SUPPORT``, read that family.
-``dr_risk_enumerate`` enumerates all basic solutions (pure assignments plus
-one-fractional-atom vertices) for small instances and serves as the
-independent check.
+With one coupling row the linear program's value is the empirical risk plus
+a fractional knapsack over the atoms' curves, :func:`~drcert.curves.knapsack`.
+The curves depend on neither p nor eps, so an instance derives them once and
+caches them, weighted by the atom masses, as its
+:class:`~drcert.curves.RateProfile`, which every solve and certificate reads
+at any support size up to ``MAX_SUPPORT``.  ``dr_risk_enumerate`` enumerates
+all basic solutions (pure assignments plus one-fractional-atom vertices) for
+small instances: the independent check.
 
 Infinite costs encode forbidden moves and never become curve knots; the zero
 diagonal keeps staying put free (0 * inf = 0 convention for the budget).
@@ -31,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .curves import CurveFamily, RateProfile, _upper_hull, p_transform
+from .curves import CurveFamily, RateProfile, knapsack, powered_budget
 from .errors import DataError
 from .jsonio import decode_float
 
@@ -108,19 +102,10 @@ class DiscreteInstance:
         return self.cost[self.atom_index, :]
 
     @functools.cached_property
-    def _family(self) -> CurveFamily:
-        """The atoms' growth-rate curves (:func:`_atom_rate_curves`) with
-        their step knots (:func:`_exact_steps`), derived on first use; they
-        depend on neither p nor eps."""
-        return _exact_steps(*_atom_rate_curves(self))
-
-
-def _powered_budget(eps: float, p: float) -> float:
-    """eps ** p by Python's float power (not numpy's), inf where it overflows."""
-    try:
-        return float(eps ** p)
-    except OverflowError:
-        return math.inf
+    def _profile(self) -> RateProfile:
+        """The atoms' rate curves (:func:`_atom_rate_curves`, :func:`_exact_steps`)
+        and masses, derived on first use; they depend on neither p nor eps."""
+        return RateProfile(_exact_steps(*_atom_rate_curves(self)), self.weights)
 
 
 def _powered_costs(inst: DiscreteInstance) -> np.ndarray:
@@ -182,55 +167,14 @@ def _exact_steps(t, v, starts) -> CurveFamily:
                        starts + np.searchsorted(at, starts))
 
 
-def _row_of(starts: np.ndarray, size: int) -> np.ndarray:
-    """Row number of each of ``size`` flat knots of a ragged family."""
-    return np.repeat(np.arange(starts.size), np.diff(starts, append=size))
-
-
-def _solve(inst: DiscreteInstance, p: float):
-    """Optimal (risk, powered-cost spend) at exponent p; see the module docstring.
-
-    Reads the instance's cached curve family: p-transforms it once
-    (:func:`~drcert.curves.p_transform`), hulls every atom in one pass and
-    sorts all hull segments by slope at once.
-    """
-    family = inst._family
-    w, eps = inst.weights, inst.eps
-    if math.isinf(p):
-        # each curve read from the left at eps: its largest value within eps
-        gains = family.left_values(eps)
-        return inst.empirical_risk + float(np.dot(w, gains)), 0.0
-    powered = p_transform(family, p)
-    ht, hv, hs = _upper_hull(powered.t, powered.v, powered.starts)
-    inner = np.ones(ht.size - 1, dtype=bool)
-    inner[hs[1:] - 1] = False  # no segment joins one atom's hull to the next
-    wk = w[_row_of(hs, ht.size)[1:][inner]]
-    dt, dv = np.diff(ht)[inner], np.diff(hv)[inner]
-    with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
-        slope = dv / dt
-    run, rise = wk * dt, wk * dv
-    # steepest segments first; the stable sort keeps each hull's own order
-    keep = rise > 0
-    order = np.argsort(-slope[keep], kind="stable")
-    run, rise = run[keep][order], rise[keep][order]
-    spent = np.concatenate([[0.0], np.cumsum(run)])
-    budget = _powered_budget(eps, p)
-    k = int(np.searchsorted(spent, budget, side="right")) - 1  # whole segments
-    risk = inst.empirical_risk + float(np.dot(w, hv[hs]))
-    risk += float(np.sum(rise[:k]))
-    if k == run.size:
-        return risk, float(spent[k])
-    return risk + float(rise[k] * (budget - spent[k]) / run[k]), budget
-
-
 def dr_risk_exact(inst: DiscreteInstance) -> float:
     """Exact DR risk over the p-Wasserstein ball (see module docstring)."""
-    return _solve(inst, inst.p)[0]
+    return knapsack(instance_rate_profile(inst), inst.p, inst.eps, inst.empirical_risk)[0]
 
 
 def dr_risk_plan_spend(inst: DiscreteInstance) -> float:
     """Powered-cost budget spent by the optimal plan (feasibility diagnostics)."""
-    return _solve(inst, inst.p)[1]
+    return knapsack(instance_rate_profile(inst), inst.p, inst.eps, inst.empirical_risk)[1]
 
 
 def dr_risk_enumerate(inst: DiscreteInstance) -> float:
@@ -252,7 +196,7 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
     c = _powered_costs(inst)
     forbidden = np.isinf(inst.atom_costs())
     l, w = inst.loss, inst.weights
-    budget = _powered_budget(inst.eps, inst.p)
+    budget = powered_budget(inst.eps, inst.p)
     digits = n ** np.arange(m - 1, -1, -1)
     best = -math.inf
     for start in range(0, n ** m, _ENUM_CHUNK):
@@ -286,26 +230,23 @@ def dr_risk_enumerate(inst: DiscreteInstance) -> float:
 
 def wp_ordering_check(inst: DiscreteInstance, p_list) -> bool:
     """Exact DR risks are non-increasing in the Wasserstein exponent."""
-    risks = []
-    for p in p_list:
-        if not p >= 1.0:
-            raise DataError("p must be >= 1")
-        risks.append(_solve(inst, p)[0])
-    return all(risks[k] >= risks[k + 1] - 1e-9 * max(1.0, abs(risks[k]))
-               for k in range(len(risks) - 1))
+    ps = list(p_list)
+    if not all(p >= 1.0 for p in ps):
+        raise DataError("p must be >= 1")
+    profile = instance_rate_profile(inst)
+    risks = [knapsack(profile, p, inst.eps, inst.empirical_risk)[0] for p in ps]
+    return all(a >= b - 1e-9 * max(1.0, abs(a)) for a, b in zip(risks, risks[1:]))
 
 
 def instance_rate_profile(inst: DiscreteInstance) -> RateProfile:
-    """Per-atom growth-rate curves over the instance's own finite support.
+    """The instance's cached per-atom growth-rate curves, which every solve reads.
 
     The rate of atom i at budget t is the best loss increase among support
-    points within (un-powered) distance t.  The profile is the instance's
-    cached family as it stands: each atom's knots are its record distances
-    plus a step knot just below each jump (:func:`_exact_steps`), so every
-    reading is exact for the instance and its size is the knot count, not
-    atoms x distances.
+    points within (un-powered) distance t.  Each atom's knots are its record
+    distances plus a step knot just below each jump (:func:`_exact_steps`), so
+    every reading is exact and the size is the knot count, not atoms x distances.
     """
-    return RateProfile(inst._family, inst.weights)
+    return inst._profile
 
 
 def instance_from_json(text: bytes | str) -> DiscreteInstance:

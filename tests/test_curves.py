@@ -13,8 +13,10 @@ from drcert.curves import (
     SLOPE_TOL,
     _upper_hull,
     curve_from_samples,
+    knapsack,
     least_concave_majorant,
     p_transform,
+    powered_budget,
     star_majorant_after_power,
 )
 from helpers import concave_value_reference, is_concave
@@ -324,6 +326,27 @@ def test_flat_tail_stays_flat_at_an_infinite_budget():
     assert fam.left_values(math.inf).tolist() == [math.inf, 1.0]
     env = least_concave_majorant(Curve([0.0, 1.0, 2.0], [0.0, 2.0, 2.0]))
     assert env.values([1.5, math.inf]).tolist() == [2.0, 2.0]
+
+
+def test_knapsack_needs_a_constant_tail():
+    for tail in ("slope", "infinite"):
+        profile = RateProfile(Curve([0.0, 1.0], [0.0, 1.0], tail=tail), [1.0])
+        for p in (1.0, 2.0, math.inf):
+            with pytest.raises(ValueError, match="constant tail"):
+                knapsack(profile, p, 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vals=st.lists(st.integers(0, 10**6).map(lambda k: k / 1e4), min_size=1, max_size=24),
+       seed=st.integers(0, 2**31 - 1), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_knapsack_of_one_row_reads_its_upper_bound(vals, seed, p):
+    # two readers of one hull: the knapsack's fractional segment against the
+    # majorant's interpolation, equal up to rounding
+    profile = RateProfile(_build(vals, seed), [1.0])
+    eps = np.concatenate([[0.0], np.geomspace(1e-3, 2.0 * profile.rates.t[-1], 49)])
+    gain, spend = knapsack(profile, p, eps)
+    assert np.allclose(gain, upper_bound(profile, p, eps), rtol=1e-12, atol=0.0)
+    assert np.all(spend <= [powered_budget(x, p) for x in eps.tolist()])
 
 
 def family_rows(fam):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from drcert import oracle
 from drcert.certificates import lower_bound, upper_bound
-from drcert.curves import CurveFamily, RateProfile
+from drcert.curves import CurveFamily, RateProfile, knapsack, powered_budget
 from drcert.errors import DataError
 from drcert.oracle import (
     DiscreteInstance,
@@ -184,11 +184,6 @@ def tied_instances(draw):
                             eps=budget if math.isinf(p) else budget ** (1 / p))
 
 
-def at_budget(inst, budget):
-    return DiscreteInstance(inst.loss, inst.atom_index, inst.weights, inst.cost,
-                            p=inst.p, eps=budget ** (1 / inst.p))
-
-
 @settings(max_examples=300, deadline=None)
 @given(inst=tied_instances())
 def test_exact_matches_enumeration_on_ties(inst):
@@ -202,10 +197,37 @@ def test_exact_matches_enumeration_on_ties(inst):
 def test_risk_monotone_concave_in_budget(inst):
     assume(not math.isinf(inst.p))  # the powered budget eps^p needs a finite p
     b = inst.eps ** inst.p
-    lo, mid, hi = (dr_risk_exact(at_budget(inst, k * b)) for k in (1, 2, 3))
+    eps = np.array([(k * b) ** (1 / inst.p) for k in (1, 2, 3)])
+    lo, mid, hi = knapsack(instance_rate_profile(inst), inst.p, eps, inst.empirical_risk)[0]
     tol = 1e-9 * max(1.0, abs(hi))
     assert lo <= mid + tol and mid <= hi + tol
     assert mid >= 0.5 * (lo + hi) - tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=tied_instances(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+       eps=st.lists(st.one_of(st.floats(0.0, 4.0), st.floats(1e206, 1.7e308),
+                              st.just(math.inf)), min_size=1, max_size=8))
+def test_knapsack_over_a_budget_grid_matches_its_scalar_calls(inst, p, eps):
+    profile, emp = instance_rate_profile(inst), inst.empirical_risk
+    gains, spends = knapsack(profile, p, np.array(eps), emp)
+    for e, gain, spend in zip(eps, gains.tolist(), spends.tolist()):
+        assert repr((gain, spend)) == repr(knapsack(profile, p, e, emp))
+        assert spend <= (0.0 if math.isinf(p) else powered_budget(e, p))
+
+
+def test_solves_read_one_cached_profile_without_pooling_it():
+    inst = line_instance([0.0, 1.0, 3.0], [0.0, 2.0, 5.0], [0, 1], [0.5, 0.5],
+                         p=2.0, eps=0.7)
+    profile = instance_rate_profile(inst)
+    assert instance_rate_profile(inst) is profile
+    assert dr_risk_exact(inst) == pytest.approx(dr_risk_enumerate(inst)) == 1.98
+    assert dr_risk_plan_spend(inst) == 0.7 ** 2  # the split segment takes it all
+    assert wp_ordering_check(inst, [1.0, 2.0, math.inf])
+    assert lower_bound(profile, 2.0, 0.7) > 0.0
+    assert "maximal" not in vars(profile)  # the pointwise max is never pooled
+    upper_bound(profile, 2.0, 0.7)
+    assert "maximal" in vars(profile)
 
 
 @settings(max_examples=150, deadline=None)

@@ -23,23 +23,30 @@ follows the 0*inf = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .curves import RateProfile, least_concave_majorant, p_transform, star_majorant_after_power
-from .jsonio import dumps
+from .curves import (
+    RateProfile,
+    least_concave_majorant,
+    p_transform,
+    powered_budget,
+    star_majorant_after_power,
+)
 
 
 def lower_bound(profile: RateProfile, p, eps):
     """Certified lower bound on the robust-empirical risk gap at budget eps.
 
-    ``eps`` is a scalar or a 1-D grid (one bound per budget).
+    ``eps`` is a scalar or a 1-D grid (one bound per budget), each >= 0.  At
+    eps = 0 it reads 0 at finite p (staying put is free) and at p = inf the
+    rates read from the left at 0 (the moves of zero cost).
     """
     grid = np.asarray(eps, dtype=float)
-    if np.any(grid <= 0):
-        raise ValueError("budget must be positive")
+    if np.any(grid < 0):
+        raise ValueError("budget must be non-negative")
     rates = profile.rates
     live = profile.weights > 0  # 0 * inf = 0: zero-weight samples drop out
     w = profile.weights[live]
@@ -75,9 +82,7 @@ def upper_bound(profile: RateProfile, p, eps):
         out = np.where(e > top.t[-1], top.tail_values(e), top.v[ahead])
     else:
         env = least_concave_majorant(p_transform(top, float(p)))
-        # each eps^p by a scalar power: an array power rounds some inputs
-        # differently (about 5 % at p = 1.5 and 3)
-        out = env.values([x ** p for x in e])
+        out = env.values([powered_budget(x, p) for x in e.tolist()])
     return float(out[0]) if grid.ndim == 0 else out
 
 
@@ -114,58 +119,32 @@ def p_ordering_check(profile: RateProfile, eps: float, p_list, tol: float = 1e-9
     ps = list(p_list)
     if any(ps[i] > ps[i + 1] for i in range(len(ps) - 1)):
         raise ValueError("p_list must be ascending")
-    lbs, ccs = [], []
-    for p in ps:
-        lbs.append(lower_bound(profile, p, eps))
-        if math.isinf(p):
-            ccs.append(float(profile.maximal.left_values(eps)[0]))
-        else:
-            ccs.append(upper_bound(profile, p, eps))
-    for name, seq in (("lb", lbs), ("cc", ccs)):
+    chains = {"lb": [lower_bound(profile, p, eps) for p in ps],
+              "cc": [float(profile.maximal.left_values(eps)[0]) if math.isinf(p)
+                     else upper_bound(profile, p, eps) for p in ps]}
+    for name, seq in chains.items():
         for k in range(len(ps) - 1):
             a, b = seq[k], seq[k + 1]
-            if math.isinf(a) or math.isinf(b):
-                if math.isinf(b) and not math.isinf(a):
-                    return OrderingResult(False, f"{name}: p={ps[k]} -> p={ps[k+1]} "
-                                                 f"({a} -> {b})")
-                continue
-            if b > a + tol * max(1.0, abs(a), abs(b)):
-                return OrderingResult(False, f"{name}: p={ps[k]} -> p={ps[k+1]} "
-                                             f"({a} -> {b})")
+            if b > a and not math.isclose(a, b, rel_tol=tol, abs_tol=tol):
+                return OrderingResult(False, f"{name}: p={ps[k]} -> p={ps[k+1]} ({a} -> {b})")
     return OrderingResult(True)
 
 
-@dataclass
-class CertificateReport:
-    """The certificate columns over a budget grid, named as in ``report.json``."""
-
-    eps: np.ndarray
-    p: float
-    lb: np.ndarray
-    cc: np.ndarray
-    lip: np.ndarray
-    grad_dual: np.ndarray
-    empirical_risk: float
-    finite: bool
-
-    def to_json(self) -> str:
-        return dumps(asdict(self))
-
-
 def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
-                       cc, score, grads, r) -> CertificateReport:
-    """All certificate columns over a budget grid: ``lb`` is the profile's
-    :func:`lower_bound`; ``cc`` is the caller's certified upper bound, one value
-    per budget, written as it stands; ``lip`` is ``score.lipschitz * eps``;
-    ``grad_dual`` comes from ``grads`` (one per row) against the feature norm r."""
+                       cc, score, grads, r) -> dict:
+    """All certificate columns over a budget grid, keyed as in ``report.json``:
+    ``lb`` is the profile's :func:`lower_bound`; ``cc`` is the caller's certified
+    upper bound, one value per budget, written as it stands; ``lip`` is
+    ``score.lipschitz * eps``; ``grad_dual`` comes from ``grads`` (one per row)
+    against the feature norm r."""
     eps_grid, cc = np.asarray(eps_grid, dtype=float), np.asarray(cc, dtype=float)
     if eps_grid.size == 0 or np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
         raise ValueError("eps grid must be positive and ascending")
     if cc.shape != eps_grid.shape:
         raise ValueError("cc needs one value per budget of the grid")
     lbs = lower_bound(profile, p, eps_grid)
-    lips = score.lipschitz * eps_grid
-    gds = grad_dual_certificate(grads, p, eps_grid, r)
-    finite = not (np.all(np.isinf(lbs)) and np.all(np.isinf(cc)))
-    return CertificateReport(eps_grid, float(p), lbs, cc, lips, gds,
-                             float(empirical_risk), finite)
+    return {"eps": eps_grid, "p": float(p), "lb": lbs, "cc": cc,
+            "lip": score.lipschitz * eps_grid,
+            "grad_dual": grad_dual_certificate(grads, p, eps_grid, r),
+            "empirical_risk": float(empirical_risk),
+            "finite": not (np.all(np.isinf(lbs)) and np.all(np.isinf(cc)))}

@@ -169,7 +169,7 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
     cc = upper_bound(profile, config.p, eps) if model == "linear" else score_vals
     report = certificate_report(profile, config.p, eps, float(np.mean(loss.losses(X, Y))),
                                 cc=cc, score=score, grads=grads, r=cost.r)
-    write_text_atomic(out / "report.json", report.to_json() + "\n")
+    write_text_atomic(out / "report.json", dumps(report) + "\n")
     write_csv_atomic(out / "advscore.csv", ["t", "v"],
                      [(float(t), float(v)) for t, v in zip(eps, score_vals)])
     return {"report": report, "advscore": score_vals}
@@ -317,21 +317,20 @@ def run_complexity_check(config: ExperimentConfig) -> dict:
 def run_oracle_validate(config: ExperimentConfig) -> dict:
     """Exact risk of an instance, its self-checks and the certificates ``lb``
     and ``cc`` on ``risk - empirical_risk`` at the instance's (p, eps), read
-    from the solve's own curve family (``lb`` is 0 at eps = 0: staying put is
-    free)."""
+    from the solve's own curve family.  At p = inf the budget is a largest
+    move, not a powered sum, so ``budget`` and ``budget_spent`` are null."""
     if str(config.data).startswith("synthetic:"):
         raise ConfigError("oracle validation needs an instance JSON file")
     inst = oracle.instance_from_json(Path(config.data).read_bytes())
     risk = oracle.dr_risk_exact(inst)
-    spend = oracle.dr_risk_plan_spend(inst)
     profile = oracle.instance_rate_profile(inst)
     payload = {
         "risk": risk,
-        "lb": lower_bound(profile, inst.p, inst.eps) if inst.eps > 0 else 0.0,
+        "lb": lower_bound(profile, inst.p, inst.eps),
         "cc": upper_bound(profile, inst.p, inst.eps),
         "empirical_risk": inst.empirical_risk,
-        "budget_spent": spend,
-        "budget": curves.powered_budget(inst.eps, inst.p) if not math.isinf(inst.p) else None,
+        "budget_spent": None if math.isinf(inst.p) else oracle.dr_risk_plan_spend(inst),
+        "budget": None if math.isinf(inst.p) else curves.powered_budget(inst.eps, inst.p),
         "wp_ordering_ok": bool(oracle.wp_ordering_check(inst, [1.0, 2.0, math.inf])),
     }
     try:

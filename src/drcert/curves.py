@@ -256,7 +256,7 @@ def _upper_hull(t: np.ndarray, v: np.ndarray, starts: np.ndarray):
 
 
 def powered_budget(eps: float, p: float) -> float:
-    """eps ** p by Python's float power (numpy's rounds differently), inf on overflow."""
+    """eps ** p by one scalar power (an array ``np.power`` rounds differently), inf on overflow."""
     try:
         return float(eps ** p)
     except OverflowError:
@@ -363,12 +363,12 @@ def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
         rows = np.flatnonzero(f.ends - 1 > f.starts)  # the rows with a last chord
         if tail == "slope" and rows.size:
             # limit of (eps/t)^p * f(t) as t -> inf along the linear extension,
-            # written with ratios so the knot/query powers cannot disagree; the
-            # powers are Python floats, whose rounding does not depend on an
-            # array's layout the way a vectorised power's can
+            # written with ratios so the knot/query powers cannot disagree; each
+            # power is a scalar one (inf on overflow), whose rounding does not
+            # depend on an array's layout the way a vectorised power's can
             hi = f.ends[rows] - 1
             a, b = (t[hi] / eps).tolist(), (t[hi - 1] / eps).tolist()
-            denom = np.array([x ** p - (y ** p if y > 0 else 0.0) for x, y in zip(a, b)])
+            denom = np.array([powered_budget(x, p) - powered_budget(y, p) for x, y in zip(a, b)])
             with np.errstate(divide="ignore", invalid="ignore"):
                 limit = np.where(denom > 0, (v[hi] - v[hi - 1]) / denom, -math.inf)
             best[rows] = np.maximum(best[rows], limit)

@@ -34,9 +34,9 @@ def decode_float(x) -> float:
 
 
 def dumps(payload) -> str:
-    """``payload`` as standard, indented, key-sorted JSON: every float encoded by
-    :func:`encode_float` (an array in one ``tolist``, its non-finite entries one
-    by one); a NaN anywhere raises ``ValueError``."""
+    """``payload`` as standard, indented, key-sorted JSON: every float, an
+    array's entries too (read through ``tolist``), encoded by
+    :func:`encode_float`; a NaN anywhere raises ``ValueError``."""
     def plain(x):
         if isinstance(x, float):
             return encode_float(x)
@@ -45,11 +45,7 @@ def dumps(payload) -> str:
         if isinstance(x, (list, tuple)):
             return [plain(v) for v in x]
         if isinstance(x, np.ndarray):
-            if x.dtype.kind == "f" and not np.isfinite(x).all():
-                odd = ~np.isfinite(x)
-                x = x.astype(object)  # Python floats, as tolist gives
-                x[odd] = [encode_float(v) for v in x[odd]]
-            return x.tolist()
+            return plain(x.tolist())
         return x
 
     return json.dumps(plain(payload), indent=2, sort_keys=True, allow_nan=False)

@@ -15,13 +15,14 @@ with::
     diff <(python tests/output_digests.py OLD/src) <(python tests/output_digests.py src)
 
 The matrix: ``certify --model linear`` at p in {1, 1.5, 2, 3, inf} x r in
-{1, 2, inf}, each plain, at ``--kappa 0.3`` and with ``--theta``;
+{1, 2, inf}, each plain, at ``--kappa 0.3`` and with ``--theta``, and at p in
+{2, 3} on the budgets 0.01 and 1e200 (whose eps^p overflows);
 ``certify --model mlp`` for tanh, relu and sigmoid nets with either head
 (2-16-16-1 absdev, 64-16-10 logsoftmax with ``--out-bound``) at the same p and
 r and kappa in {inf, 0.3}; ``regress`` (plain and ``--adversarial``),
-``classify``, ``complexity``; and ``oracle`` on two instances at each p and
-eps in {0, 0.3, 1.7, inf}.  The script is not a test module: pytest does not
-collect it.
+``classify``, ``complexity``; ``oracle`` on two instances at each p and
+eps in {0, 0.3, 1.7, inf}, and on one atom that moves its whole mass at p = inf.
+The script is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ def matrix(inputs: Path):
         runs.append((f"certify-linear p={p} r={r} {' '.join(extra) or 'plain'}",
                      ["certify", "--model", "linear", "--data", "synthetic:30", "--p", p,
                       "--cost-r", r, "--eps", "0.01,0.1,0.5,2", "--seed", "3", *extra]))
+    for p in ("2", "3"):
+        runs.append((f"certify-linear p={p} eps=0.01,1e200",
+                     ["certify", "--model", "linear", "--data", "synthetic:20", "--p", p,
+                      "--eps", "0.01,1e200"]))
     cls_data = inputs / "classes.csv"
     _classification_csv(cls_data)
     heads = {"absdev": ([2, 16, 16, 1], ["--data", "synthetic:50", "--eps", "0.01,0.03,0.1"]),
@@ -102,6 +107,11 @@ def matrix(inputs: Path):
         number = {"p": p if p == "inf" else float(p), "eps": eps if eps == "inf" else float(eps)}
         path.write_text(json.dumps({**inst, **number}), encoding="utf-8")
         runs.append((f"oracle {name} p={p} eps={eps}", ["oracle", "--data", str(path)]))
+    path = inputs / "one-move.json"
+    path.write_text(json.dumps({"support": [0.0, 1.0], "loss": [0.0, 1.0],
+                                "cost": [[0.0, 1.0], [1.0, 0.0]], "atoms": [[0, 1.0]],
+                                "p": "inf", "eps": 2.0}), encoding="utf-8")
+    runs.append(("oracle one-move p=inf eps=2", ["oracle", "--data", str(path)]))
     return runs
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +5,9 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcert import certificates
 from drcert.advscore import LinearGain
 from drcert.certificates import (
-    CertificateReport,
     certificate_report,
     grad_dual_certificate,
     lower_bound,
@@ -22,7 +21,8 @@ from drcert.curves import (
     least_concave_majorant,
     p_transform,
 )
-from drcert.jsonio import decode_float
+from drcert.jsonio import decode_float, dumps
+from drcert.oracle import DiscreteInstance, dr_risk_exact, instance_rate_profile
 from drcert.rates import CostConfig, LinearPowerRegression, maximal_rate
 from helpers import concave_value_reference
 
@@ -88,8 +88,8 @@ class TestFinitenessDichotomy:
         eps = [0.1, 0.5]
         rep1 = certificate_report(prof, 1.0, eps, cc=upper_bound(prof, 1.0, eps), **kw)
         rep2 = certificate_report(prof, 2.0, eps, cc=upper_bound(prof, 2.0, eps), **kw)
-        assert not rep1.finite
-        assert rep2.finite
+        assert not rep1["finite"]
+        assert rep2["finite"]
 
 
 class TestPOrdering:
@@ -121,6 +121,19 @@ class TestPOrdering:
         prof, _ = linear_profile([1.0], alpha=2.0)
         res = p_ordering_check(prof, 0.5, [1.0, 2.0])
         assert res.ok  # inf (p=1) >= finite (p=2) is the correct order
+
+    @pytest.mark.parametrize("lbs, violation", [
+        ([math.inf, math.inf, 1.0], None),
+        ([2.0, 2.0 + 1e-12, 2.0], None),  # a rise within tol
+        ([1.0, math.inf, 1.0], "lb: p=1.0 -> p=2.0 (1.0 -> inf)"),
+        ([1.0, 1.0, 1.1], "lb: p=2.0 -> p=3.0 (1.0 -> 1.1)"),
+    ])
+    def test_one_rule_for_finite_and_infinite_rises(self, monkeypatch, lbs, violation):
+        by_p = dict(zip([1.0, 2.0, 3.0], lbs))
+        monkeypatch.setattr(certificates, "lower_bound", lambda prof, p, eps: by_p[p])
+        prof, _ = linear_profile([2.0, -1.0])  # its cc chain is flat in p
+        res = p_ordering_check(prof, 1.0, list(by_p))
+        assert (res.ok, res.first_violation) == (violation is None, violation)
 
 
 class TestBaselineCertificates:
@@ -161,12 +174,13 @@ class TestReport:
         rep = certificate_report(prof, 1.0, eps, empirical_risk=1.5,
                                  cc=upper_bound(prof, 1.0, eps), score=LinearGain(4.0),
                                  grads=[np.array([1.0])], r=2.0)
-        text = rep.to_json()
+        text = dumps(rep)
         assert '"inf"' in text
         back = read_report(text)
+        assert set(back) == set(REPORT_KEYS)  # the report's keys are report.json's
         assert back["lb"][0] == math.inf
         assert back["empirical_risk"] == 1.5
-        assert np.allclose(back["lip"], rep.lip)
+        assert np.allclose(back["lip"], rep["lip"])
 
     def test_columns_ordered(self):
         prof, loss = linear_profile([1.0, 1.0])
@@ -175,8 +189,8 @@ class TestReport:
         rep = certificate_report(prof, 1.0, eps, empirical_risk=0.0,
                                  cc=upper_bound(prof, 1.0, eps), score=score,
                                  grads=[[1.0, 1.0]], r=2.0)
-        assert np.all(rep.lb <= rep.cc + 1e-9)
-        assert np.all(rep.cc <= rep.lip + 1e-9)
+        assert np.all(rep["lb"] <= rep["cc"] + 1e-9)
+        assert np.all(rep["cc"] <= rep["lip"] + 1e-9)
 
     def test_writes_the_given_cc_and_the_score_lip(self):
         # cc is the caller's column as it stands; lip follows the score, here
@@ -186,8 +200,8 @@ class TestReport:
         cc = np.array([7.0, 8.0, 9.0])
         rep = certificate_report(prof, 1.0, eps, empirical_risk=0.0, cc=cc,
                                  score=LinearGain(3.0), grads=[[1.0, 0.0]], r=2.0)
-        assert rep.cc.tolist() == cc.tolist()
-        assert rep.lip.tolist() == (3.0 * eps).tolist()
+        assert rep["cc"].tolist() == cc.tolist()
+        assert rep["lip"].tolist() == (3.0 * eps).tolist()
 
     @pytest.mark.parametrize("cc", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], 1.0, [[1.0, 2.0, 3.0]]])
     def test_rejects_a_cc_not_shaped_as_the_grid(self, cc):
@@ -214,6 +228,29 @@ def test_sandwich_holds_past_the_grid_on_a_slope_tail():
     assert upper_bound(prof, 1.0, 4.0) >= lower_bound(prof, 1.0, 4.0)
 
 
+class TestZeroBudget:
+    # atom at point 0 (loss 0); point 1 (loss 1) is a move of zero cost
+    INST = dict(loss=[0.0, 1.0, 3.0], atom_index=[0], weights=[1.0],
+                cost=[[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_lower_bound_at_eps_zero(self, p):
+        inst = DiscreteInstance(**self.INST, p=p, eps=0.0)
+        prof = instance_rate_profile(inst)
+        gap = dr_risk_exact(inst) - inst.empirical_risk
+        # finite p: 0, though the free move gains 1; p = inf: the free move
+        expected = gap if math.isinf(p) else 0.0
+        assert (lower_bound(prof, p, 0.0), gap) == (expected, 1.0)
+        assert lower_bound(prof, p, [0.0, 0.5]).tolist()[0] == expected
+
+    @pytest.mark.parametrize("eps", [-0.1, [0.1, -0.1]])
+    def test_lower_bound_rejects_a_negative_budget(self, eps):
+        prof = instance_rate_profile(DiscreteInstance(**self.INST))
+        for p in (1.0, 2.0, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                lower_bound(prof, p, eps)
+
+
 class TestPInfty:
     def test_lb_inf_sums_rates(self):
         prof, loss = linear_profile([2.0])
@@ -227,6 +264,9 @@ class TestPInfty:
         eps = 1.5  # between knots 1 and 2: next knot value is 2 * 2 = 4
         assert upper_bound(prof, math.inf, eps) == pytest.approx(4.0)
         assert upper_bound(prof, math.inf, 4.0) == pytest.approx(8.0)  # slope tail
+
+
+REPORT_KEYS = ("eps", "p", "lb", "cc", "lip", "grad_dual", "empirical_risk", "finite")
 
 
 def read_report(text):
@@ -250,20 +290,18 @@ columns = st.integers(1, 5).flatmap(
        emp=extended, finite=st.booleans())
 def test_report_json_roundtrip_exact(cols, p, emp, finite):
     eps, lb, cc, lip, gd = (np.array(c) for c in cols)
-    rep = CertificateReport(eps, p, lb, cc, lip, gd, emp, finite)
-    back = read_report(rep.to_json())
-    # the report's fields are its JSON keys
-    assert set(back) == {f.name for f in dataclasses.fields(CertificateReport)}
+    rep = dict(zip(REPORT_KEYS, (eps, p, lb, cc, lip, gd, emp, finite)))
+    back = read_report(dumps(rep))
     for name in ("eps", "lb", "cc", "lip", "grad_dual"):
-        assert np.array_equal(back[name], getattr(rep, name))
+        assert np.array_equal(back[name], rep[name])
     assert (back["p"], back["empirical_risk"], back["finite"]) == (p, emp, finite)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_report_reader_takes_standard_json_only(literal):
-    rep = CertificateReport(np.array([0.1]), 1.0, np.array([0.5]), np.array([1.0]),
-                            np.array([2.0]), np.array([0.3]), 0.0, True)
-    text = rep.to_json().replace('"lb": [\n    0.5', f'"lb": [\n    {literal}')
+    rep = dict(zip(REPORT_KEYS, (np.array([0.1]), 1.0, np.array([0.5]), np.array([1.0]),
+                                 np.array([2.0]), np.array([0.3]), 0.0, True)))
+    text = dumps(rep).replace('"lb": [\n    0.5', f'"lb": [\n    {literal}')
     assert literal in text
     with pytest.raises(ValueError):
         read_report(text)

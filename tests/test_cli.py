@@ -9,7 +9,7 @@ import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from drcert import advscore, cli, nn, oracle
+from drcert import advscore, cli, datasets, nn, oracle
 from drcert.certificates import upper_bound
 from drcert.cli import (
     ExperimentConfig,
@@ -68,8 +68,8 @@ class TestCertifyLinear:
         rep = res["report"]
         norm = math.sqrt(1.5**2 + 2.0**2)
         for k, eps in enumerate(cfg.eps_grid):
-            assert rep.lb[k] == pytest.approx(eps * norm, abs=1e-9)
-            assert rep.cc[k] == pytest.approx(eps * norm, abs=1e-9)
+            assert rep["lb"][k] == pytest.approx(eps * norm, abs=1e-9)
+            assert rep["cc"][k] == pytest.approx(eps * norm, abs=1e-9)
             assert res["advscore"][k] == pytest.approx(eps * norm, abs=1e-9)
         data = json.loads(read(tmp_path / "o" / "report.json"))
         assert data["finite"] is True
@@ -90,7 +90,7 @@ class TestCertifyLinear:
         cfg = ExperimentConfig(task="certify", data="synthetic:30", p=p,
                                eps_grid=[0.3, 1.7, 6.0], out=tmp_path, seed=5)
         rep = run_certify(cfg, model="linear", theta=[1.0, -2.0])["report"]
-        assert rep.cc.tolist() == upper_bound(profiles[0], p, rep.eps).tolist()
+        assert rep["cc"].tolist() == upper_bound(profiles[0], p, rep["eps"]).tolist()
 
     def test_empty_eps_rejected(self, tmp_path):
         cfg = ExperimentConfig(task="certify", data="synthetic:10",
@@ -107,6 +107,18 @@ class TestCertifyLinear:
                      "--eps", "0.1", "--data", str(data), "--out", str(tmp_path / "o")]) == 0
         rep = json.loads(read(tmp_path / "o" / "report.json"))
         assert rep["lb"] == rep["cc"] == rep["lip"] == rep["grad_dual"] == [0.25]
+
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_a_budget_whose_power_overflows(self, tmp_path, p):
+        # 1e200 ** p overflows a float: the star's tail and the hull read the
+        # powered budget as inf, and both bounds stay eps * ||theta||_2
+        assert main(["certify", "--model", "linear", "--data", "synthetic:20", "--p", p,
+                     "--eps", "0.01,1e200", "--out", str(tmp_path)]) == 0
+        X, Y = datasets.ingest_regression_csv("synthetic:20", seed=0)
+        norm = float(np.linalg.norm(np.linalg.lstsq(X, Y, rcond=None)[0]))
+        rep = json.loads(read(tmp_path / "report.json"))
+        for key in ("lb", "cc"):
+            assert rep[key] == pytest.approx([0.01 * norm, 1e200 * norm], rel=1e-9)
 
 
 class TestCertifyMlp:
@@ -127,8 +139,8 @@ class TestCertifyMlp:
                                eps_grid=[0.01, 0.05], out=tmp_path / "o")
         res = run_certify(cfg, model="mlp", weights_path=wpath)
         rep = res["report"]
-        assert np.all(rep.lb <= rep.cc + 1e-9)
-        assert np.all(rep.cc <= rep.lip + 1e-9)
+        assert np.all(rep["lb"] <= rep["cc"] + 1e-9)
+        assert np.all(rep["cc"] <= rep["lip"] + 1e-9)
 
     def test_cc_is_the_score_not_a_majorant_of_searched_rates(self, tmp_path, profiles):
         # a searched rate is a lower estimate, so its majorant is no bound
@@ -141,10 +153,10 @@ class TestCertifyMlp:
         score = advscore.mlp_score(nn.load_weights(wpath), cfg.cost, head="regression")
         written = [float(line.split(",")[1])
                    for line in read(tmp_path / "o" / "advscore.csv").splitlines()[1:]]
-        assert rep.cc.tolist() == score.values(eps).tolist() == written
+        assert rep["cc"].tolist() == score.values(eps).tolist() == written
         assert res["advscore"].tolist() == written
-        assert not np.any(upper_bound(profiles[0], cfg.p, eps) == rep.cc)
-        assert rep.lip.tolist() == (score.lipschitz * eps).tolist()
+        assert not np.any(upper_bound(profiles[0], cfg.p, eps) == rep["cc"])
+        assert rep["lip"].tolist() == (score.lipschitz * eps).tolist()
 
     def test_the_score_is_evaluated_once(self, tmp_path, monkeypatch):
         calls, values = [], advscore.ScoreExpr.values
@@ -495,6 +507,17 @@ class TestMainExitCodes:
         assert (data["risk"], data["enumeration"]) == (5.0, 5.0)
         assert data["budget"] == "inf"
         assert data["wp_ordering_ok"] is True
+
+    def test_oracle_at_p_inf_writes_no_budget(self, tmp_path):
+        # at p = inf the budget is a largest move, not a powered sum: the plan
+        # moves all mass a distance 1, and neither budget key has a number
+        path = tmp_path / "inst.json"
+        path.write_text(dumps({"support": [0.0, 1.0], "loss": [0.0, 1.0], "atoms": [[0, 1.0]],
+                               "cost": [[0.0, 1.0], [1.0, 0.0]], "p": "inf", "eps": 2.0}))
+        assert main(["oracle", "--data", str(path), "--out", str(tmp_path / "o")]) == 0
+        data = orjson.loads((tmp_path / "o" / "oracle.json").read_bytes())
+        assert data["risk"] == 1.0
+        assert data["budget"] is None and data["budget_spent"] is None
 
     def test_oracle_roundtrip(self, tmp_path):
         z = np.array([0.0, 1.0])

@@ -26,8 +26,7 @@ from .jsonio import dumps, write_text_atomic
 from .rates import (
     CostConfig,
     LinearPowerRegression,
-    MlpClassification,
-    MlpRegression,
+    MlpLoss,
     SearchConfig,
     maximal_rate,
 )
@@ -129,6 +128,7 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
         if not np.all(np.isfinite(theta)):
             raise ConfigError("theta must be finite")
         loss = LinearPowerRegression(1.0, theta, cost)
+        losses = loss.losses(X, Y)
         # a zero residual takes the library's subgradient, sgn(0) = +1
         grads = -nn._sgn(loss.residuals(X, Y))[:, None] * theta
         score = advscore.LinearGain(loss.gain)
@@ -149,7 +149,6 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
                                 f"inputs to {net.out_dim}")
             X, Y = datasets.ingest_classification_csv(config.data, side=side,
                                                       seed=config.seed)
-            loss = MlpClassification(net, cost)
             score = advscore.mlp_score(net, cost, head="classification", M=out_bound)
         else:
             if math.isfinite(out_bound):
@@ -158,16 +157,16 @@ def run_certify(config: ExperimentConfig, model: str = "linear", theta=None,
             if X.shape[1] != net.in_dim:
                 raise DataError(f"the net reads {net.in_dim} features, "
                                 f"the data has {X.shape[1]}")
-            loss = MlpRegression(net, cost)
             score = advscore.mlp_score(net, cost, head="regression")
-        grads = loss.grads(X, Y)
+        loss = MlpLoss(net, cost)
+        losses, grads = nn.loss_and_grad_x(net, (X, Y))
     else:
         raise ConfigError(f"unknown model {model!r}")
     profile = maximal_rate(loss, zip(X, Y), np.concatenate([[0.0], eps]),
                            config=SearchConfig(seed=config.seed))
     score_vals = score.values(eps)
     cc = upper_bound(profile, config.p, eps) if model == "linear" else score_vals
-    report = certificate_report(profile, config.p, eps, float(np.mean(loss.losses(X, Y))),
+    report = certificate_report(profile, config.p, eps, float(np.mean(losses)),
                                 cc=cc, score=score, grads=grads, r=cost.r)
     write_text_atomic(out / "report.json", dumps(report) + "\n")
     write_csv_atomic(out / "advscore.csv", ["t", "v"],

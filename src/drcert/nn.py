@@ -91,7 +91,7 @@ def _walk(net: Mlp, x):
     """The layers in order from input x: each layer's (input, pre-activation,
     output).  Accepts (n,), batched (B, n) or stacked (B, 1, n); the stacked
     form runs each row as its own one-row product, which rounds like the
-    one-point call: ``rates._MlpLoss.point_losses`` relies on that, and
+    one-point call: ``rates.MlpLoss.clean`` relies on that, and
     ``test_stacked_clean_losses_equal_the_point_losses`` checks it."""
     h = np.asarray(x, dtype=float)
     if h.shape[-1] != net.in_dim:
@@ -115,16 +115,50 @@ def _log_softmax(o):
     return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
-#: Each loss head: its loss from the network output o and the label y, and
-#: that loss's slope in o.  y is a float array; an absdev head reads output 0.
+def _simplex_move(o, y, b):
+    """Move simplex mass (total variation b/2) from low-loss classes onto
+    each sample's class of largest -log softmax(o), rank by rank over all
+    samples and budgets at once, each (sample, budget) entry with its own
+    arithmetic."""
+    n = o.shape[0]
+    move = np.broadcast_to(b / 2.0, (n,) + b.shape)
+    y2 = np.array(np.broadcast_to(y[:, None], move.shape + y.shape[1:]), dtype=float)
+    scores = -_log_softmax(o)[:, 0]
+    target = np.argmax(scores, axis=1)
+    order = np.argsort(scores, axis=1)
+    # each sample's classes by rising score, its target left out
+    walk = order[order != target[:, None]].reshape(n, -1)
+    s = np.arange(n)
+    for j in walk.T:
+        take = np.where(move > 0, np.minimum(move, y2[s, :, j]), 0.0)
+        y2[s, :, j] -= take
+        y2[s, :, target] += take
+        move = move - take
+    return y2
+
+
+def _absdev_loss(o, y):
+    return np.abs(y - o[..., 0])
+
+
+def _absdev_move(o, y, b):
+    """Shift each real label by each whole budget, in the direction that hurts."""
+    up, down = y[:, None] + b, y[:, None] - b
+    return np.where(_absdev_loss(o, up) >= _absdev_loss(o, down), up, down)
+
+
+#: Each loss head: its loss from the network output o and the label y, that
+#: loss's slope in o, and its worst label move of each cost in the 1-D array b,
+#: in ||y' - y||_1, from n samples' stacked outputs o (n, 1, out): (n, b.size)
+#: labels, a cost of 0 keeping the label.  An absdev head reads output 0.
 HEADS = {
     # <y, -log softmax(o)>, slope softmax(o) sum(y) - y (softmax(o) - y on the simplex)
     "logsoftmax": (
         lambda o, y: -np.add.reduce(y * _log_softmax(o), axis=-1),
-        lambda o, y: np.exp(_log_softmax(o)) * np.add.reduce(y, axis=-1, keepdims=True) - y),
+        lambda o, y: np.exp(_log_softmax(o)) * np.add.reduce(y, axis=-1, keepdims=True) - y,
+        _simplex_move),
     # |y - o|, slope -sgn(y - o)
-    "absdev": (lambda o, y: np.abs(y - o[..., 0]),
-               lambda o, y: -_sgn(y - o[..., 0])[..., None]),
+    "absdev": (_absdev_loss, lambda o, y: -_sgn(y - o[..., 0])[..., None], _absdev_move),
 }
 
 
@@ -259,13 +293,6 @@ TRACE_COLUMNS = ("epoch", "train_loss", "test_loss", "train_acc", "test_acc",
                  "cert_lip", "cert_grad_dual", "cert_advscore")
 
 
-def _accuracy(net: Mlp, X, Y):
-    if net.head != "logsoftmax":
-        return math.nan
-    o = forward(net, X)
-    return float(np.mean(np.argmax(o, axis=-1) == np.argmax(Y, axis=-1)))
-
-
 def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
     """Plain SGD on clean batches, or on FGSM-perturbed ones when config.eps > 0.
 
@@ -293,13 +320,12 @@ def train(net: Mlp, train_data, test_data, config: TrainConfig, cert_fn=None):
                 raise DivergenceError(f"non-finite loss or weights at epoch {epoch}")
             net = Mlp(tuple(replace(l, W=W, b=b) for l, (W, b) in zip(net.layers, steps)),
                       head=net.head)
-        row = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(loss_value(net, X, Y))),
-            "test_loss": float(np.mean(loss_value(net, Xt, Yt))),
-            "train_acc": _accuracy(net, X, Y),
-            "test_acc": _accuracy(net, Xt, Yt),
-        }
+        row = {"epoch": epoch}
+        for name, (A, B) in (("train", (X, Y)), ("test", (Xt, Yt))):
+            o = forward(net, A)  # one pass per set gives its loss and its accuracy
+            row[f"{name}_loss"] = float(np.mean(head_loss(net, o, B)))
+            row[f"{name}_acc"] = (float(np.mean(np.argmax(o, axis=-1) == np.argmax(B, axis=-1)))
+                                  if net.head == "logsoftmax" else math.nan)
         if cert_fn is not None:
             row["cert_lip"], row["cert_grad_dual"], row["cert_advscore"] = cert_fn(net)
         else:
@@ -321,61 +347,48 @@ def save_weights(net: Mlp, path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _once(table: dict, key, value, what: str) -> None:
-    if key in table:
-        raise ValueError(f"repeated {what} line")
-    table[key] = value
-
-
-def _numbered(table: dict, n: int, what: str) -> list:
-    """``table``'s values in key order; its keys must be exactly 0..n-1."""
-    if sorted(table) != list(range(n)):
-        raise ValueError(f"{what} numbered {sorted(table)}, need 0..{n - 1}")
-    return [table[k] for k in range(n)]
+#: each weights-file tag: how many integer fields (layer, then row) key its line
+_KEY_FIELDS = {"head": 0, "act": 1, "W": 2, "b": 1}
 
 
 def load_weights(path) -> Mlp:
     """Read a network written by :func:`save_weights`.
 
-    A malformed file raises ``DataError`` naming the path: a line with an
-    unknown tag, a missing or repeated line (the file holds exactly one
-    ``head`` line and, for layers numbered 0..L-1, one ``act`` and one ``b``
-    line each and ``W`` rows numbered 0..d-1), ragged rows, an unknown head or
-    activation, a non-finite value, or layer shapes that do not chain.  A
-    file that cannot be opened raises ``OSError``.
+    Lines may come in any order.  A malformed file raises ``DataError`` naming
+    the path: a line with an unknown tag, a missing or repeated line (the file
+    holds one ``head`` line and, for layers numbered 0..L-1, one ``act`` and
+    one ``b`` line each and ``W`` rows numbered 0..d-1), ragged rows, an
+    unknown head or activation, a non-finite value, or layer shapes that do
+    not chain.  A file that cannot be opened raises ``OSError``.
     """
-    heads, acts, rows, biases = [], {}, {}, {}
     # undecodable bytes read as U+FFFD and then fail to parse
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = fh.readlines()
     try:
+        table = {}  # (tag, layer, row) as far as the tag has them -> the line's rest
         for line in lines:
             parts = line.strip().split(",")
             if parts == [""]:
                 continue
-            tag = parts[0]
-            if tag == "head":
-                _, head = parts
-                heads.append(head)
-            elif tag == "act":
-                _, k, act = parts
-                _once(acts, int(k), act, f"act {k}")
-            elif tag == "W":
-                k, i = int(parts[1]), int(parts[2])
-                _once(rows.setdefault(k, {}), i, [float(x) for x in parts[3:]], f"W {k},{i}")
-            elif tag == "b":
-                _once(biases, int(parts[1]), [float(x) for x in parts[2:]], f"b {parts[1]}")
-            else:
-                raise ValueError(f"unknown line tag {tag!r}")
-        if len(heads) != 1:
-            raise ValueError(f"{len(heads)} head lines, need one")
-        n = len(rows)
+            if parts[0] not in _KEY_FIELDS:
+                raise ValueError(f"unknown line tag {parts[0]!r}")
+            n = 1 + _KEY_FIELDS[parts[0]]
+            key = (parts[0], *(int(parts[j]) for j in range(1, n)))
+            if key in table:
+                raise ValueError(f"repeated line {','.join(parts[:n])}")
+            table[key] = parts[n:]
+        # walk layers 0..L-1 and rows 0..d-1, L and d the counts of distinct
+        # numbers: any other number leaves a gap, and a missing line raises
         layers = []
-        for k, (W, b, act) in enumerate(zip(_numbered(rows, n, "W layers"),
-                                            _numbered(biases, n, "b lines"),
-                                            _numbered(acts, n, "act lines"))):
-            W = np.array(_numbered(W, len(W), f"layer {k} W rows"))
-            layers.append(Layer(W, np.array(b), act))
-        return Mlp(tuple(layers), head=heads[0])
+        for k in range(len({key[1] for key in table if len(key) > 1})):
+            rows = sum(key[:2] == ("W", k) for key in table)
+            W = np.array([[float(x) for x in table["W", k, i]] for i in range(rows)])
+            (act,) = table["act", k]
+            layers.append(Layer(W, np.array([float(x) for x in table["b", k]]), act))
+        (head,) = table[("head",)]
+        return Mlp(tuple(layers), head=head)
+    except KeyError as exc:  # the key of a line the walk did not find
+        missing = ",".join(map(str, exc.args[0]))
+        raise DataError(f"malformed weights {path}: no line {missing}") from exc
     except (ValueError, IndexError) as exc:
         raise DataError(f"malformed weights {path}: {exc!r}") from exc

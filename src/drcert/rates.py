@@ -46,11 +46,11 @@ class CostConfig:
 # -- loss definitions ------------------------------------------------------------
 #
 # A searched loss provides the batched ``losses(X, Y)`` and ``grads(X, Y)`` over
-# rows with one label per row; ``point_losses(X, Y)``, each row's loss with the
-# rounding of a one-point call; ``width``, the most floats one row holds in a
-# pass, which sizes the search's calls; and ``label_shift(X, Y, b)``, one call
-# over all samples: (n, b.size) labels, each sample's label after its best move
-# of each cost in the 1-D array b, in ||y' - y||_1 (a cost of 0 keeps it).
+# rows with one label per row; ``width``, the most floats one row holds in a
+# pass, which sizes the search's calls; and ``clean(X, Y, b)``, one call over
+# all samples that returns each row's loss with the rounding of a one-point
+# call and (n, b.size) labels, each sample's label after its worst move of
+# each cost in the 1-D array b, in ||y' - y||_1 (a cost of 0 keeps it).
 
 @dataclass(frozen=True)
 class LinearPowerRegression:
@@ -92,8 +92,9 @@ class LinearPowerRegression:
 
 
 @dataclass(frozen=True)
-class _MlpLoss:
-    """The network's own head loss: <y, -log softmax(f(x))> or |y - f(x)|."""
+class MlpLoss:
+    """The network's own head loss, by its entry in :data:`nn.HEADS`:
+    <y, -log softmax(f(x))> or |y - f(x)|."""
 
     net: nn.Mlp
     cost: CostConfig = CostConfig()
@@ -103,10 +104,15 @@ class _MlpLoss:
         """The widest row of a pass: the input and every layer's output."""
         return max(self.net.in_dim, *(layer.W.shape[0] for layer in self.net.layers))
 
-    def point_losses(self, X, Y) -> np.ndarray:
-        """Each row's loss as a one-point call computes it: X[:, None] makes
-        every row a stacked one-row product, which runs the one-point kernel."""
-        return nn.loss_value(self.net, X[:, None], Y[:, None])[:, 0]
+    def clean(self, X, Y, budgets):
+        """Each row's loss as a one-point call computes it, and each sample's
+        labels after the head's worst move of each budget, from one forward
+        pass: X[:, None] makes every row a stacked one-row product, which runs
+        the one-point kernel."""
+        o = nn.forward(self.net, X[:, None])
+        move = nn.HEADS[self.net.head][2]
+        return (nn.head_loss(self.net, o, Y[:, None])[:, 0],
+                move(o, Y, np.asarray(budgets, dtype=float)))
 
     def losses(self, X, Y) -> np.ndarray:
         return nn.loss_value(self.net, X, Y)
@@ -115,43 +121,7 @@ class _MlpLoss:
         return nn._backward(self.net, X, Y)[1]
 
 
-@dataclass(frozen=True)
-class MlpClassification(_MlpLoss):
-    """l(x, y) = <y, f(x)> for a network with a -log-softmax output."""
-
-    def label_shift(self, X, Y, budgets):
-        """Move simplex mass (total variation budget/2) from low-score classes
-        onto the arg-max class of each sample's network output: one stacked
-        forward pass, then rank by rank over all samples and budgets at once,
-        each (sample, budget) entry with its own arithmetic."""
-        n, b = X.shape[0], np.asarray(budgets, dtype=float)
-        move = np.broadcast_to(b / 2.0, (n,) + b.shape)
-        y2 = np.array(np.broadcast_to(Y[:, None], move.shape + Y.shape[1:]), dtype=float)
-        scores = -nn._log_softmax(nn.forward(self.net, X[:, None]))[:, 0]
-        target = np.argmax(scores, axis=1)
-        order = np.argsort(scores, axis=1)
-        # each sample's classes by rising score, its target left out
-        walk = order[order != target[:, None]].reshape(n, -1)
-        s = np.arange(n)
-        for j in walk.T:
-            take = np.where(move > 0, np.minimum(move, y2[s, :, j]), 0.0)
-            y2[s, :, j] -= take
-            y2[s, :, target] += take
-            move = move - take
-        return y2
-
-
-@dataclass(frozen=True)
-class MlpRegression(_MlpLoss):
-    """l(x, y) = |y - f(x)| for a network with an absolute-deviation output."""
-
-    def label_shift(self, X, Y, budgets):
-        """Shift each real label by each whole budget, in the direction that
-        hurts: one stacked forward pass for all samples."""
-        o = nn.forward(self.net, X[:, None])
-        up, down = Y[:, None] + budgets, Y[:, None] - budgets
-        hurts_up = nn.head_loss(self.net, o, up) >= nn.head_loss(self.net, o, down)
-        return np.where(hurts_up, up, down)
+MlpClassification = MlpLoss  # the name the acceptance gate builds
 
 
 @dataclass
@@ -291,18 +261,15 @@ def _search_rates(loss, X, Y, grid, cfg):
     positive knot, split, start) with its own radius and label.  Every group is
     drawn once, and each of the three passes climbs the rows of every sample;
     ``_climb`` bounds the rows per loss call of the passes, and the clean
-    losses and the label moves take one call each over the samples.
+    losses and the label moves take one call together over the samples.
     """
     kappa = loss.cost.kappa
     fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, _LABEL_SPLITS)
     knots = np.flatnonzero(grid > 0)
-    # a rate is a difference against the clean loss: point_losses gives each
-    # sample the rounding of its own one-point call, independent of the batch
-    base = loss.point_losses(X, Y)[:, None]
-    # every sample's label after the label move of each (positive knot, split)
-    # group, in one call; at kappa = inf every move is 0 and the labels are
-    # the samples' own
-    labels = loss.label_shift(X, Y, np.outer(grid[knots], fracs).ravel() / kappa)
+    # each sample's clean loss with the rounding of its own one-point call, and
+    # its label after the move of each (positive knot, split) group: at kappa =
+    # inf every move is 0 and the labels are the samples' own
+    base, labels = loss.clean(X, Y, np.outer(grid[knots], fracs).ravel() / kappa)
     radii = np.outer(grid[knots], 1.0 - fracs).ravel()  # one group per (knot, split)
     starts, points = _knot_draws(cfg, grid[knots], radii, X.shape[1], loss.cost.r)
     best = np.full((X.shape[0], radii.size), -math.inf)
@@ -313,7 +280,7 @@ def _search_rates(loss, X, Y, grid, cfg):
     _climb(loss, X, labels, radii, points, best)
     top = best.reshape(X.shape[0], knots.size, fracs.size).max(axis=2)
     out = np.zeros((X.shape[0], grid.size))
-    out[:, knots] = np.maximum(top, base) - base
+    out[:, knots] = np.maximum(top, base[:, None]) - base[:, None]
     return out
 
 

@@ -19,9 +19,11 @@ The matrix: ``certify --model linear`` at p in {1, 1.5, 2, 3, inf} x r in
 {2, 3} on the budgets 0.01 and 1e200 (whose eps^p overflows);
 ``certify --model mlp`` for tanh, relu and sigmoid nets with either head
 (2-16-16-1 absdev, 64-16-10 logsoftmax with ``--out-bound``) at the same p and
-r and kappa in {inf, 0.3}; ``regress`` (plain and ``--adversarial``),
-``classify``, ``complexity``; ``oracle`` on two instances at each p and
-eps in {0, 0.3, 1.7, inf}, and on one atom that moves its whole mass at p = inf.
+r and kappa in {inf, 0.3}, and the tanh absdev net once more at p = 1, r = 2
+from a weights file whose lines are reversed and broken by blank lines;
+``regress`` (plain and ``--adversarial``), ``classify``, ``complexity``;
+``oracle`` on two instances at each p and eps in {0, 0.3, 1.7, inf}, and on
+one atom that moves its whole mass at p = inf.
 The script is not a test module: pytest does not collect it.
 """
 
@@ -95,6 +97,14 @@ def matrix(inputs: Path):
             runs.append((f"certify-mlp {act} {head} p={p} r={r} kappa={kappa}",
                          ["certify", "--model", "mlp", "--weights", str(weights), *args,
                           "--p", p, "--cost-r", r, "--kappa", kappa, "--seed", "1"]))
+    # the tanh absdev net again, its lines reversed with a blank line after every third
+    lines = (inputs / "tanh-absdev.csv").read_text(encoding="utf-8").splitlines()[::-1]
+    shuffled = inputs / "tanh-absdev-shuffled.csv"
+    shuffled.write_text("".join(line + ("\n\n" if k % 3 == 2 else "\n")
+                                for k, line in enumerate(lines)), encoding="utf-8")
+    runs.append(("certify-mlp tanh absdev shuffled-weights p=1 r=2 kappa=inf",
+                 ["certify", "--model", "mlp", "--weights", str(shuffled), *heads["absdev"][1],
+                  "--p", "1", "--cost-r", "2", "--kappa", "inf", "--seed", "1"]))
     regress = ["regress", "--data", "synthetic:40", "--eps", "0.001,0.01", "--epochs", "5",
                "--lr", "0.05", "--seed", "9"]
     runs += [("regress plain", regress), ("regress adversarial", regress + ["--adversarial"]),

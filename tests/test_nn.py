@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from drcert import jsonio, nn
-from drcert.errors import DivergenceError
+from drcert.errors import DataError, DivergenceError
 from helpers import EDGE_FLOATS, same_bits
 from drcert.nn import (
     Layer,
@@ -438,6 +438,15 @@ class TestTrain:
             assert attack.call_count == 8 * 2  # 40 rows in batches of 32
         assert [r["train_loss"] for r in tr_clean] != [r["train_loss"] for r in tr_adv]
 
+    def test_an_epoch_runs_one_forward_per_evaluated_set(self):
+        # each set's loss and accuracy come off one forward pass; the SGD
+        # steps run through _backward, which calls no forward
+        X, Y = separable_blobs()
+        net = init_mlp([2, 4, 2], act="tanh", seed=4)
+        with mock.patch.object(nn, "forward", wraps=nn.forward) as fwd:
+            train(net, (X, Y), (X[:10], Y[:10]), TrainConfig(lr=0.2, epochs=1, seed=9))
+        assert [np.shape(call.args[1]) for call in fwd.call_args_list] == [(40, 2), (10, 2)]
+
     def test_non_finite_batch_loss_diverges_with_finite_weights(self):
         # the output 1e308 + 1e308 overflows, so the loss is inf, while the
         # step lr / 4 * gW = 1e-3 * [[1, 1]] leaves every weight finite
@@ -474,3 +483,30 @@ class TestWeightsIO:
         with pytest.raises(OSError):
             save_weights(init_mlp([3, 5, 2], seed=2), path)
         assert path.read_text(encoding="utf-8") == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(act=st.sampled_from(sorted(nn.ACTIVATIONS)), head=st.sampled_from(sorted(nn.HEADS)),
+       dims=st.lists(st.integers(1, 4), min_size=1, max_size=3), classes=st.integers(1, 4),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_weights_lines_load_in_any_order_and_each_one_counts(tmp_path_factory, act, head, dims,
+                                                             classes, seed, data):
+    # a saved file loads the same bits whatever the order of its lines and
+    # however many blank lines it holds; without any one line, or with any
+    # one line twice, it is malformed
+    net = init_mlp([*dims, classes if head == "logsoftmax" else 1], act=act, head=head, seed=seed)
+    path = tmp_path_factory.mktemp("weights") / "w.csv"
+    save_weights(net, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    blanks = data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=4))
+    path.write_text("\n".join(data.draw(st.permutations(lines + blanks))) + "\n",
+                    encoding="utf-8")
+    loaded = load_weights(path)
+    assert (loaded.head, [l.act for l in loaded.layers]) == (head, [l.act for l in net.layers])
+    for got, want in zip(loaded.layers, net.layers, strict=True):
+        assert same_bits(got.W, want.W) and same_bits(got.b, want.b)
+    for k in range(len(lines)):
+        for edited in (lines[:k] + lines[k + 1:], lines + [lines[k]]):
+            path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            with pytest.raises(DataError):
+                load_weights(path)

@@ -17,7 +17,7 @@ from drcert.rates import (
     CostConfig,
     LinearPowerRegression,
     MlpClassification,
-    MlpRegression,
+    MlpLoss,
     SearchConfig,
     individual_rate,
     maximal_rate,
@@ -32,9 +32,9 @@ class CallbackLoss:
     """Any loss fn(x, y) -> float, searched with central finite differences.
 
     It provides what the rate search asks of a loss: the batched ``losses``
-    and ``grads`` over rows with one label per row, ``point_losses`` (the
-    same loop as ``losses``), ``width`` (fn sees one row at a time, so a call
-    holds no temporary across rows) and ``label_shift`` (labels stay put).
+    and ``grads`` over rows with one label per row, ``width`` (fn sees one row
+    at a time, so a call holds no temporary across rows) and ``clean`` (the
+    same loop as ``losses``, and labels that stay put).
     """
 
     fn: object
@@ -43,8 +43,6 @@ class CallbackLoss:
 
     def losses(self, X, Y):
         return np.array([float(self.fn(row, y)) for row, y in zip(X, Y)])
-
-    point_losses = losses
 
     def grads(self, X, Y, h=1e-6):
         g = np.zeros_like(X)
@@ -55,8 +53,8 @@ class CallbackLoss:
                 g[i, j] = (self.fn(row + e, y) - self.fn(row - e, y)) / (2 * h)
         return g
 
-    def label_shift(self, X, Y, budgets):
-        return np.repeat(Y[:, None], np.size(budgets), axis=1)
+    def clean(self, X, Y, budgets):
+        return self.losses(X, Y), np.repeat(Y[:, None], np.size(budgets), axis=1)
 
 
 def dual_norm(x, r) -> float:
@@ -248,7 +246,7 @@ def test_projection_matches_the_reference_bits(r, shape, per_row, data):
 class CountingLoss:
     """A searched loss that records how many rows each batched call of the
     search passes sees (``rows``) and, of those, each gradient call
-    (``grad_rows``); the clean losses' call is not counted."""
+    (``grad_rows``); the clean call is not counted."""
 
     inner: object
     rows: list = field(default_factory=list)
@@ -262,8 +260,8 @@ class CountingLoss:
     def width(self):
         return self.inner.width
 
-    def point_losses(self, X, Y):
-        return self.inner.point_losses(X, Y)
+    def clean(self, X, Y, budgets):
+        return self.inner.clean(X, Y, budgets)
 
     def losses(self, X, Y):
         self.rows.append(len(X))
@@ -273,9 +271,6 @@ class CountingLoss:
         self.rows.append(len(X))
         self.grad_rows.append(len(X))
         return self.inner.grads(X, Y)
-
-    def label_shift(self, X, Y, budgets):
-        return self.inner.label_shift(X, Y, budgets)
 
 
 SMALL = SearchConfig(n_starts=3, n_steps=12, n_boundary=8, seed=4)
@@ -289,8 +284,7 @@ def test_batched_search_matches_points(r, kappa, head, floats, n, seed):
     rng = np.random.default_rng(seed)
     net = init_mlp([3, 4, 3 if head == "logsoftmax" else 1], act="tanh", head=head,
                    seed=seed)
-    cls = MlpClassification if head == "logsoftmax" else MlpRegression
-    loss = CountingLoss(cls(net, CostConfig(r=r, kappa=kappa)))
+    loss = CountingLoss(MlpLoss(net, CostConfig(r=r, kappa=kappa)))
     X = rng.uniform(0, 1, size=(n, 3))
     Y = rng.dirichlet(np.ones(3), size=n) if head == "logsoftmax" else rng.normal(size=n)
     grid = [0.0, 0.1, 0.3]
@@ -310,8 +304,7 @@ def test_knot_rates_do_not_depend_on_the_other_knots(head, kappa):
     rng = np.random.default_rng(5)
     net = init_mlp([3, 6, 3 if head == "logsoftmax" else 1], act="tanh", head=head,
                    seed=5)
-    loss = (MlpClassification if head == "logsoftmax" else MlpRegression)(
-        net, CostConfig(r=2.0, kappa=kappa))
+    loss = MlpLoss(net, CostConfig(r=2.0, kappa=kappa))
     X = rng.uniform(0, 1, size=(30, 3))
     Y = rng.dirichlet(np.ones(3), size=30) if head == "logsoftmax" else rng.normal(size=30)
     grid = [0.0, 0.01, 0.03, 0.1, 0.3, 1.0]
@@ -327,7 +320,7 @@ def label_shift_reference(loss, x, y, budget):
     """One budget's label move, with its own forward pass and class walk."""
     if budget <= 0:
         return np.asarray(y, dtype=float)
-    if isinstance(loss, MlpRegression):
+    if loss.net.head == "absdev":
         cands = [y + budget, y - budget]
         return cands[int(np.argmax([nn.loss_value(loss.net, x, c) for c in cands]))]
     o = forward(loss.net, x)
@@ -356,10 +349,10 @@ def test_batched_label_shift_matches_each_budget(head, seed, n, budgets):
     rng = np.random.default_rng(seed)
     net = init_mlp([3, 4, 5 if head == "logsoftmax" else 1], act="tanh", head=head,
                    seed=seed)
-    loss = (MlpClassification if head == "logsoftmax" else MlpRegression)(net)
+    loss = MlpLoss(net)
     X = rng.uniform(0, 1, size=(n, 3))
     Y = rng.dirichlet(np.ones(5), size=n) if head == "logsoftmax" else rng.normal(size=n)
-    got = loss.label_shift(X, Y, np.array(budgets))
+    got = loss.clean(X, Y, np.array(budgets))[1]
     assert got.shape == (n, len(budgets)) + Y.shape[1:]
     for x, y, rows in zip(X, Y, got):
         want = np.array([label_shift_reference(loss, x, y, b) for b in budgets])
@@ -376,11 +369,11 @@ def test_stacked_clean_losses_equal_the_point_losses(act, head, dims, n, seed):
     rng = np.random.default_rng(seed)
     out = 1 if head == "absdev" else (10 if dims == (64, 16) else 3)
     net = init_mlp([*dims, out], act=act, head=head, seed=seed)
-    loss = (MlpRegression if head == "absdev" else MlpClassification)(net)
+    loss = MlpLoss(net)
     X = rng.uniform(-2.0, 2.0, size=(n, dims[0]))
     Y = rng.normal(size=n) if head == "absdev" else rng.dirichlet(np.ones(out), size=n)
     want = np.array([float(nn.loss_value(net, x, y)) for x, y in zip(X, Y)])
-    assert same_bits(loss.point_losses(X, Y), want)
+    assert same_bits(loss.clean(X, Y, np.zeros(0))[0], want)
 
 
 def test_label_moves_take_one_stacked_forward_pass():
@@ -393,8 +386,8 @@ def test_label_moves_take_one_stacked_forward_pass():
     with mock.patch.object(nn, "forward", wraps=nn.forward) as fwd:
         maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
     shapes = [np.shape(call.args[1]) for call in fwd.call_args_list]
-    # one stacked call for every sample's label moves, one for the clean losses
-    assert shapes.count((len(data), 1, 16)) == 2
+    # one stacked call for the clean losses and every sample's label moves
+    assert shapes.count((len(data), 1, 16)) == 1
     assert not any(len(s) == 1 for s in shapes)  # no one-point forward
 
 
@@ -410,7 +403,7 @@ def test_pinned_labels_are_the_samples_own(head):
     else:
         net = init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=6)
         data = list(zip(rng.uniform(size=(12, 2)), rng.normal(size=12)))
-        loss = MlpRegression(net, CostConfig(r=2.0))
+        loss = MlpLoss(net, CostConfig(r=2.0))
     grid, cfg = [0.0, 0.001, 0.01, 0.1], SearchConfig(n_steps=5, seed=1)
     got = maximal_rate(loss, data, grid, config=cfg)
     Y = np.array([y for _, y in data], dtype=float)
@@ -471,8 +464,7 @@ def test_retiring_climb_matches_the_full_step_loop(r, kappa, head, act, n_steps,
     # on the same inputs, and must leave the same best bit for bit
     rng = np.random.default_rng(seed)
     net = init_mlp([3, 4, 3 if head == "logsoftmax" else 1], act=act, head=head, seed=seed)
-    cls = MlpClassification if head == "logsoftmax" else MlpRegression
-    loss = CountingLoss(cls(net, CostConfig(r=r, kappa=kappa)))
+    loss = CountingLoss(MlpLoss(net, CostConfig(r=r, kappa=kappa)))
     X = rng.uniform(0, 1, size=(5, 3))
     Y = rng.dirichlet(np.ones(3), size=5) if head == "logsoftmax" else rng.normal(size=5)
     cfg = SearchConfig(n_starts=3, n_steps=n_steps, n_boundary=4, seed=seed)
@@ -496,7 +488,7 @@ def test_rows_at_a_fixed_point_leave_the_climb(r, head):
     else:
         net = init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=7)
         data = list(zip(rng.uniform(size=(50, 2)), rng.normal(size=50)))
-        loss = CountingLoss(MlpRegression(net, CostConfig(r=r)))
+        loss = CountingLoss(MlpLoss(net, CostConfig(r=r)))
     grid = [0.0, 0.001, 0.01, 0.1]
     cfg = SearchConfig()
     with beside_reference():
@@ -528,7 +520,7 @@ def test_default_budget_keeps_the_lower_bound(act, head, r):
         net = init_mlp([2, 16, 16, 1], act=act, head=head, seed=1)
         X = rng.uniform(size=(50, 2))
         data = list(zip(X, np.linalg.norm(X - 0.5, axis=1)))
-        loss = MlpRegression(net, CostConfig(r=r))
+        loss = MlpLoss(net, CostConfig(r=r))
     eps = np.array([1e-3, 1e-2, 1e-1])
 
     def lb(cfg):
@@ -551,7 +543,7 @@ def test_search_calls_stay_within_the_float_budget(head, block):
     else:
         net = init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=2)
         data = list(zip(rng.uniform(size=(50, 2)), rng.normal(size=50)))
-        loss = CountingLoss(MlpRegression(net, CostConfig(r=2.0)))
+        loss = CountingLoss(MlpLoss(net, CostConfig(r=2.0)))
     cfg = SearchConfig()
     maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
     assert rates._BLOCK_FLOATS // loss.width == block
@@ -620,10 +612,9 @@ class TestBatchedLosses:
                   ("absdev", rng.normal(size=5)))
         for head, Y in labels:
             net = init_mlp([3, 4, 2 if head == "logsoftmax" else 1], head=head, seed=2)
-            cls = MlpClassification if head == "logsoftmax" else MlpRegression
-            loss = cls(net)
+            loss = MlpLoss(net)
             losses, grads = loss.losses(X, Y), loss.grads(X, Y)
-            for x, y, value, point, g in zip(X, Y, losses, loss.point_losses(X, Y), grads):
+            for x, y, value, point, g in zip(X, Y, losses, loss.clean(X, Y, [])[0], grads):
                 one, g_one = loss_and_grad_x(net, (x, y))
                 assert value == pytest.approx(point, rel=1e-15)
                 assert value == pytest.approx(one, rel=1e-15)
@@ -631,10 +622,10 @@ class TestBatchedLosses:
 
     def test_regression_label_shift_hurts(self):
         net = init_mlp([2, 3, 1], head="absdev", seed=5)
-        loss = MlpRegression(net)
+        loss = MlpLoss(net)
         X = np.array([[0.2, -0.4], [-1.5, 0.7]])
         Y = np.array([0.1, -0.3])
-        shifted, kept = loss.label_shift(X, Y, np.array([0.5, 0.0])).T
+        shifted, kept = loss.clean(X, Y, np.array([0.5, 0.0]))[1].T
         assert np.abs(shifted - Y) == pytest.approx(0.5)
         assert np.all(nn.loss_value(net, X, shifted) >= nn.loss_value(net, X, Y))
         assert np.array_equal(kept, Y)
@@ -644,7 +635,7 @@ class TestBatchedLosses:
         loss = MlpClassification(net)
         X = np.array([[0.3, 0.9], [-0.8, 0.1]])
         Y = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
-        shifted = loss.label_shift(X, Y, np.array([0.4]))[:, 0]
+        shifted = loss.clean(X, Y, np.array([0.4]))[1][:, 0]
         assert shifted.sum(axis=1) == pytest.approx(1.0)
         assert np.all(shifted >= 0)
         assert np.abs(shifted - Y).sum(axis=1) == pytest.approx(0.4)

@@ -97,7 +97,8 @@ def _walk(net: Mlp, x):
     if h.shape[-1] != net.in_dim:
         raise ValueError(f"input dim {h.shape[-1]} != {net.in_dim}")
     for layer in net.layers:
-        a = h @ layer.W.T + layer.b
+        a = h @ layer.W.T
+        a += layer.b
         out = ACTIVATIONS[layer.act][0](a)
         yield h, a, out
         h = out
@@ -186,7 +187,7 @@ def _backward(net: Mlp, x, y, need_params=False):
         layer, (h_in, a, h) = net.layers[k], steps[k]
         deriv = ACTIVATIONS[layer.act][1]
         if deriv is not None:
-            g = g * deriv(a, h)
+            g *= deriv(a, h)  # g is the head's fresh slope or a fresh product
         if need_params:
             gW[k] = g.T @ h_in
             gb[k] = g.sum(axis=0)

@@ -34,6 +34,9 @@ MAX_SUPPORT = 4096
 #: temporary of a pass has at most this many rows, which bounds its memory
 #: (2^20 assignments peak at 191 MB RSS on a 2-core Xeon).
 _ENUM_CHUNK = 200_000
+#: floats in the row slab that :func:`_atom_rate_curves` gathers per step
+#: (8 MB): at MAX_SUPPORT atoms it adds this much, not a second full matrix
+_GATHER_FLOATS = 2**20
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -130,17 +133,21 @@ def _atom_rate_curves(inst: DiscreteInstance):
     after it, so the first knot is t=0 with the best gain at distance 0
     (>= 0).  Forbidden (infinite) moves never become knots.  The family is
     ragged: flat knot budgets ``t``, flat values ``v`` and the offset of each
-    atom's first knot, ``starts``.  The only matrix is the gathered costs,
-    whose suffix minimum (taken in place) rises right after each record.
+    atom's first knot, ``starts``.  The only matrix kept is the gathered
+    costs, whose suffix minimum (taken in place) rises right after each record.
     """
     asc = np.argsort(inst.loss, kind="stable")
-    near = inst.cost[np.ix_(inst.atom_index, asc)]
+    # rows, then columns, one slab of rows per step: two takes cost less than np.ix_
+    near = np.empty((inst.atom_index.size, asc.size))
+    step = max(1, _GATHER_FLOATS // asc.size)
+    for lo in range(0, near.shape[0], step):
+        np.take(inst.cost[inst.atom_index[lo:lo + step]], asc, axis=1, out=near[lo:lo + step])
     rev = near[:, ::-1]
     np.minimum.accumulate(rev, axis=1, out=rev)
     record = np.empty(near.shape, dtype=bool)
     record[:, :-1] = near[:, :-1] < near[:, 1:]
     record[:, -1] = near[:, -1] < math.inf
-    row, col = np.nonzero(record)
+    row, col = np.divmod(np.flatnonzero(record), near.shape[1])
     gain = inst.loss[asc][col] - inst.loss[inst.atom_index][row]
     keep = np.ones(row.size, dtype=bool)
     keep[1:] = (gain[1:] != gain[:-1]) | (row[1:] != row[:-1])

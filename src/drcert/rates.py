@@ -128,7 +128,7 @@ MlpClassification = MlpLoss  # the name the acceptance gate builds
 class SearchConfig:
     n_starts: int = 4
     n_steps: int = 20
-    n_boundary: int = 32
+    n_boundary: int = 0
     seed: int = 0
 
 
@@ -259,9 +259,11 @@ def _search_rates(loss, X, Y, grid, cfg):
     radius (1 - frac) * t.  Each (knot, split) group keeps the best of its clean
     point, its ascent ends and its boundary points; a search row is (sample,
     positive knot, split, start) with its own radius and label.  Every group is
-    drawn once, and each of the three passes climbs the rows of every sample;
-    ``_climb`` bounds the rows per loss call of the passes, and the clean
-    losses and the label moves take one call together over the samples.
+    drawn once, and each pass climbs the rows of every sample; the boundary
+    pass evaluates cfg.n_boundary points per group without steps, so it costs
+    nothing at the default 0.  ``_climb`` bounds the rows per loss call of the
+    passes, and the clean losses and the label moves take one call together
+    over the samples.
     """
     kappa = loss.cost.kappa
     fracs = np.zeros(1) if math.isinf(kappa) else np.linspace(0.0, 1.0, _LABEL_SPLITS)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -222,6 +223,36 @@ def test_backward_matches_the_inline_head_bits(head, act, hidden, rows, seed, da
             loss, g_ref, _, _ = backward_reference(net, x, y)
             assert same_bits(o, forward(net, x)) and same_bits(g, g_ref)
             assert same_bits(loss_and_grad_x(net, (x, y))[0], loss)
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.sampled_from(sorted(nn.HEADS)), act=st.sampled_from(sorted(nn.ACTIVATIONS)),
+       last=st.sampled_from(sorted(nn.ACTIVATIONS)), hidden=st.lists(st.integers(1, 4), max_size=2),
+       rows=st.integers(1, 4), attack=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_network_passes_leave_the_callers_arrays_alone(head, act, last, hidden, rows, attack,
+                                                       seed, data):
+    # the passes scale their own temporaries in place (the bias add, the
+    # slope times each activation's derivative); an activation on the output
+    # layer multiplies the head's slope itself, so a slope that aliased y
+    # would write into the caller's labels
+    n = data.draw(st.integers(1, 4))
+    net = init_mlp([n, *hidden, 3 if head == "logsoftmax" else 1], act=act, head=head, seed=seed)
+    net = Mlp(net.layers[:-1] + (replace(net.layers[-1], act=last),), head=head)
+    X = data.draw(arrays(float, (rows, n), elements=st.floats(-2.0, 2.0)))
+    if head == "logsoftmax":
+        Y = np.eye(3)[data.draw(arrays(int, rows, elements=st.integers(0, 2)))]
+    else:
+        Y = data.draw(arrays(float, rows, elements=st.floats(-2.0, 2.0)))
+    X0, Y0 = X.copy(), Y.copy()
+    for x, y in ((X, Y), (X[0], Y[0])):
+        forward(net, x)
+        nn._backward(net, x, y)
+        loss_and_grad_x(net, (x, y))
+        fgsm_perturb(net, (x, y), 0.1, math.inf)
+    nn._backward(net, X, Y, need_params=True)
+    train(net, (X, Y), (X, Y), TrainConfig(epochs=1, eps=attack))
+    assert same_bits(X, X0) and same_bits(Y, Y0)
 
 
 class TestOpnorm:

@@ -507,7 +507,8 @@ def test_rows_at_a_fixed_point_leave_the_climb(r, head):
 def test_default_budget_keeps_the_lower_bound(act, head, r):
     # the certify_net shapes, plus relu at r = inf, where the default budget
     # lost the most lb on the CLI matrix: lb at p = 1 stays within 3 % of a
-    # search with twice the steps and twice the boundary points
+    # search with twice the steps and 64 boundary points, and within 0.5 % of
+    # the default with 32 boundary points
     rng = np.random.default_rng(1)
     if head == "logsoftmax":
         net = init_mlp([64, 16, 10], act=act, seed=1)
@@ -526,7 +527,9 @@ def test_default_budget_keeps_the_lower_bound(act, head, r):
     def lb(cfg):
         return lower_bound(maximal_rate(loss, data, np.r_[0.0, eps], config=cfg), 1.0, eps)
 
-    assert np.all(lb(SearchConfig()) >= 0.97 * lb(SearchConfig(n_steps=40, n_boundary=64)))
+    default = lb(SearchConfig())
+    assert np.all(default >= 0.97 * lb(SearchConfig(n_steps=40, n_boundary=64)))
+    assert np.all(default >= 0.995 * lb(SearchConfig(n_boundary=32)))
 
 
 @pytest.mark.parametrize("head, block", [("absdev", 1024), ("logsoftmax", 256)])
@@ -534,7 +537,9 @@ def test_search_calls_stay_within_the_float_budget(head, block):
     # the certify_net shapes at r = 2: a call takes budget // width rows, the
     # width-16 regression net 1024 and the 64-input classification net 256,
     # so all the climbing rows fit one block and the climb takes n_steps
-    # gradient calls; the boundary pass fills whole blocks
+    # gradient calls; the default search has no boundary pass, so its only
+    # loss calls are the clean pass and the climb's one block, while 32
+    # boundary points fill whole blocks
     rng = np.random.default_rng(2)
     if head == "logsoftmax":
         net = init_mlp([64, 16, 10], act="tanh", seed=2)
@@ -544,11 +549,14 @@ def test_search_calls_stay_within_the_float_budget(head, block):
         net = init_mlp([2, 16, 16, 1], act="tanh", head="absdev", seed=2)
         data = list(zip(rng.uniform(size=(50, 2)), rng.normal(size=50)))
         loss = CountingLoss(MlpLoss(net, CostConfig(r=2.0)))
-    cfg = SearchConfig()
-    maximal_rate(loss, data, [0.0, 0.001, 0.01, 0.1], config=cfg)
+    grid = [0.0, 0.001, 0.01, 0.1]
+    maximal_rate(loss, data, grid, config=SearchConfig())
     assert rates._BLOCK_FLOATS // loss.width == block
-    assert len(loss.grad_rows) == cfg.n_steps
-    assert max(loss.rows) == block
+    assert len(loss.grad_rows) == SearchConfig().n_steps
+    assert len(loss.rows) - len(loss.grad_rows) == 2
+    boundary = CountingLoss(loss.inner)
+    maximal_rate(boundary, data, grid, config=SearchConfig(n_boundary=32))
+    assert max(boundary.rows) == block
 
 
 class TestMaximalRate:

@@ -11,13 +11,14 @@ robust risk at budget eps and the empirical risk is sandwiched between
 
 Both read the profile's ragged family: the lower bound in one flat pass over
 the rows' knots per budget, the upper bound on the maximal rate over the
-pooled knots, every budget in one pass.
+pooled knots, every budget in one pass, and past the last knot the rows' own
+tails, never the pooled curve's last chord, which no row has.
 At p = inf the lower bound is the weighted sum of the rates read from the
 left at eps, and the upper bound reads the maximal rate at the first pooled
-knot at or beyond eps: sound, since a certified profile holds the exact
-(non-decreasing) rate at each knot, and exact at every eps where each jump
-has a knot just below it, as the oracle's atoms do.  Extended arithmetic
-follows the 0*inf = 0 convention.
+knot at or beyond eps (past the last, the largest row tail): sound, since a
+certified profile holds the exact (non-decreasing) rate at each knot, and
+exact at every eps where each jump has a knot just below it, as the
+oracle's atoms do.  Extended arithmetic follows the 0*inf = 0 convention.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import nn
 from .curves import (
+    ConcaveCurve,
     RateProfile,
     least_concave_majorant,
     p_transform,
@@ -77,11 +79,17 @@ def upper_bound(profile: RateProfile, p, eps):
         raise ValueError("budget must be non-negative")
     top, e = profile.maximal, grid.ravel()
     if math.isinf(p):
-        # the first knot at or beyond each eps; past the last knot, the tail
-        ahead = np.minimum(np.searchsorted(top.t, e), top.t.size - 1)
-        out = np.where(e > top.t[-1], top.tail_values(e), top.v[ahead])
+        # the first knot at or beyond each eps; past the last, the largest row tail
+        out = top.v[np.minimum(np.searchsorted(top.t, e), top.t.size - 1)]
+        past = e > top.t[-1]
+        out[past] = [np.max(profile.rates.tail_values(x)) for x in e[past].tolist()]
     else:
-        env = least_concave_majorant(p_transform(top, float(p)))
+        powered = p_transform(top, float(p))
+        env = least_concave_majorant(powered)
+        if powered.tail == "slope":  # run on at the steepest row's tail, not the pooled chord
+            # (never below it on a shared grid; a ragged family keeps the steeper)
+            rows = p_transform(profile.rates, float(p))._tail_slopes()
+            env = ConcaveCurve(env.t, env.v, max(env.tail_slope, float(np.max(rows))))
         out = env.values([powered_budget(x, p) for x in e.tolist()])
     return float(out[0]) if grid.ndim == 0 else out
 
@@ -111,7 +119,7 @@ class OrderingResult:
 def p_ordering_check(profile: RateProfile, eps: float, p_list, tol: float = 1e-9) -> OrderingResult:
     """Verify that lower and upper bounds are non-increasing in p at eps.
 
-    The p = inf slot of the upper chain is the maximal rate read from the left
+    The p = inf slot of the upper chain is the largest row read from the left
     at eps (the chain's exact endpoint).  :func:`upper_bound` reads the same
     value at a knot, but the next knot's between knots, a bound that the
     finite-p majorants may undercut there.
@@ -120,7 +128,7 @@ def p_ordering_check(profile: RateProfile, eps: float, p_list, tol: float = 1e-9
     if any(ps[i] > ps[i + 1] for i in range(len(ps) - 1)):
         raise ValueError("p_list must be ascending")
     chains = {"lb": [lower_bound(profile, p, eps) for p in ps],
-              "cc": [float(profile.maximal.left_values(eps)[0]) if math.isinf(p)
+              "cc": [float(np.max(profile.rates.left_values(eps))) if math.isinf(p)
                      else upper_bound(profile, p, eps) for p in ps]}
     for name, seq in chains.items():
         for k in range(len(ps) - 1):

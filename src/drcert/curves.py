@@ -85,8 +85,13 @@ class CurveFamily:
         """One past each row's last knot."""
         return np.append(self.starts[1:], self.t.size)
 
-    def _tail_slopes(self) -> np.ndarray:
-        """Slope of each row's last knot chord (0 for a single-knot row)."""
+    def _tail_slopes(self, tail: str | None = None) -> np.ndarray:
+        """Each row's slope past its last knot under the tail rule ``tail`` (by
+        default the family's own), read by every reader of a tail: 0 for
+        ``const``, the last chord's for ``slope`` (0 on one knot), inf for ``infinite``."""
+        tail = tail or self.tail
+        if tail != "slope":
+            return np.full(self.starts.size, 0.0 if tail == "const" else math.inf)
         last = self.ends - 1
         prev = np.maximum(last - 1, self.starts)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -100,17 +105,15 @@ class CurveFamily:
         if t < 0:
             raise ValueError("budgets are non-negative")
         vals = np.maximum.reduceat(np.where(self.t <= t, self.v, -math.inf), self.starts)
-        return np.where(self.t[self.ends - 1] < t, self.tail_values(t, tail), vals)
+        past = self.t[self.ends - 1] < t
+        return np.where(past, self.tail_values(t, tail), vals) if past.any() else vals
 
     def tail_values(self, t, tail: str | None = None) -> np.ndarray:
         """Each row's tail rule ``tail`` (by default the family's own) at the
-        budget or budgets ``t`` past its last knot: the last value, the last
-        chord's line, or inf."""
+        budget or budgets ``t`` past its last knot: its last value, run on at
+        its :meth:`_tail_slopes` slope."""
         last = self.ends - 1
-        tail = tail or self.tail
-        if tail == "slope":
-            return self.v[last] + _rise(self._tail_slopes(), t - self.t[last])
-        return np.full(last.size, math.inf) if tail == "infinite" else self.v[last]
+        return self.v[last] + _rise(self._tail_slopes(tail), t - self.t[last])
 
     def pointwise_max(self) -> Curve:
         """The rows' pointwise maximum as one curve on the pooled knots.
@@ -188,8 +191,10 @@ class RateProfile:
 
 @dataclass(frozen=True)
 class ConcaveCurve:
-    """Piecewise-linear concave majorant: hull knots plus a tail slope.
+    """Piecewise-linear concave majorant: hull knots run on at a tail slope.
 
+    Final segments less steep than the tail (beyond ``SLOPE_TOL``, so a
+    rounding tie keeps its knot) lie under the tail's line and are dropped.
     The majorant of a superlinearly growing source is one knot at t=0 with an
     infinite tail slope: finite at t=0 only.
     """
@@ -199,12 +204,14 @@ class ConcaveCurve:
     tail_slope: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "v", v)
-        t.setflags(write=False)
-        v.setflags(write=False)
+        t, v = np.asarray(self.t, dtype=float), np.asarray(self.v, dtype=float)
+        # hull slopes fall, so the segments under the tail's line come last
+        floor = self.tail_slope - SLOPE_TOL * max(1.0, self.tail_slope)
+        with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
+            keep = 1 + int(np.sum(np.diff(v) / np.diff(t) >= floor))
+        for name, a in (("t", t[:keep]), ("v", v[:keep])):
+            object.__setattr__(self, name, a)
+            a.setflags(write=False)
 
     def values(self, ts) -> np.ndarray:
         """Majorant at each budget in ``ts``: interpolated on the knots, linear beyond."""
@@ -256,9 +263,10 @@ def _upper_hull(t: np.ndarray, v: np.ndarray, starts: np.ndarray):
 
 
 def powered_budget(eps: float, p: float) -> float:
-    """eps ** p by one scalar power (an array ``np.power`` rounds differently), inf on overflow."""
+    """eps ** p by one scalar power (an array ``np.power`` rounds differently), inf
+    on overflow, and a positive budget stays positive where its power underflows."""
     try:
-        return float(eps ** p)
+        return float(eps ** p) or (math.ulp(0.0) if eps > 0 else 0.0)
     except OverflowError:
         return math.inf
 
@@ -267,27 +275,27 @@ def knapsack(profile: RateProfile, p, eps, level: float = 0.0):
     """Fractional knapsack over a profile's least concave majorants.
 
     Row i spends s_i of powered budget and gains H_i(s_i), the hull of its
-    curve on the axis t^p.  Returns level + max sum_i w_i H_i(s_i) subject to
-    sum_i w_i s_i <= eps^p (on a finite support, with the empirical risk as
-    ``level``, the worst case over a p-Wasserstein ball: Gao & Kleywegt 2016)
-    and the plan's powered spend.  The budget fills the hull segments steepest
-    first, the last one fractionally (Dantzig 1957); at p = inf each row reads
-    its curve from the left at eps.  ``eps`` is a scalar (floats back) or a
-    1-D grid (arrays back), read after one p-transform, hull and slope sort.
-    A value adds ``level``, the values at 0, a prefix sum of its whole
-    segments' rises and its fractional rise, in that order, so a grid reads
-    its scalar calls bit for bit.  Only a ``const`` tail's majorant lies on
-    the knots; other tails raise ``ValueError``.
+    curve on the axis t^p run on at its tail.  Returns level + max sum_i w_i
+    H_i(s_i) subject to sum_i w_i s_i <= eps^p (on a finite support, with the
+    empirical risk as ``level``, the worst case over a p-Wasserstein ball:
+    Gao & Kleywegt 2016) and the plan's powered spend.  The budget fills the
+    hull segments steeper than ``top``, the steepest tail of a weighted row,
+    steepest first, the last one fractionally (Dantzig 1957), and runs on at
+    ``top``: exact, as a segment under its own row's tail lies under ``top``
+    too.  At p = inf each row reads its curve from the left at eps.
+    ``eps`` is a scalar (floats back) or a 1-D grid (arrays back), read after
+    one p-transform, hull and slope sort.  A value adds ``level``, the values
+    at 0, a prefix sum of its whole segments' rises and its fractional or tail
+    rise, in that order, so a grid reads its scalar calls bit for bit.
     """
     rates, w = profile.rates, profile.weights
-    if rates.tail != "const":
-        raise ValueError("the knapsack needs rates with a constant tail")
     grid = np.asarray(eps, dtype=float)
     e = grid.ravel().tolist()
     if not all(x >= 0 for x in e):
         raise ValueError("budget must be non-negative")
-    if math.isinf(p):
-        gain = np.array([level + float(np.dot(w, rates.left_values(x))) for x in e])
+    if math.isinf(p):  # 0 * inf = 0: a zero-weight row's infinite tail adds nothing
+        gain = np.array([level + float(np.dot(w, np.where(w > 0, rates.left_values(x), 0.0)))
+                         for x in e])
         spend = np.zeros(gain.size)
     else:
         powered = p_transform(rates, p)
@@ -299,8 +307,11 @@ def knapsack(profile: RateProfile, p, eps, level: float = 0.0):
         with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
             slope = dv / dt
         run, rise = wk * dt, wk * dv
+        top = float(np.max(powered._tail_slopes()[w > 0]))
+        # at top = 0 every rising segment, one whose slope underflows too
+        take = (rise > 0) & ((slope > top) | (top == 0))
         # steepest segments first; the stable sort keeps each hull's own order
-        order = np.flatnonzero(rise > 0)[np.argsort(-slope[rise > 0], kind="stable")]
+        order = np.flatnonzero(take)[np.argsort(-slope[take], kind="stable")]
         run, rise = run[order], rise[order]
         spent = np.concatenate([[0.0], np.cumsum(run)])
         budget = np.array([powered_budget(x, p) for x in e])
@@ -311,31 +322,27 @@ def knapsack(profile: RateProfile, p, eps, level: float = 0.0):
         ks = k[split]
         gain[split] += rise[ks] * (budget[split] - spent[ks]) / run[ks]
         spend = np.where(split, budget, spent[k])
+        if top > 0:  # the rest of the budget runs on at the steepest tail
+            gain[~split] += _rise(top, budget[~split] - spent[k[~split]])
+            spend = budget
     return (float(gain[0]), float(spend[0])) if grid.ndim == 0 else (gain, spend)
 
 
 def least_concave_majorant(f: CurveFamily) -> ConcaveCurve:
     """Least concave majorant of a one-row family (a curve), its tail included.
 
-    The result is the upper concave envelope of the knot points, extended at
-    the slope of the curve's own tail: 0 for ``const``, the last chord's for
-    ``slope``.  Final segments less steep than the tail (beyond ``SLOPE_TOL``,
-    so a rounding tie keeps its knot) lie under the tail's line and are
-    dropped.  A flat final run keeps only its two ends as hull knots, so a
-    long flat tail costs two knots.  A source flagged with an infinite tail
-    (superlinear growth) or carrying infinite values yields the infinite
-    majorant.
+    The result is the upper concave envelope of the knot points, run on at
+    the curve's own tail slope (:meth:`CurveFamily._tail_slopes`).  A flat
+    final run keeps only its two ends as hull knots, so a long flat tail
+    costs two knots.  A source with an infinite tail slope (superlinear
+    growth) or carrying infinite values yields the infinite majorant.
     """
-    if f.tail == "infinite" or np.any(np.isinf(f.v)):
+    tail = float(f._tail_slopes()[0])
+    if math.isinf(tail) or np.any(np.isinf(f.v)):
         return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
                             tail_slope=math.inf)
     ht, hv, _ = _upper_hull(f.t, f.v, np.zeros(1, dtype=int))
-    tail = float(f._tail_slopes()[0]) if f.tail == "slope" else 0.0
-    # hull slopes fall, so the segments under the tail's line come last
-    floor = tail - SLOPE_TOL * max(1.0, tail)
-    with np.errstate(over="ignore"):  # a rise over a subnormal run: a jump, slope inf
-        keep = 1 + int(np.sum(np.diff(hv) / np.diff(ht) >= floor))
-    return ConcaveCurve(ht[:keep], hv[:keep], tail_slope=tail)
+    return ConcaveCurve(ht, hv, tail_slope=tail)
 
 
 def star_majorant_after_power(f: CurveFamily, p: float, eps: float):

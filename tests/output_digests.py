@@ -24,6 +24,15 @@ from a weights file whose lines are reversed and broken by blank lines;
 ``regress`` (plain and ``--adversarial``), ``classify``, ``complexity``;
 ``oracle`` on two instances at each p and eps in {0, 0.3, 1.7, inf}, and on
 one atom that moves its whole mass at p = inf.
+
+After the command-line runs come library lines, which reach readers that no
+command does (multi-row ``slope`` and ``infinite`` profiles, budgets past the
+last knot): twelve seeded rate profiles, each tail kind on shared and ragged
+rows and once with a zero weight, each read by ``lower_bound``,
+``upper_bound``, ``knapsack`` (value and spend) and ``p_ordering_check`` at
+the same p over budgets that run past the last knot.  Each profile prints its
+label and a SHA-256 over the ``repr`` of every result, or of the exception
+raised.
 The script is not a test module: pytest does not collect it.
 """
 
@@ -125,6 +134,58 @@ def matrix(inputs: Path):
     return runs
 
 
+def profiles():
+    """(label, rate profile) of each library line: for each tail kind, three
+    rows on one grid, three ragged rows, and three rows on one grid of which
+    one has no weight."""
+    from drcert.curves import CurveFamily, RateProfile, curve_from_samples
+
+    rng = np.random.default_rng(31)
+
+    def row(k):  # knots from t=0 and non-decreasing values
+        return (np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, k - 1))]),
+                np.cumsum(rng.uniform(0.0, 2.0, k)))
+
+    out = []
+    for tail, expo in (("const", None), ("slope", None), ("infinite", None), ("infinite", 2.0)):
+        kind = tail if expo is None else f"{tail}^{expo:g}"
+        t, _ = row(5)
+        weights = {"shared": rng.dirichlet(np.ones(3)), "zero-weight": [0.5, 0.0, 0.5]}
+        for label, w in weights.items():
+            V = np.array([row(5)[1] for _ in range(3)])
+            out.append((f"{kind} {label}", RateProfile(
+                curve_from_samples(t, V, tail=tail, tail_exponent=expo), w)))
+        rows = [row(k) for k in rng.integers(1, 7, size=3).tolist()]
+        starts = np.cumsum([0] + [r[0].size for r in rows[:-1]])
+        family = CurveFamily(np.concatenate([r[0] for r in rows]),
+                             np.concatenate([r[1] for r in rows]), starts,
+                             tail=tail, tail_exponent=expo)
+        out.append((f"{kind} ragged", RateProfile(family, rng.dirichlet(np.ones(3)))))
+    return out
+
+
+def library_digest(profile) -> str:
+    """SHA-256 over the ``repr`` of each reading of ``profile``, or of the
+    exception it raised."""
+    from drcert.certificates import lower_bound, p_ordering_check, upper_bound
+    from drcert.curves import knapsack
+
+    ps = (1.0, 1.5, 2.0, 3.0, float("inf"))
+    eps = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 6.0, 20.0])
+    reads = [lambda f=f, p=p: f(profile, p, eps)
+             for p in ps for f in (lower_bound, upper_bound, knapsack)]
+    reads += [lambda e=e: p_ordering_check(profile, e, ps) for e in eps[1:].tolist()]
+    h = hashlib.sha256()
+    for read in reads:
+        try:
+            got = read()
+            got = np.asarray(got).tolist() if isinstance(got, (tuple, np.ndarray)) else got
+        except Exception as exc:  # the exception is the reading
+            got = exc
+        h.update(repr(got).encode("utf-8") + b"\0")
+    return h.hexdigest()
+
+
 def digest(argv, out: Path) -> tuple[int, str]:
     """Exit code of ``drcert.cli.main(argv + --out out)`` and the SHA-256 of
     that code, stdout, stderr and every file under ``out``."""
@@ -156,6 +217,10 @@ def main(src: str) -> int:
             code, h = digest(argv, tmp / f"run{k}")
             print(f"{label}\texit {code}\t{h}", flush=True)
     print(f"{len(runs)} runs")
+    lines = profiles()
+    for label, profile in lines:
+        print(f"library {label}\t{library_digest(profile)}", flush=True)
+    print(f"{len(lines)} profiles")
     return 0
 
 

@@ -15,11 +15,14 @@ from drcert.certificates import (
     upper_bound,
 )
 from drcert.curves import (
+    ConcaveCurve,
     Curve,
     RateProfile,
     curve_from_samples,
+    knapsack,
     least_concave_majorant,
     p_transform,
+    powered_budget,
 )
 from drcert.jsonio import decode_float, dumps
 from drcert.oracle import DiscreteInstance, dr_risk_exact, instance_rate_profile
@@ -355,19 +358,17 @@ def dense_reference(t, V, tail, expo, weights, p, eps):
 
     lb_old, lb_new = mean(best), mean(np.maximum(best, left))
     top = V.max(axis=0)
-    if math.isinf(p):  # the first knot at or beyond eps, past the grid the tail
+    if math.isinf(p):  # the first knot at or beyond eps, past the grid the largest row tail
         above = np.flatnonzero(t >= eps)
-        top_slope = (top[-1] - top[-2]) / (t[-1] - t[-2]) if t.size >= 2 else 0.0
-        if above.size:
-            cc = float(top[above[0]])
-        elif tail == "const":
-            cc = float(top[-1])
-        elif tail == "slope":
-            cc = float(top[-1] + (top_slope * (eps - t[-1]) if top_slope else 0.0))
-        else:
-            cc = math.inf
+        cc = float(top[above[0]]) if above.size else float(np.max(left))
     else:
         env = least_concave_majorant(p_transform(Curve(t, top, tail=tail, tail_exponent=expo), p))
+        if star_tail == "slope" and t.size >= 2:
+            # the hull runs on at the steepest row's own powered last chord, the
+            # knots powered as p_transform powers the rows' flat knots
+            tp = np.power(np.tile(t, len(V)), p).reshape(V.shape)
+            chords = (V[:, -1] - V[:, -2]) / (tp[:, -1] - tp[:, -2])
+            env = ConcaveCurve(env.t, env.v, tail_slope=float(np.max(chords)))
         cc = concave_value_reference(env, eps ** p)
     return lb_old, lb_new, cc
 
@@ -432,3 +433,41 @@ def test_array_bounds_match_row_reference(grid, p, eps, on_knots):
             assert lb == lb_old
         assert lower_bound(prof, p, float(e)) == lb  # scalar eps gives the same float
         assert upper_bound(prof, p, float(e)) == cc
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=shared_grids(), p=st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+       eps=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=4))
+def test_knapsack_lies_between_the_bounds(grid, p, eps):
+    # every tail kind, zero weights included: lb <= knapsack <= cc up to
+    # rounding, since the knapsack sums rises where the bounds read knots (a
+    # budget whose power underflows reads subnormal values)
+    t, V, tail, expo, weights = grid
+    prof = RateProfile(curve_from_samples(t, V, tail=tail, tail_exponent=expo), weights)
+    lb, (gain, _), cc = lower_bound(prof, p, eps), knapsack(prof, p, eps), upper_bound(prof, p, eps)
+    for a, b in ((lb, gain), (gain, cc)):
+        assert np.all((a <= b) | np.isclose(a, b, rtol=1e-12, atol=1e-300))
+
+
+def test_upper_bound_reads_each_rows_own_slope_tail():
+    # the pooled max [0, 10, 10.1] runs on at slope 0.1, which no row has: it
+    # read cc = 11.1 at eps = 12, under lb at p = 1 and at p = inf
+    prof = RateProfile(curve_from_samples([0, 1, 2], [[0, 10, 10.1], [0, 1, 5]], tail="slope"),
+                       [0.5, 0.5])
+    assert lower_bound(prof, 1.0, 12.0) == pytest.approx(29.55)
+    assert (knapsack(prof, 1.0, 12.0)[0], upper_bound(prof, 1.0, 12.0)) == (51.0, 54.0)
+    assert lower_bound(prof, math.inf, 12.0) == pytest.approx(28.05)
+    assert knapsack(prof, math.inf, 12.0)[0] == pytest.approx(28.05)
+    assert upper_bound(prof, math.inf, 12.0) == 45.0
+    # max(t, 1) has the least concave majorant 1 + t, not the pooled flat line
+    flat = RateProfile(curve_from_samples([0, 1], [[0, 1], [1, 1]], tail="slope"), [0.5, 0.5])
+    assert upper_bound(flat, 1.0, 1.0) == 2.0
+
+
+def test_a_positive_budget_whose_power_underflows_stays_positive():
+    # 1e-200 ** 2 rounds to 0, yet the budget is positive, so an infinite tail
+    # reads inf on every side (cc read the majorant at 0 before)
+    prof = RateProfile(curve_from_samples([0.0, 1.0], [[0.0, 1.0]], tail="infinite"), [1.0])
+    assert powered_budget(1e-200, 2.0) > 0.0 == powered_budget(0.0, 2.0)
+    for read in (lower_bound, upper_bound, lambda *a: knapsack(*a)[0]):
+        assert read(prof, 2.0, 1e-200) == math.inf

@@ -11,6 +11,7 @@ from drcert.curves import (
     CurveFamily,
     RateProfile,
     SLOPE_TOL,
+    TAILS,
     _upper_hull,
     curve_from_samples,
     knapsack,
@@ -19,6 +20,7 @@ from drcert.curves import (
     powered_budget,
     star_majorant_after_power,
 )
+from drcert.rates import LinearPowerRegression
 from helpers import concave_value_reference, is_concave
 
 
@@ -328,25 +330,47 @@ def test_flat_tail_stays_flat_at_an_infinite_budget():
     assert env.values([1.5, math.inf]).tolist() == [2.0, 2.0]
 
 
-def test_knapsack_needs_a_constant_tail():
-    for tail in ("slope", "infinite"):
-        profile = RateProfile(Curve([0.0, 1.0], [0.0, 1.0], tail=tail), [1.0])
-        for p in (1.0, 2.0, math.inf):
-            with pytest.raises(ValueError, match="constant tail"):
-                knapsack(profile, p, 0.5)
-
-
 @settings(max_examples=80, deadline=None)
 @given(vals=st.lists(st.integers(0, 10**6).map(lambda k: k / 1e4), min_size=1, max_size=24),
-       seed=st.integers(0, 2**31 - 1), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-def test_knapsack_of_one_row_reads_its_upper_bound(vals, seed, p):
-    # two readers of one hull: the knapsack's fractional segment against the
-    # majorant's interpolation, equal up to rounding
-    profile = RateProfile(_build(vals, seed), [1.0])
+       seed=st.integers(0, 2**31 - 1), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       tail=st.sampled_from(TAILS))
+def test_knapsack_of_one_row_reads_its_upper_bound(vals, seed, p, tail):
+    # two readers of one hull and its tail: the knapsack's fractional segment
+    # and tail run against the majorant's interpolation, equal up to rounding
+    base = _build(vals, seed)
+    profile = RateProfile(Curve(base.t, base.v, tail=tail), [1.0])
     eps = np.concatenate([[0.0], np.geomspace(1e-3, 2.0 * profile.rates.t[-1], 49)])
     gain, spend = knapsack(profile, p, eps)
     assert np.allclose(gain, upper_bound(profile, p, eps), rtol=1e-12, atol=0.0)
     assert np.all(spend <= [powered_budget(x, p) for x in eps.tolist()])
+
+
+def test_knapsack_runs_on_at_the_steepest_tail_of_a_weighted_row():
+    # a zero-weight row moves no mass, so its steeper tail takes no budget;
+    # at p = 2 the tail is the powered last chord, slope 1 in t^2
+    rates = curve_from_samples([0.0, 1.0], [[0.0, 1.0], [0.0, 10.0]], tail="slope")
+    profile = RateProfile(rates, [1.0, 0.0])
+    assert [knapsack(profile, p, 2.0)[0] for p in (1.0, 2.0, math.inf)] == [2.0, 4.0, 2.0]
+
+
+def test_knapsack_reads_the_alpha_2_closed_form():
+    # |y - <x, theta>|^2 at p = 2: the DR gap is (sqrt(emp) + eps ||theta||_2)^2 - emp
+    # (Blanchet, Kang & Murthy 2019); the rows' infinite tail of exponent 2
+    # becomes a slope tail after the p-transform, and chords under-read a
+    # concave row, so the knapsack lies just below the closed form
+    rng = np.random.default_rng(0)
+    theta = np.array([1.5, -2.0, 0.5])
+    X = rng.normal(size=(40, 3))
+    y = X @ theta + 0.3 * rng.normal(size=40)
+    loss = LinearPowerRegression(2.0, theta)  # cost norm r = 2
+    grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 600)])
+    profile = RateProfile(loss.rate_curve(X, y, grid), np.full(40, 1 / 40))
+    emp = float(np.mean(loss.losses(X, y)))
+    eps = np.array([0.01, 0.1, 1.0])
+    exact = (math.sqrt(emp) + eps * np.linalg.norm(theta)) ** 2 - emp
+    gain, _ = knapsack(profile, 2.0, eps)
+    assert np.all(gain <= exact) and np.all(gain >= (1 - 1e-4) * exact)
+    assert knapsack(profile, 1.0, 0.1)[0] == upper_bound(profile, 1.0, 0.1) == math.inf
 
 
 def family_rows(fam):

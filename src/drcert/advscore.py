@@ -78,9 +78,7 @@ class SaturatingScore(ScoreExpr):
             raise ValueError(f"unknown activation {self.kind!r}")
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        object.__setattr__(self, "r", float(self.r))
-        if self.r not in (1.0, 2.0, math.inf):
-            raise ValueError("r must be one of 1, 2, inf")
+        object.__setattr__(self, "r", nn.norm_exponent(self.r))
 
     @property
     def scale(self) -> float:

@@ -32,6 +32,7 @@ from . import nn
 from .curves import (
     ConcaveCurve,
     RateProfile,
+    _budgets,
     least_concave_majorant,
     p_transform,
     powered_budget,
@@ -46,9 +47,7 @@ def lower_bound(profile: RateProfile, p, eps):
     eps = 0 it reads 0 at finite p (staying put is free) and at p = inf the
     rates read from the left at 0 (the moves of zero cost).
     """
-    grid = np.asarray(eps, dtype=float)
-    if np.any(grid < 0):
-        raise ValueError("budget must be non-negative")
+    grid = _budgets(eps)
     rates = profile.rates
     live = profile.weights > 0  # 0 * inf = 0: zero-weight samples drop out
     w = profile.weights[live]
@@ -60,7 +59,7 @@ def lower_bound(profile: RateProfile, p, eps):
         if math.isinf(p):
             terms = rates.left_values(e)[live]
         else:
-            terms = star_majorant_after_power(rates, float(p), e)[live]
+            terms = np.atleast_1d(star_majorant_after_power(rates, float(p), e))[live]
         # a weighted mean never exceeds its largest term, though its rounded
         # sum can: the clamp keeps lb at or below the maximal rate's reading
         out[k] = min(np.dot(w, terms), np.max(terms))
@@ -74,15 +73,13 @@ def upper_bound(profile: RateProfile, p, eps):
     ``eps`` is a scalar or a 1-D grid (one bound per budget); eps = 0 reports
     the majorant value at 0 (above 0 for rates with a jump at the origin).
     """
-    grid = np.asarray(eps, dtype=float)
-    if np.any(grid < 0):
-        raise ValueError("budget must be non-negative")
+    grid = _budgets(eps)
     top, e = profile.maximal, grid.ravel()
     if math.isinf(p):
         # the first knot at or beyond each eps; past the last, the largest row tail
         out = top.v[np.minimum(np.searchsorted(top.t, e), top.t.size - 1)]
         past = e > top.t[-1]
-        out[past] = [np.max(profile.rates.tail_values(x)) for x in e[past].tolist()]
+        out[past] = np.max(profile.rates.tail_values(e[past, None]), axis=1)
     else:
         powered = p_transform(top, float(p))
         env = least_concave_majorant(powered)
@@ -146,7 +143,7 @@ def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
     ``score.lipschitz * eps``; ``grad_dual`` comes from ``grads`` (one per row)
     against the feature norm r."""
     eps_grid, cc = np.asarray(eps_grid, dtype=float), np.asarray(cc, dtype=float)
-    if eps_grid.size == 0 or np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
+    if eps_grid.size == 0 or not (np.all(eps_grid > 0) and np.all(np.diff(eps_grid) > 0)):
         raise ValueError("eps grid must be positive and ascending")
     if cc.shape != eps_grid.shape:
         raise ValueError("cc needs one value per budget of the grid")

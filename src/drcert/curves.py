@@ -41,6 +41,15 @@ def _rise(slope, run):
         return np.where((slope == 0) | (run == 0), 0.0, slope * run)
 
 
+def _budgets(eps) -> np.ndarray:
+    """``eps`` as a float array of its own shape, every budget >= 0: NaN fails,
+    -0.0 and inf pass.  The one budget check of every reader."""
+    e = np.asarray(eps, dtype=float)
+    if not (e >= 0).all():
+        raise ValueError("budgets are non-negative")
+    return e
+
+
 @dataclass(frozen=True)
 class CurveFamily:
     """Ragged family of non-decreasing curves under one tail rule.
@@ -102,8 +111,7 @@ class CurveFamily:
         """Each row read from the left at budget ``t``: its last knot at or
         below ``t``, and past its last knot the tail rule ``tail`` (by default
         the family's own).  A lower reading, exact at knots."""
-        if t < 0:
-            raise ValueError("budgets are non-negative")
+        t = _budgets(t)
         vals = np.maximum.reduceat(np.where(self.t <= t, self.v, -math.inf), self.starts)
         past = self.t[self.ends - 1] < t
         return np.where(past, self.tail_values(t, tail), vals) if past.any() else vals
@@ -146,12 +154,9 @@ def curve_from_samples(t, v, tail: str = "const", tail_exponent: float | None = 
     and clamped to be >= 0 at t=0.  A t=0 knot of value 0 is prepended when
     the budgets do not include 0.
     """
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
+    t, v = _budgets(t), np.asarray(v, dtype=float)
     if t.size == 0:
         raise ValueError("no samples")
-    if np.any(t < 0):
-        raise ValueError("budgets must be non-negative")
     order = np.argsort(t, kind="stable")
     t, v = t[order], v[..., order]
     if np.any(np.diff(t) == 0):
@@ -215,9 +220,7 @@ class ConcaveCurve:
 
     def values(self, ts) -> np.ndarray:
         """Majorant at each budget in ``ts``: interpolated on the knots, linear beyond."""
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0):
-            raise ValueError("budgets are non-negative")
+        ts = _budgets(ts)
         tk, vk = self.t, self.v
         return np.where(ts >= tk[-1], vk[-1] + _rise(self.tail_slope, ts - tk[-1]),
                         np.interp(ts, tk, vk))
@@ -289,10 +292,8 @@ def knapsack(profile: RateProfile, p, eps, level: float = 0.0):
     rise, in that order, so a grid reads its scalar calls bit for bit.
     """
     rates, w = profile.rates, profile.weights
-    grid = np.asarray(eps, dtype=float)
+    grid = _budgets(eps)
     e = grid.ravel().tolist()
-    if not all(x >= 0 for x in e):
-        raise ValueError("budget must be non-negative")
     if math.isinf(p):  # 0 * inf = 0: a zero-weight row's infinite tail adds nothing
         gain = np.array([level + float(np.dot(w, np.where(w > 0, rates.left_values(x), 0.0)))
                          for x in e])
@@ -356,8 +357,7 @@ def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
     ulp).  A family gives one value per row, a :class:`Curve` a float.
     """
     tail, _ = _powered_tail(f, p)
-    if eps < 0:
-        raise ValueError("budgets are non-negative")
+    _budgets(eps)
     if eps == 0.0 or tail == "infinite":
         best = np.full(f.starts.size, 0.0 if eps == 0.0 else math.inf)
     else:
@@ -388,7 +388,7 @@ def _powered_tail(f: CurveFamily, p: float):
     q/p <= 1 (no longer superlinear)."""
     if math.isinf(p):
         raise ValueError("p must be finite")
-    if p < 1.0:
+    if not p >= 1.0:  # NaN too
         raise ValueError("p must be >= 1")
     expo = None if f.tail_exponent is None else f.tail_exponent / p
     if f.tail == "infinite" and expo is not None and expo <= 1.0 + 1e-12:

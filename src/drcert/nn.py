@@ -208,13 +208,18 @@ def opnorm(W: np.ndarray, r) -> float:
     r=1 is the max absolute column sum, r=inf the max absolute row sum and r=2
     the largest singular value (SVD).
     """
-    W = np.asarray(W, dtype=float)
-    r = float(r)
-    if r not in (1.0, 2.0, math.inf):
-        raise ValueError("r must be one of 1, 2, inf")
+    W, r = np.asarray(W, dtype=float), norm_exponent(r)
     if W.size == 0:
         return 0.0
     return float(np.linalg.norm(W, r))
+
+
+def norm_exponent(r) -> float:
+    """``r`` as a float, checked to be a feature norm exponent: 1, 2 or inf."""
+    r = float(r)
+    if r not in (1.0, 2.0, math.inf):
+        raise ValueError("feature norm exponent r must be 1, 2 or inf")
+    return r
 
 
 def dual_exponent(r) -> float:
@@ -245,17 +250,15 @@ def ascent_direction(g, r) -> np.ndarray:
     only the largest gradient coordinate, r=2 follows the normalized gradient,
     r=inf follows the gradient signs.  A zero row stays zero.
     """
-    r = float(r)
+    r = norm_exponent(r)
     if r == 2.0:
         norm = np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))  # np.linalg.norm's sum
         return np.where(norm > 0, g / np.maximum(norm, 1e-300), 0.0)
     if r == 1.0:
         top = np.arange(g.shape[-1]) == np.argmax(np.abs(g), axis=-1)[..., None]
         d = np.where(top, _sgn(g), 0.0)
-    elif math.isinf(r):
-        d = _sgn(g)
     else:
-        raise ValueError("r must be one of 1, 2, inf")
+        d = _sgn(g)
     return np.where(np.any(g != 0, axis=-1, keepdims=True), d, 0.0)
 
 

@@ -21,8 +21,6 @@ import numpy as np
 from . import nn
 from .curves import Curve, CurveFamily, RateProfile, curve_from_samples
 
-_R_VALUES = (1.0, 2.0, math.inf)
-
 
 @dataclass(frozen=True)
 class CostConfig:
@@ -30,10 +28,8 @@ class CostConfig:
     kappa: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "r", nn.norm_exponent(self.r))
         object.__setattr__(self, "kappa", float(self.kappa))
-        if self.r not in _R_VALUES:
-            raise ValueError("feature norm exponent r must be 1, 2 or inf")
         if not self.kappa > 0:
             raise ValueError("label weight kappa must be positive")
 

@@ -32,7 +32,12 @@ rows and once with a zero weight, each read by ``lower_bound``,
 ``upper_bound``, ``knapsack`` (value and spend) and ``p_ordering_check`` at
 the same p over budgets that run past the last knot.  Each profile prints its
 label and a SHA-256 over the ``repr`` of every result, or of the exception
-raised.
+raised.  Last come ``library invalid`` lines, one per reader of a budget, an
+exponent p or a cost norm r, hashed the same way over its readings at inputs
+on and past the edge of its rule (negative and NaN budgets, alone and in a
+grid, -0.0 and inf, a NaN p, r in {3, -inf, nan}), on the first profile; they
+stay out of the profile lines, so that a change to what bad input does moves
+these lines alone.
 The script is not a test module: pytest does not collect it.
 """
 
@@ -165,8 +170,7 @@ def profiles():
 
 
 def library_digest(profile) -> str:
-    """SHA-256 over the ``repr`` of each reading of ``profile``, or of the
-    exception it raised."""
+    """SHA-256 over the readings of ``profile`` (:func:`readings_digest`)."""
     from drcert.certificates import lower_bound, p_ordering_check, upper_bound
     from drcert.curves import knapsack
 
@@ -175,6 +179,52 @@ def library_digest(profile) -> str:
     reads = [lambda f=f, p=p: f(profile, p, eps)
              for p in ps for f in (lower_bound, upper_bound, knapsack)]
     reads += [lambda e=e: p_ordering_check(profile, e, ps) for e in eps[1:].tolist()]
+    return readings_digest(reads)
+
+
+def invalid_digests(profile):
+    """(reader, SHA-256 over its readings) of each reader of a budget, an
+    exponent p or a cost norm r, at inputs on and past the edge of its rule:
+    the budgets -0.1, NaN, -0.0 and inf, alone and in a grid, at p in {1, 2,
+    inf, nan} for the readers that take p; r in {1, 2, inf, 3, -inf, nan}."""
+    from drcert import nn
+    from drcert.advscore import LinearGain, SaturatingScore
+    from drcert.certificates import (certificate_report, lower_bound, p_ordering_check,
+                                     upper_bound)
+    from drcert.curves import (curve_from_samples, knapsack, least_concave_majorant,
+                               star_majorant_after_power)
+    from drcert.rates import CostConfig
+
+    inf, nan = float("inf"), float("nan")
+    budgets = (-0.1, nan, [0.1, -0.1], [0.1, nan], -0.0, inf, [-0.0, inf], 0.5)
+    majorant = least_concave_majorant(profile.maximal)
+    by_p = {"lower_bound": lambda p, e: lower_bound(profile, p, e),
+            "upper_bound": lambda p, e: upper_bound(profile, p, e),
+            "knapsack": lambda p, e: knapsack(profile, p, e),
+            "star_majorant_after_power": lambda p, e: star_majorant_after_power(
+                profile.rates, p, e),
+            "p_ordering_check": lambda p, e: p_ordering_check(profile, e, [p]),
+            "certificate_report": lambda p, e: certificate_report(
+                profile, p, e, 0.0, np.ones(np.shape(e)), LinearGain(1.0), [[1.0]], 2.0)}
+    by_eps = {"left_values": profile.rates.left_values, "ConcaveCurve.values": majorant.values,
+              "curve_from_samples": lambda e: curve_from_samples(np.atleast_1d(e),
+                                                                 np.zeros(np.size(e)))}
+    by_r = {"CostConfig": lambda r: CostConfig(r=r),
+            "opnorm": lambda r: nn.opnorm([[1.0, -2.0], [3.0, 0.5]], r),
+            "SaturatingScore": lambda r: SaturatingScore("tanh", 2, r=r),
+            "ascent_direction": lambda r: nn.ascent_direction(np.array([[1.0, -2.0, 0.0]]), r)}
+    out = [(name, readings_digest([lambda p=p, e=e: read(p, e)
+                                   for p in (1.0, 2.0, inf, nan) for e in budgets]))
+           for name, read in by_p.items()]
+    out += [(name, readings_digest([lambda e=e: read(e) for e in budgets]))
+            for name, read in by_eps.items()]
+    out += [(name, readings_digest([lambda r=r: read(r) for r in (1, 2, inf, 3, -inf, nan)]))
+            for name, read in by_r.items()]
+    return out
+
+
+def readings_digest(reads) -> str:
+    """SHA-256 over the ``repr`` of each reading, or of the exception it raised."""
     h = hashlib.sha256()
     for read in reads:
         try:
@@ -221,6 +271,10 @@ def main(src: str) -> int:
     for label, profile in lines:
         print(f"library {label}\t{library_digest(profile)}", flush=True)
     print(f"{len(lines)} profiles")
+    invalid = invalid_digests(lines[0][1])
+    for reader, h in invalid:
+        print(f"library invalid {reader}\t{h}", flush=True)
+    print(f"{len(invalid)} invalid-input readers")
     return 0
 
 

@@ -19,7 +19,7 @@ from drcert.advscore import (
     mlp_feature_score,
     mlp_score,
 )
-from drcert.nn import Layer, Mlp, forward, init_mlp, opnorm, vector_norm
+from drcert.nn import Layer, Mlp, ascent_direction, forward, init_mlp, opnorm, vector_norm
 from drcert.rates import CostConfig
 from helpers import is_concave
 
@@ -62,8 +62,13 @@ class TestActivationScores:
     def test_unknown_activation(self):
         with pytest.raises(ValueError):
             activation_score("gelu")
-        with pytest.raises(ValueError, match="r must be"):  # at construction
-            SaturatingScore("tanh", 2, r=3)
+        # every reader of a cost norm refuses r outside {1, 2, inf}
+        for r in (3, -math.inf, math.nan):
+            for read in (CostConfig, lambda r: opnorm(np.eye(2), r),
+                         lambda r: SaturatingScore("tanh", 2, r=r),  # at construction
+                         lambda r: ascent_direction(np.ones((2, 3)), r)):
+                with pytest.raises(ValueError, match="r must be 1, 2 or inf"):
+                    read(r)
 
     def test_width_scalings(self):
         t = 1.7

@@ -23,6 +23,7 @@ from drcert.curves import (
     least_concave_majorant,
     p_transform,
     powered_budget,
+    star_majorant_after_power,
 )
 from drcert.jsonio import decode_float, dumps
 from drcert.oracle import DiscreteInstance, dr_risk_exact, instance_rate_profile
@@ -246,12 +247,30 @@ class TestZeroBudget:
         assert (lower_bound(prof, p, 0.0), gap) == (expected, 1.0)
         assert lower_bound(prof, p, [0.0, 0.5]).tolist()[0] == expected
 
-    @pytest.mark.parametrize("eps", [-0.1, [0.1, -0.1]])
+    @pytest.mark.parametrize("eps", [-0.1, [0.1, -0.1], math.nan, [0.1, math.nan]])
     def test_lower_bound_rejects_a_negative_budget(self, eps):
+        # every reader refuses a negative or NaN budget, alone or in a grid
         prof = instance_rate_profile(DiscreteInstance(**self.INST))
+        kw = dict(empirical_risk=0.0, score=LinearGain(1.0), grads=[[1.0]], r=2.0)
         for p in (1.0, 2.0, math.inf):
+            for read in (lower_bound, upper_bound, knapsack):
+                with pytest.raises(ValueError, match="non-negative"):
+                    read(prof, p, eps)
             with pytest.raises(ValueError, match="non-negative"):
-                lower_bound(prof, p, eps)
+                p_ordering_check(prof, eps, [p, math.inf])
+            with pytest.raises(ValueError, match="positive"):
+                certificate_report(prof, p, eps, cc=np.ones(np.shape(eps)), **kw)
+        for read in (prof.rates.left_values, least_concave_majorant(prof.maximal).values,
+                     lambda e: star_majorant_after_power(prof.rates, 2.0, e)):
+            with pytest.raises(ValueError, match="non-negative"):
+                read(eps)
+        # a NaN exponent is refused too; -0.0 and inf are budgets
+        for read in (lower_bound, upper_bound, knapsack):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                read(prof, math.nan, 0.5)
+        for p in (1.0, 2.0, math.inf):
+            for e in (-0.0, math.inf):
+                assert lower_bound(prof, p, e) <= knapsack(prof, p, e)[0] <= upper_bound(prof, p, e)
 
 
 class TestPInfty:
@@ -413,7 +432,10 @@ def shared_grids(draw):
                                        ("infinite", 1.5), ("infinite", 2.0), ("infinite", 3.0)]))
     mass = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
     mass[draw(st.integers(0, n - 1))] += 1.0  # some weight is positive; others may be 0
-    return t, np.cumsum(steps, axis=1), tail, expo, mass / mass.sum()
+    V = np.cumsum(steps, axis=1)
+    if n == 1 and draw(st.booleans()):
+        V = V[0]  # one 1-D row: the profile's rates are a Curve
+    return t, V, tail, expo, mass / mass.sum()
 
 
 @settings(max_examples=200, deadline=None)
@@ -426,7 +448,8 @@ def test_array_bounds_match_row_reference(grid, p, eps, on_knots):
     lbs, ccs = lower_bound(prof, p, eps), upper_bound(prof, p, eps)
     assert lbs.shape == ccs.shape == eps.shape
     for e, lb, cc in zip(eps, lbs, ccs):
-        lb_old, lb_new, ref_cc = dense_reference(t, V, tail, expo, weights, p, float(e))
+        lb_old, lb_new, ref_cc = dense_reference(t, np.atleast_2d(V), tail, expo, weights, p,
+                                                 float(e))
         assert cc == ref_cc
         assert lb == lb_new >= lb_old
         if e in t or e > t[-1]:  # the candidate is a knot's or the tail's own term

@@ -79,8 +79,9 @@ class TestConstruction:
             curve_from_samples([], [])
 
     def test_negative_budget_raises(self):
-        with pytest.raises(ValueError):
-            curve_from_samples([-1, 0], [0, 0])
+        for t in ([-1, 0], [0, math.nan]):
+            with pytest.raises(ValueError, match="non-negative"):
+                curve_from_samples(t, [0, 0])
 
     def test_zero_knot_prepended(self):
         c = curve_from_samples([1, 2], [2, 3])

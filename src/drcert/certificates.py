@@ -13,12 +13,13 @@ Both read the profile's ragged family: the lower bound in one flat pass over
 the rows' knots per budget, the upper bound on the maximal rate over the
 pooled knots, every budget in one pass, and past the last knot the rows' own
 tails, never the pooled curve's last chord, which no row has.
-At p = inf the lower bound is the weighted sum of the rates read from the
-left at eps, and the upper bound reads the maximal rate at the first pooled
-knot at or beyond eps (past the last, the largest row tail): sound, since a
-certified profile holds the exact (non-decreasing) rate at each knot, and
-exact at every eps where each jump has a knot just below it, as the
-oracle's atoms do.  Extended arithmetic follows the 0*inf = 0 convention.
+At p = inf both read row by row, one budget at a time: the lower bound is the
+weighted sum of the rates read from the left at eps, and the upper bound the
+largest rate read from the right, each row at its own first knot at or beyond
+eps and past its last knot at its own tail.  That is sound, since a certified
+profile holds the exact (non-decreasing) rate at each knot, and exact at every
+eps where each jump has a knot just below it, as the oracle's atoms do.
+Extended arithmetic follows the 0*inf = 0 convention.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def lower_bound(profile: RateProfile, p, eps):
     # budget, so all budgets at once would hold rows x knots x budgets floats
     # (1e9, 8 GB, at 1e5 rows, 101 knots and 100 budgets), one budget rows x knots
     for k, e in enumerate(grid.ravel()):
-        if math.isinf(p):
+        if p == math.inf:
             terms = rates.left_values(e)[live]
         else:
             terms = np.atleast_1d(star_majorant_after_power(rates, float(p), e))[live]
@@ -74,14 +75,11 @@ def upper_bound(profile: RateProfile, p, eps):
     the majorant value at 0 (above 0 for rates with a jump at the origin).
     """
     grid = _budgets(eps)
-    top, e = profile.maximal, grid.ravel()
-    if math.isinf(p):
-        # the first knot at or beyond each eps; past the last, the largest row tail
-        out = top.v[np.minimum(np.searchsorted(top.t, e), top.t.size - 1)]
-        past = e > top.t[-1]
-        out[past] = np.max(profile.rates.tail_values(e[past, None]), axis=1)
+    e = grid.ravel()
+    if p == math.inf:  # one budget at a time: no rows x knots x budgets temporary
+        out = np.array([np.max(profile.rates.right_values(x)) for x in e.tolist()])
     else:
-        powered = p_transform(top, float(p))
+        powered = p_transform(profile.maximal, float(p))
         env = least_concave_majorant(powered)
         if powered.tail == "slope":  # run on at the steepest row's tail, not the pooled chord
             # (never below it on a shared grid; a ragged family keeps the steeper)
@@ -125,7 +123,7 @@ def p_ordering_check(profile: RateProfile, eps: float, p_list, tol: float = 1e-9
     if any(ps[i] > ps[i + 1] for i in range(len(ps) - 1)):
         raise ValueError("p_list must be ascending")
     chains = {"lb": [lower_bound(profile, p, eps) for p in ps],
-              "cc": [float(np.max(profile.rates.left_values(eps))) if math.isinf(p)
+              "cc": [float(np.max(profile.rates.left_values(eps))) if p == math.inf
                      else upper_bound(profile, p, eps) for p in ps]}
     for name, seq in chains.items():
         for k in range(len(ps) - 1):

@@ -79,9 +79,11 @@ class CurveFamily:
             raise ValueError("first knot must sit at t=0")
         inner = np.ones(t.size, dtype=bool)
         inner[starts] = False  # knot k > 0 of its row: compare with knot k - 1
-        if np.any(np.diff(t)[inner[1:]] <= 0):
+        # neighbours compared, not differenced (inf - inf is NaN): NaN fails
+        # each rule, and a row may jump to inf and stay there
+        if not (t[1:] > t[:-1])[inner[1:]].all():
             raise ValueError("knot budgets must be strictly increasing")
-        if np.any(v[starts] < 0) or np.any(np.diff(v)[inner[1:]] < 0):
+        if not ((v[starts] >= 0).all() and (v[1:] >= v[:-1])[inner[1:]].all()):
             raise ValueError("curve values must be non-negative and non-decreasing")
         if self.tail not in TAILS:
             raise ValueError(f"unknown tail kind {self.tail!r}")
@@ -116,6 +118,15 @@ class CurveFamily:
         past = self.t[self.ends - 1] < t
         return np.where(past, self.tail_values(t, tail), vals) if past.any() else vals
 
+    def right_values(self, t: float) -> np.ndarray:
+        """Each row read from the right at budget ``t``: its first knot at or
+        beyond ``t``, and past its last knot its own tail (:meth:`tail_values`).
+        An upper reading of a non-decreasing row, exact at knots."""
+        t = _budgets(t)
+        vals = np.minimum.reduceat(np.where(self.t >= t, self.v, math.inf), self.starts)
+        past = self.t[self.ends - 1] < t
+        return np.where(past, self.tail_values(t), vals) if past.any() else vals
+
     def tail_values(self, t, tail: str | None = None) -> np.ndarray:
         """Each row's tail rule ``tail`` (by default the family's own) at the
         budget or budgets ``t`` past its last knot: its last value, run on at
@@ -128,8 +139,9 @@ class CurveFamily:
 
         At each distinct budget of any row it takes the largest value any row
         has reached by that budget (one stable sort, one running max).  Every
-        pooled knot stays, flat ones too, so that a reading from the right
-        stops at the next knot of any row.  On a shared grid this is the
+        pooled knot stays, flat ones too, so that a one-row family comes back
+        with its own knots, which :func:`~drcert.rates.individual_rate` and
+        acceptance criteria 3 and 6 read.  On a shared grid this is the
         row-wise max.
         """
         order = np.argsort(self.t, kind="stable")
@@ -184,7 +196,7 @@ class RateProfile:
         object.__setattr__(self, "weights", w)
         if w.shape != self.rates.starts.shape:
             raise ValueError("rates need one row per sample weight")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12 or np.any(w < 0):
+        if not (abs(float(np.sum(w)) - 1.0) <= 1e-12 and (w >= 0).all()):  # NaN fails
             raise ValueError("weights must be a probability vector")
 
     @functools.cached_property
@@ -294,7 +306,7 @@ def knapsack(profile: RateProfile, p, eps, level: float = 0.0):
     rates, w = profile.rates, profile.weights
     grid = _budgets(eps)
     e = grid.ravel().tolist()
-    if math.isinf(p):  # 0 * inf = 0: a zero-weight row's infinite tail adds nothing
+    if p == math.inf:  # 0 * inf = 0: a zero-weight row's infinite tail adds nothing
         gain = np.array([level + float(np.dot(w, np.where(w > 0, rates.left_values(x), 0.0)))
                          for x in e])
         spend = np.zeros(gain.size)
@@ -374,7 +386,8 @@ def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
             # power is a scalar one (inf on overflow), whose rounding does not
             # depend on an array's layout the way a vectorised power's can
             hi = f.ends[rows] - 1
-            a, b = (t[hi] / eps).tolist(), (t[hi - 1] / eps).tolist()
+            with np.errstate(over="ignore"):  # a knot over a subnormal eps: inf
+                a, b = (t[hi] / eps).tolist(), (t[hi - 1] / eps).tolist()
             denom = np.array([powered_budget(x, p) - powered_budget(y, p) for x, y in zip(a, b)])
             with np.errstate(divide="ignore", invalid="ignore"):
                 limit = np.where(denom > 0, (v[hi] - v[hi - 1]) / denom, -math.inf)
@@ -386,10 +399,10 @@ def _powered_tail(f: CurveFamily, p: float):
     """Tail rule and exponent of t -> f(t^(1/p)) for a finite p >= 1: growth of
     order q becomes order q/p, so an infinite tail becomes a slope tail once
     q/p <= 1 (no longer superlinear)."""
+    if not p >= 1.0:  # NaN and -inf too
+        raise ValueError("p must be >= 1")
     if math.isinf(p):
         raise ValueError("p must be finite")
-    if not p >= 1.0:  # NaN too
-        raise ValueError("p must be >= 1")
     expo = None if f.tail_exponent is None else f.tail_exponent / p
     if f.tail == "infinite" and expo is not None and expo <= 1.0 + 1e-12:
         return "slope", min(expo, 1.0)

@@ -35,9 +35,10 @@ label and a SHA-256 over the ``repr`` of every result, or of the exception
 raised.  Last come ``library invalid`` lines, one per reader of a budget, an
 exponent p or a cost norm r, hashed the same way over its readings at inputs
 on and past the edge of its rule (negative and NaN budgets, alone and in a
-grid, -0.0 and inf, a NaN p, r in {3, -inf, nan}), on the first profile; they
-stay out of the profile lines, so that a change to what bad input does moves
-these lines alone.
+grid, -0.0 and inf, a NaN or -inf p, r in {3, -inf, nan}), on the first
+profile, and one each for ``CurveFamily`` and ``RateProfile`` built from a NaN
+knot, value or weight; they stay out of the profile lines, so that a change
+to what bad input does moves these lines alone.
 The script is not a test module: pytest does not collect it.
 """
 
@@ -186,13 +187,16 @@ def invalid_digests(profile):
     """(reader, SHA-256 over its readings) of each reader of a budget, an
     exponent p or a cost norm r, at inputs on and past the edge of its rule:
     the budgets -0.1, NaN, -0.0 and inf, alone and in a grid, at p in {1, 2,
-    inf, nan} for the readers that take p; r in {1, 2, inf, 3, -inf, nan}."""
+    inf, -inf, nan} for the readers that take p; r in {1, 2, inf, 3, -inf,
+    nan}.  Then ``CurveFamily`` at a NaN knot or value, a row that jumps to
+    inf and stays there, and a knot at inf twice, and ``RateProfile`` at a
+    NaN, negative or zero weight."""
     from drcert import nn
     from drcert.advscore import LinearGain, SaturatingScore
     from drcert.certificates import (certificate_report, lower_bound, p_ordering_check,
                                      upper_bound)
-    from drcert.curves import (curve_from_samples, knapsack, least_concave_majorant,
-                               star_majorant_after_power)
+    from drcert.curves import (CurveFamily, RateProfile, curve_from_samples, knapsack,
+                               least_concave_majorant, star_majorant_after_power)
     from drcert.rates import CostConfig
 
     inf, nan = float("inf"), float("nan")
@@ -214,12 +218,19 @@ def invalid_digests(profile):
             "SaturatingScore": lambda r: SaturatingScore("tanh", 2, r=r),
             "ascent_direction": lambda r: nn.ascent_direction(np.array([[1.0, -2.0, 0.0]]), r)}
     out = [(name, readings_digest([lambda p=p, e=e: read(p, e)
-                                   for p in (1.0, 2.0, inf, nan) for e in budgets]))
+                                   for p in (1.0, 2.0, inf, -inf, nan) for e in budgets]))
            for name, read in by_p.items()]
     out += [(name, readings_digest([lambda e=e: read(e) for e in budgets]))
             for name, read in by_eps.items()]
     out += [(name, readings_digest([lambda r=r: read(r) for r in (1, 2, inf, 3, -inf, nan)]))
             for name, read in by_r.items()]
+    rows = (([0.0, nan, 2.0], [0.0, 1.0, 3.0]), ([0.0, 1.0, 2.0], [0.0, nan, 3.0]),
+            ([0.0, 1.0, 2.0], [0.0, inf, inf]), ([0.0, inf, inf], [0.0, 1.0, 2.0]))
+    weights = ([nan, 0.5, 0.5], [0.5, 0.5, nan], [-0.1, 0.6, 0.5], [0.0, 0.5, 0.5])
+    out += [("CurveFamily", readings_digest([lambda t=t, v=v: CurveFamily(t, v, [0])
+                                             for t, v in rows])),
+            ("RateProfile", readings_digest([lambda w=w: RateProfile(profile.rates, w).weights
+                                             for w in weights]))]
     return out
 
 

@@ -264,10 +264,14 @@ class TestZeroBudget:
                      lambda e: star_majorant_after_power(prof.rates, 2.0, e)):
             with pytest.raises(ValueError, match="non-negative"):
                 read(eps)
-        # a NaN exponent is refused too; -0.0 and inf are budgets
-        for read in (lower_bound, upper_bound, knapsack):
+        # a NaN or -inf exponent is refused too (-inf never reads as inf);
+        # -0.0 and inf are budgets
+        for p in (math.nan, -math.inf):
+            for read in (lower_bound, upper_bound, knapsack):
+                with pytest.raises(ValueError, match="p must be >= 1"):
+                    read(prof, p, 0.5)
             with pytest.raises(ValueError, match="p must be >= 1"):
-                read(prof, math.nan, 0.5)
+                p_ordering_check(prof, 0.5, [p, math.inf])
         for p in (1.0, 2.0, math.inf):
             for e in (-0.0, math.inf):
                 assert lower_bound(prof, p, e) <= knapsack(prof, p, e)[0] <= upper_bound(prof, p, e)

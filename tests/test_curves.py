@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drcert.certificates import upper_bound
+from drcert.certificates import lower_bound, upper_bound
 from drcert.curves import (
     ConcaveCurve,
     Curve,
@@ -82,6 +83,16 @@ class TestConstruction:
         for t in ([-1, 0], [0, math.nan]):
             with pytest.raises(ValueError, match="non-negative"):
                 curve_from_samples(t, [0, 0])
+        # NaN fails every knot, value and weight rule; a jump to inf may stay there
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Curve([0, math.nan, 2], [0, 1, 3])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Curve([0, 1, 2], [0, math.nan, 3])
+        with pytest.raises(ValueError, match="probability"):
+            RateProfile(curve_from_samples([0, 1], [[0, 1], [0, 2]]), [math.nan, 1.0])
+        assert Curve([0, 1, 2], [0, math.inf, math.inf]).v.tolist() == [0, math.inf, math.inf]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Curve([0, math.inf, math.inf], [0, 1, 2])  # one budget twice
 
     def test_zero_knot_prepended(self):
         c = curve_from_samples([1, 2], [2, 3])
@@ -323,6 +334,14 @@ def test_slope_tail_outgrows_the_hull():
     assert is_concave(env)
 
 
+def test_slope_star_at_a_subnormal_budget_warns_nothing():
+    # the knots over a subnormal eps overflow to inf: the limit reads 0, quietly
+    profile = RateProfile(curve_from_samples([0, 1, 2], [[0, 1, 3]], tail="slope"), [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lower_bound(profile, 2.0, 1e-310) == 0.0
+
+
 def test_flat_tail_stays_flat_at_an_infinite_budget():
     # 0 * inf = 0: a zero tail slope adds nothing, not NaN, at t = inf
     fam = curve_from_samples([0.0, 1.0], [[0.0, 2.0], [1.0, 1.0]], tail="slope")
@@ -402,6 +421,8 @@ class TestFamilies:
                 for x in (0.0, 0.3, float(t[4]), float(t[-1]), 3.7, float(fam.t[3])):
                     assert np.array_equal(fam.left_values(x),
                                           [r.left_values(x)[0] for r in rows])
+                    assert np.array_equal(fam.right_values(x),
+                                          [right_values(r, x)[0] for r in rows])
                     for p in (1.0, 2.5):
                         assert np.array_equal(star_majorant_after_power(fam, p, x),
                                               [star_majorant_after_power(r, p, x)
@@ -446,6 +467,35 @@ class TestFamilies:
             CurveFamily([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 1.0], [0, 2])  # a row falls
         with pytest.raises(ValueError):
             CurveFamily([0.0], [0.0], [0], tail="infinite", tail_exponent=1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), tail=st.sampled_from(TAILS),
+       extra=st.lists(st.floats(0, 10, allow_nan=False), max_size=6))
+def test_p_inf_upper_bound_reads_each_row_from_the_right(seed, tail, extra):
+    # every row at its own next knot, past its last knot at its own tail:
+    # never below a row that has already ended
+    rng = np.random.default_rng(seed)
+    fam = ragged_family(rng, tail, 2.0 if tail == "infinite" else None)
+    profile = RateProfile(fam, rng.dirichlet(np.ones(4)))
+    rows = family_rows(fam)
+    eps = np.concatenate([[0.0, math.inf], fam.t, fam.t + 1e-3, extra])
+    cc = upper_bound(profile, math.inf, eps)
+    assert np.array_equal(cc, np.max([right_values(r, eps) for r in rows], axis=0))
+    assert np.all(lower_bound(profile, math.inf, eps) <= cc)
+
+
+def test_p_inf_upper_bound_reads_a_row_past_its_end():
+    # the digests' infinite ragged profile, rounded: row 0 ends at 0.98, so at
+    # eps = 1 it has run on at its infinite tail, while the other rows' knots
+    # beyond 1 hold 3.63 and 3.59; at 0.3 its next knot (2.13) is the largest
+    # next knot of any row, though another row's knot (0.49, 2.04) comes first
+    fam = CurveFamily([0.0, 0.98, 0.0, 0.49, 0.82, 1.77, 2.62, 0.0, 0.71, 0.86, 1.31, 2.04],
+                      [1.33, 2.13, 1.52, 2.04, 2.11, 3.22, 3.63, 0.85, 2.09, 2.71, 3.59, 5.4],
+                      [0, 2, 7], tail="infinite")
+    profile = RateProfile(fam, [0.58, 0.13, 0.29])
+    assert lower_bound(profile, math.inf, 1.0) == upper_bound(profile, math.inf, 1.0) == math.inf
+    assert upper_bound(profile, math.inf, 0.3) == 2.13
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,13 +6,14 @@ robust risk at budget eps and the empirical risk is sandwiched between
 * lower_bound: the weighted sum of least star-shaped majorants of the
   p-transformed per-sample rates, evaluated at eps^p and clamped to its
   largest term, and
-* upper_bound: the least concave majorant of the p-transformed maximal rate
-  at eps^p.
+* upper_bound: the least concave majorant of the max of the p-transformed
+  per-sample rates at eps^p.
 
 Both read the profile's ragged family: the lower bound in one flat pass over
-the rows' knots per budget, the upper bound on the maximal rate over the
-pooled knots, every budget in one pass, and past the last knot the rows' own
-tails, never the pooled curve's last chord, which no row has.
+the rows' knots per budget, its star reading no tail limit above p = 1, the
+upper bound as one :func:`~drcert.curves.least_concave_majorant` of the rows,
+every budget in one pass, running on at the steepest row's tail: no pooled
+curve and no pooled last chord, which no row has, is read.
 At p = inf both read row by row, one budget at a time: the lower bound is the
 weighted sum of the rates read from the left at eps, and the upper bound the
 largest rate read from the right, each row at its own first knot at or beyond
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import nn
 from .curves import (
-    ConcaveCurve,
     RateProfile,
     _budgets,
     least_concave_majorant,
@@ -79,12 +79,7 @@ def upper_bound(profile: RateProfile, p, eps):
     if p == math.inf:  # one budget at a time: no rows x knots x budgets temporary
         out = np.array([np.max(profile.rates.right_values(x)) for x in e.tolist()])
     else:
-        powered = p_transform(profile.maximal, float(p))
-        env = least_concave_majorant(powered)
-        if powered.tail == "slope":  # run on at the steepest row's tail, not the pooled chord
-            # (never below it on a shared grid; a ragged family keeps the steeper)
-            rows = p_transform(profile.rates, float(p))._tail_slopes()
-            env = ConcaveCurve(env.t, env.v, max(env.tail_slope, float(np.max(rows))))
+        env = least_concave_majorant(p_transform(profile.rates, float(p)))
         out = env.values([powered_budget(x, p) for x in e.tolist()])
     return float(out[0]) if grid.ndim == 0 else out
 
@@ -141,7 +136,8 @@ def certificate_report(profile: RateProfile, p, eps_grid, empirical_risk: float,
     ``score.lipschitz * eps``; ``grad_dual`` comes from ``grads`` (one per row)
     against the feature norm r."""
     eps_grid, cc = np.asarray(eps_grid, dtype=float), np.asarray(cc, dtype=float)
-    if eps_grid.size == 0 or not (np.all(eps_grid > 0) and np.all(np.diff(eps_grid) > 0)):
+    if not (eps_grid.ndim == 1 and eps_grid.size and np.all(eps_grid > 0)
+            and np.all(np.diff(eps_grid) > 0)):
         raise ValueError("eps grid must be positive and ascending")
     if cc.shape != eps_grid.shape:
         raise ValueError("cc needs one value per budget of the grid")

@@ -342,19 +342,22 @@ def knapsack(profile: RateProfile, p, eps, level: float = 0.0):
 
 
 def least_concave_majorant(f: CurveFamily) -> ConcaveCurve:
-    """Least concave majorant of a one-row family (a curve), its tail included.
+    """Least concave majorant of a family's pointwise max, its tails included.
 
-    The result is the upper concave envelope of the knot points, run on at
-    the curve's own tail slope (:meth:`CurveFamily._tail_slopes`).  A flat
-    final run keeps only its two ends as hull knots, so a long flat tail
-    costs two knots.  A source with an infinite tail slope (superlinear
-    growth) or carrying infinite values yields the infinite majorant.
+    The upper concave envelope of the pooled knots (:meth:`CurveFamily.pointwise_max`),
+    run on at the steepest row's own tail slope (:meth:`CurveFamily._tail_slopes`); a
+    curve is the one-row case.  :class:`ConcaveCurve` drops the final segments less
+    steep than that tail, so each row's tail stays under the result and no pooled
+    last chord is read.  A flat final run keeps only its two ends as hull knots.  A
+    source with an infinite tail slope (superlinear growth) or carrying infinite
+    values yields the infinite majorant.
     """
-    tail = float(f._tail_slopes()[0])
-    if math.isinf(tail) or np.any(np.isinf(f.v)):
-        return ConcaveCurve(f.t[:1], f.v[:1] if np.isfinite(f.v[0]) else np.array([0.0]),
+    top = f.pointwise_max()
+    tail = float(np.max(f._tail_slopes()))
+    if math.isinf(tail) or np.any(np.isinf(top.v)):
+        return ConcaveCurve(top.t[:1], top.v[:1] if np.isfinite(top.v[0]) else np.array([0.0]),
                             tail_slope=math.inf)
-    ht, hv, _ = _upper_hull(f.t, f.v, np.zeros(1, dtype=int))
+    ht, hv, _ = _upper_hull(top.t, top.v, np.zeros(1, dtype=int))
     return ConcaveCurve(ht, hv, tail_slope=tail)
 
 
@@ -364,9 +367,12 @@ def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
     That is sup over u >= eps of (eps/u)^p f(u) (at p = 1 the plain least
     star-shaped majorant sup_u eps f(u)/u), taken over the knots at or beyond
     eps, the tail and u = eps, read from the left with ratio exactly 1 (rates
-    never decrease), and 0 at eps = 0.  It is computed on the original budget
-    axis (powering the knots and the query separately can disagree by one
-    ulp).  A family gives one value per row, a :class:`Curve` a float.
+    never decrease), and 0 at eps = 0.  A ``slope`` tail's limit, eps times the
+    last chord's slope, is read at p = 1 only: above it (eps/u)^p (a + s u) along
+    the tail never rises when a >= 0, so the knots and u = eps read its sup.  It
+    is computed on the original budget axis (powering the knots and the query
+    separately can disagree by one ulp).  A family gives one value per row, a
+    :class:`Curve` a float.
     """
     tail, _ = _powered_tail(f, p)
     _budgets(eps)
@@ -379,16 +385,13 @@ def star_majorant_after_power(f: CurveFamily, p: float, eps: float):
         with np.errstate(invalid="ignore"):
             terms[far] = (eps / t[far]) ** p * v[far]
         best = np.maximum(np.maximum.reduceat(terms, f.starts), f.left_values(eps, tail))
-        rows = np.flatnonzero(f.ends - 1 > f.starts)  # the rows with a last chord
-        if tail == "slope" and rows.size:
-            # limit of (eps/t)^p * f(t) as t -> inf along the linear extension,
-            # written with ratios so the knot/query powers cannot disagree; each
-            # power is a scalar one (inf on overflow), whose rounding does not
-            # depend on an array's layout the way a vectorised power's can
+        if tail == "slope" and p == 1.0:
+            # eps f(u) / u tends to eps times the last chord's slope, written
+            # with ratios (inf - inf over a subnormal eps: no limit)
+            rows = np.flatnonzero(f.ends - 1 > f.starts)  # the rows with a last chord
             hi = f.ends[rows] - 1
-            with np.errstate(over="ignore"):  # a knot over a subnormal eps: inf
-                a, b = (t[hi] / eps).tolist(), (t[hi - 1] / eps).tolist()
-            denom = np.array([powered_budget(x, p) - powered_budget(y, p) for x, y in zip(a, b)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                denom = t[hi] / eps - t[hi - 1] / eps
             with np.errstate(divide="ignore", invalid="ignore"):
                 limit = np.where(denom > 0, (v[hi] - v[hi - 1]) / denom, -math.inf)
             best[rows] = np.maximum(best[rows], limit)

@@ -28,7 +28,8 @@ one atom that moves its whole mass at p = inf.
 After the command-line runs come library lines, which reach readers that no
 command does (multi-row ``slope`` and ``infinite`` profiles, budgets past the
 last knot): twelve seeded rate profiles, each tail kind on shared and ragged
-rows and once with a zero weight, each read by ``lower_bound``,
+rows and once with a zero weight, and a thirteenth of two fixed ragged
+``slope`` rows whose pooled last chord no row has, each read by ``lower_bound``,
 ``upper_bound``, ``knapsack`` (value and spend) and ``p_ordering_check`` at
 the same p over budgets that run past the last knot.  Each profile prints its
 label and a SHA-256 over the ``repr`` of every result, or of the exception
@@ -143,7 +144,8 @@ def matrix(inputs: Path):
 def profiles():
     """(label, rate profile) of each library line: for each tail kind, three
     rows on one grid, three ragged rows, and three rows on one grid of which
-    one has no weight."""
+    one has no weight; last, two fixed ragged ``slope`` rows whose pooled last
+    chord is steeper than either row's own."""
     from drcert.curves import CurveFamily, RateProfile, curve_from_samples
 
     rng = np.random.default_rng(31)
@@ -167,6 +169,8 @@ def profiles():
                              np.concatenate([r[1] for r in rows]), starts,
                              tail=tail, tail_exponent=expo)
         out.append((f"{kind} ragged", RateProfile(family, rng.dirichlet(np.ones(3)))))
+    pooled = CurveFamily([0, 1, 2, 0, 1.5, 2.1], [0, 0.9, 1, 0, 9.9, 10], [0, 3], tail="slope")
+    out.append(("slope pooled-chord", RateProfile(pooled, [0.5, 0.5])))
     return out
 
 

@@ -17,6 +17,7 @@ from drcert.certificates import (
 from drcert.curves import (
     ConcaveCurve,
     Curve,
+    CurveFamily,
     RateProfile,
     curve_from_samples,
     knapsack,
@@ -221,6 +222,8 @@ class TestReport:
             certificate_report(prof, 1.0, [], cc=[], **kw)
         with pytest.raises(ValueError):
             certificate_report(prof, 1.0, [0.2, 0.1], cc=[1.0, 1.0], **kw)
+        with pytest.raises(ValueError, match="positive and ascending"):  # a 0-d grid
+            certificate_report(prof, 1.0, 0.5, cc=1.0, **kw)
 
 
 def test_sandwich_holds_past_the_grid_on_a_slope_tail():
@@ -340,8 +343,9 @@ def dense_reference(t, V, tail, expo, weights, p, eps):
     matrix ``V`` on the grid ``t`` one whole column at a time.
 
     Returns (lb without the u = eps candidate, lb with it, cc): the star
-    majorant here takes the knots at or beyond eps and the tail only, and the
-    candidate is each row's reading from the left at eps.
+    majorant here takes the knots at or beyond eps and the tail only (a
+    ``slope`` tail's limit at p = 1 only), and the candidate is each row's
+    reading from the left at eps.
     """
     live = weights > 0  # 0 * inf = 0
     past = eps > t[-1]
@@ -369,9 +373,8 @@ def dense_reference(t, V, tail, expo, weights, p, eps):
                 best = np.max((eps / t[first:]) ** p * V[:, first:], axis=1)
         if past:
             best = np.maximum(best, left)
-        if star_tail == "slope" and t.size >= 2:
-            a, b = float(t[-1]) / eps, float(t[-2]) / eps
-            denom = a ** p - (b ** p if b > 0 else 0.0)
+        if star_tail == "slope" and p == 1.0 and t.size >= 2:  # eps times the last chord's slope
+            denom = float(t[-1]) / eps - float(t[-2]) / eps
             if denom > 0:
                 best = np.maximum(best, (V[:, -1] - V[:, -2]) / denom)
     w = weights[live]
@@ -424,16 +427,19 @@ def test_p_inf_lower_bound_never_rounds_above_the_upper_bound(grid, at):
     assert np.all(lbs <= ccs)
 
 
+GRID_TAILS = (("const", None), ("slope", None), ("infinite", None), ("infinite", 1.5),
+              ("infinite", 2.0), ("infinite", 3.0))
+
+
 @st.composite
-def shared_grids(draw):
+def shared_grids(draw, tails=GRID_TAILS):
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 8))
     t = np.concatenate([[0.0], np.cumsum(draw(st.lists(
         st.floats(0.05, 2.0), min_size=k - 1, max_size=k - 1)))])
     steps = draw(st.lists(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k),
                           min_size=n, max_size=n))
-    tail, expo = draw(st.sampled_from([("const", None), ("slope", None), ("infinite", None),
-                                       ("infinite", 1.5), ("infinite", 2.0), ("infinite", 3.0)]))
+    tail, expo = draw(st.sampled_from(tails))
     mass = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
     mass[draw(st.integers(0, n - 1))] += 1.0  # some weight is positive; others may be 0
     V = np.cumsum(steps, axis=1)
@@ -476,6 +482,51 @@ def test_knapsack_lies_between_the_bounds(grid, p, eps):
         assert np.all((a <= b) | np.isclose(a, b, rtol=1e-12, atol=1e-300))
 
 
+@st.composite
+def ragged_slope_profiles(draw):
+    """Rows of 1-6 knots on their own budgets under a ``slope`` tail, some
+    weights 0."""
+    n = draw(st.integers(1, 4))
+    t, v, starts = [], [], []
+    for _ in range(n):
+        moves = draw(st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 10.0)),
+                              max_size=5))
+        starts.append(len(t))
+        t += np.cumsum([0.0] + [m[0] for m in moves]).tolist()
+        v += np.cumsum([draw(st.floats(0.0, 3.0))] + [m[1] for m in moves]).tolist()
+    mass = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    mass[draw(st.integers(0, n - 1))] += 1.0
+    return RateProfile(CurveFamily(t, v, starts, tail="slope"), mass / mass.sum())
+
+
+def dense_knapsack(prof, p, eps):
+    """knapsack over the rows read from the left on one dense grid (every
+    row's knots, the budgets and a geometric grid out to 1e4 times the last
+    knot) under a ``const`` tail: exact on that profile and never above the
+    gap, and each star candidate at a knot or at eps is one of its plans."""
+    rates = prof.rates
+    top = max(float(np.max(rates.t)), 1.0)
+    far = np.geomspace(1e-3 * top, 1e4 * top, 200)
+    grid = np.unique(np.concatenate([rates.t, np.atleast_1d(eps), far]))
+    V = np.stack([rates.left_values(x) for x in grid.tolist()], axis=1)
+    return knapsack(RateProfile(curve_from_samples(grid, V), prof.weights), p, eps)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(prof=st.one_of(shared_grids(tails=[("slope", None)]).map(
+           lambda g: RateProfile(curve_from_samples(g[0], g[1], tail="slope"), g[4])),
+       ragged_slope_profiles()),
+       p=st.sampled_from([1.5, 2.0, 3.0]), eps=st.lists(st.floats(1e-3, 20.0), min_size=1,
+                                                        max_size=4))
+def test_slope_bounds_sandwich_a_dense_knapsack(prof, p, eps):
+    # a slope tail is a line in t, under its line in t^p above p = 1: the
+    # majorant may read the line in t^p, the star may not (it read over the gap)
+    eps = np.unique(eps)
+    truth = dense_knapsack(prof, p, eps)
+    for a, b in ((lower_bound(prof, p, eps), truth), (truth, upper_bound(prof, p, eps))):
+        assert np.all((a <= b) | np.isclose(a, b, rtol=1e-12, atol=0.0))
+
+
 def test_upper_bound_reads_each_rows_own_slope_tail():
     # the pooled max [0, 10, 10.1] runs on at slope 0.1, which no row has: it
     # read cc = 11.1 at eps = 12, under lb at p = 1 and at p = inf
@@ -489,6 +540,15 @@ def test_upper_bound_reads_each_rows_own_slope_tail():
     # max(t, 1) has the least concave majorant 1 + t, not the pooled flat line
     flat = RateProfile(curve_from_samples([0, 1], [[0, 1], [1, 1]], tail="slope"), [0.5, 0.5])
     assert upper_bound(flat, 1.0, 1.0) == 2.0
+    # the pooled last chord (1.0) is steeper than either row's own (0.1, 1/6):
+    # run on at that chord, cc read 10.5 at eps = 2.1, over the largest rate 10
+    ragged = RateProfile(CurveFamily([0, 1, 2, 0, 1.5, 2.1], [0, 0.9, 1, 0, 9.9, 10], [0, 3],
+                                     tail="slope"), [0.5, 0.5])
+    assert upper_bound(ragged, 1.0, 2.1) == 10.0
+    assert upper_bound(ragged, 1.0, 10.0) == pytest.approx(10.0 + 7.9 / 6)
+    # the star read the tails as lines in t^p: lb 7.325 at p = 2, over the gap 6.599
+    assert lower_bound(ragged, 2.0, 10.0) == pytest.approx(6.5583333333333)
+    assert lower_bound(ragged, 2.0, 10.0) <= dense_knapsack(ragged, 2.0, 10.0)
 
 
 def test_a_positive_budget_whose_power_underflows_stays_positive():

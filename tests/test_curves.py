@@ -335,10 +335,12 @@ def test_slope_tail_outgrows_the_hull():
 
 
 def test_slope_star_at_a_subnormal_budget_warns_nothing():
-    # the knots over a subnormal eps overflow to inf: the limit reads 0, quietly
+    # the knots over a subnormal eps overflow to inf: at p = 1 the limit's
+    # run is inf - inf and reads no limit, quietly; above p = 1 none is read
     profile = RateProfile(curve_from_samples([0, 1, 2], [[0, 1, 3]], tail="slope"), [1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert lower_bound(profile, 1.0, 1e-310) == 1.50000000000007e-310
         assert lower_bound(profile, 2.0, 1e-310) == 0.0
 
 

@@ -226,9 +226,9 @@ def test_solves_read_one_cached_profile_without_pooling_it():
     assert dr_risk_plan_spend(inst) == 0.7 ** 2  # the split segment takes it all
     assert wp_ordering_check(inst, [1.0, 2.0, math.inf])
     assert lower_bound(profile, 2.0, 0.7) > 0.0
-    assert "maximal" not in vars(profile)  # the pointwise max is never pooled
-    upper_bound(profile, 2.0, 0.7)
-    assert "maximal" in vars(profile)
+    for p in (1.0, 2.0, math.inf):
+        assert upper_bound(profile, p, 0.7) >= lower_bound(profile, p, 0.7)
+    assert "maximal" not in vars(profile)  # no solve and no bound pools the rows
 
 
 @settings(max_examples=150, deadline=None)
